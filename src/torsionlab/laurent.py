@@ -4,7 +4,10 @@ Polynomials are stored densely as (lowest exponent, coefficient list) and
 kept normalized: after every arithmetic operation coefficients whose
 magnitude is below TRIM_TOL relative to the largest one are dropped, so
 degree bookkeeping stays exact.  Determinants of Laurent matrices are
-computed by evaluation at roots of unity and FFT interpolation.
+computed by evaluation at roots of unity and FFT interpolation; the
+evaluation runs on numpy arrays, one block of sample points at a time, and
+reproduces the scalar per-point evaluation (``eval_at`` followed by
+``np.linalg.det``) bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import numpy as np
 
 # relative threshold below which a coefficient counts as zero
 TRIM_TOL = 1e-12
+# matrix elements evaluated per block of determinant sample points; bounds
+# the scratch arrays of LaurentMatrix.det whatever the degree spread
+DET_BLOCK_ELEMENTS = 1 << 12
 
 
 class LaurentPoly:
@@ -218,6 +224,17 @@ class LaurentMatrix:
         The exponent spread of det is bounded row by row; the determinant is
         sampled at N >= spread+1 points on the unit circle (N a power of
         two) and the coefficients recovered by a discrete Fourier inversion.
+
+        The entries are packed once into a coefficient tensor (each entry's
+        own lowest exponent at index 0, zeros above its top), and the
+        samples are taken in blocks of at most DET_BLOCK_ELEMENTS matrix
+        elements: Horner runs at all points of a block at once, and one
+        batched ``np.linalg.det`` factors the block's matrices.  Every
+        sample equals, bit for bit, ``np.linalg.det(self.eval_at(w))``:
+        the complex products are written out in split real/imaginary form,
+        in the same order as Python's ``complex.__mul__`` evaluates them,
+        because numpy's vectorized complex multiply may round differently,
+        and the powers ``w**low`` come from Python's own complex power.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -238,8 +255,46 @@ class LaurentMatrix:
         while N < spread + 1:
             N *= 2
         omega = np.exp(2j * np.pi * np.arange(N) / N)
+
+        # coefficient tensor, highest power first: coef[k] holds the
+        # coefficients of t**(low + width-1-k) of every entry.  The zero
+        # padding leaves Horner's accumulator at exactly +0 until an entry's
+        # own top coefficient is reached.
+        E = n * n
+        width = max(len(e.coeffs) for e in self.entries)
+        coef = np.zeros((E, width), dtype=complex)
+        for idx, e in enumerate(self.entries):
+            coef[idx, : len(e.coeffs)] = e.coeffs
+        coef = coef[:, ::-1].T
+        cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
+        lows, low_row = np.unique([e.low for e in self.entries], return_inverse=True)
+        lows = [int(low) for low in lows]
+
+        block = max(1, DET_BLOCK_ELEMENTS // E)
         samples = np.empty(N, dtype=complex)
-        for k in range(N):
-            samples[k] = np.linalg.det(self.eval_at(omega[k])) * omega[k] ** (-lo)
+        for start in range(0, N, block):
+            w = omega[start : start + block]
+            zr, zi = w.real[:, None], w.imag[:, None]
+            ar, ai, nr, ni, tmp = np.zeros((5, len(w), E))
+            for k in range(width):
+                # (nr, ni) = (ar, ai) * (zr, zi) + (cr, ci), in that order
+                np.multiply(ar, zr, out=nr)
+                np.multiply(ai, zi, out=tmp)
+                np.subtract(nr, tmp, out=nr)
+                np.add(nr, cr[k], out=nr)
+                np.multiply(ar, zi, out=ni)
+                np.multiply(ai, zr, out=tmp)
+                np.add(ni, tmp, out=ni)
+                np.add(ni, ci[k], out=ni)
+                ar, ai, nr, ni = nr, ni, ar, ai
+            # times w**low, with the power taken in Python complex arithmetic
+            powers = np.array([[complex(x) ** low for low in lows] for x in w])[:, low_row]
+            pr, pi = powers.real, powers.imag
+            mats = np.empty((len(w), n, n), dtype=complex)
+            mats.real = (ar * pr - ai * pi).reshape(-1, n, n)
+            mats.imag = (ar * pi + ai * pr).reshape(-1, n, n)
+            dets = np.linalg.det(mats)
+            for k in range(len(w)):
+                samples[start + k] = dets[k] * omega[start + k] ** (-lo)
         coeffs = np.fft.fft(samples) / N
         return LaurentPoly(lo, coeffs)

@@ -76,6 +76,10 @@ class Presentation:
         return self.meridian is not None and self.longitude is not None
 
 
+# letters a word may hold once its powers are written out; checked before
+# expanding, so a huge exponent is a ParseError rather than a memory blow-up
+MAX_WORD_LETTERS = 100_000
+
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^|-?\d+|;|\S")
 
 
@@ -110,7 +114,11 @@ class _TokenStream:
 
 
 def parse_word(stream, name_to_index):
-    """Parse a word up to (not including) the terminating ';'."""
+    """Parse a word up to (not including) the terminating ';'.
+
+    Raises ParseError at the letter that takes the word past
+    MAX_WORD_LETTERS letters.
+    """
     letters = []
     saw_any = False
     while True:
@@ -139,6 +147,12 @@ def parse_word(stream, name_to_index):
                 exponent = sign * int(etok)
             except ValueError:
                 raise ParseError(f"bad exponent {etok!r}", eline, ecol) from None
+        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"word longer than {MAX_WORD_LETTERS} letters after expanding powers",
+                line,
+                col,
+            )
         idx = name_to_index[lookup]
         unit = 1 if exponent > 0 else -1
         letters.extend([(idx, unit)] * abs(exponent))

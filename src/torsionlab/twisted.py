@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freegroup import GroupRingElement, fox_derivative
 from .laurent import LaurentMatrix, LaurentPoly
 
 H1_TOL = 1e-9
 CUSPIDAL_TOL = 1e-9
+# where a candidate pivot determinant is tested for vanishing identically
+_PIVOT_TEST_POINTS = 2.0 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
 
 
 class NoPivotError(RuntimeError):
@@ -33,7 +34,9 @@ def phi_apply(elem, pres, rep):
     """Apply Phi = (abelianization) tensor rho to a group-ring element.
 
     Returns an r x r LaurentMatrix: each word w contributes
-    coeff * rho(w) * t**degree(w).
+    coeff * rho(w) * t**degree(w).  The pipeline does not call this: it is
+    the reference that tests compare ``boundary2`` against, applied to
+    ``fox_derivative`` of each relator.
     """
     r = rep.rank
     entries = [[LaurentPoly.zero() for _ in range(r)] for _ in range(r)]
@@ -81,43 +84,65 @@ def boundary2(pres, rep, skip_generator=None):
 
     Block (j, i) is Phi(d r_j / d x_i); with ``skip_generator`` the
     corresponding block column is deleted (pivot removal).
+
+    Each relator is walked once with a running prefix product, the same
+    left-to-right matmul sequence ``UnitaryRep.of_word`` runs.  The Fox
+    term of a letter x_i is +rho(prefix) t**deg(prefix) before it, and of
+    a letter x_i^-1 it is -rho(prefix) t**deg(prefix) after it; the terms
+    are added in word order into a dense (degree, r, r) buffer per block,
+    and each LaurentPoly entry is built once at the end.  ``phi_apply`` of
+    ``fox_derivative`` is the reference this is tested against.
     """
     n, r = pres.n_generators, rep.rank
     cols = [i for i in range(1, n + 1) if i != skip_generator]
+    degrees = pres.abelianization_degrees
     rows = []
     for rel in pres.relators:
-        blocks = [phi_apply(fox_derivative(rel, i), pres, rep) for i in cols]
+        # degree of every prefix; buf[j - 1] is the (degree, r, r) buffer
+        # of generator j
+        prefix_deg = [0]
+        for j, s in rel.letters:
+            prefix_deg.append(prefix_deg[-1] + degrees[j - 1] * s)
+        low = min(prefix_deg)
+        buf = np.zeros((n, max(prefix_deg) - low + 1, r, r), dtype=complex)
+        prefix = np.eye(r, dtype=complex)
+        for k, (j, s) in enumerate(rel.letters):
+            if s > 0:
+                buf[j - 1, prefix_deg[k] - low] += prefix
+                prefix = prefix @ rep.images[j - 1]
+            else:
+                prefix = prefix @ rep._inverses[j - 1]
+                buf[j - 1, prefix_deg[k + 1] - low] -= prefix
         for a in range(r):
-            row = []
-            for blk in blocks:
-                row.extend(blk[a, b] for b in range(r))
-            rows.append(row)
+            rows.append(
+                [LaurentPoly(low, buf[i - 1, :, a, b].tolist()) for i in cols for b in range(r)]
+            )
     if not rows:
         return LaurentMatrix(0, len(cols) * r, [])
     return LaurentMatrix.from_rows(rows)
 
 
-def pivot_candidates(pres, rep):
-    """Generator indices whose Phi(x_i - 1) block has nonvanishing determinant.
+def _is_pivot(pres, rep, i):
+    """True iff the Phi(x_i - 1) block has nonvanishing determinant.
 
-    Each candidate determinant is tested by evaluation at 8 fixed points on
-    the circle |t| = 2.
+    The determinant is tested by evaluation at 8 fixed points on the
+    circle |t| = 2.
     """
-    out = []
-    zs = 2.0 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
-    for i in range(1, pres.n_generators + 1):
-        det = _generator_block(pres, rep, i).det()
-        if any(abs(det(z)) > 1e-9 for z in zs):
-            out.append(i)
-    return out
+    det = _generator_block(pres, rep, i).det()
+    return any(abs(det(z)) > 1e-9 for z in _PIVOT_TEST_POINTS)
+
+
+def pivot_candidates(pres, rep):
+    """Generator indices whose Phi(x_i - 1) block has nonvanishing determinant."""
+    return [i for i in range(1, pres.n_generators + 1) if _is_pivot(pres, rep, i)]
 
 
 def choose_pivot(pres, rep):
     """Smallest generator index usable as the Wada pivot."""
-    cands = pivot_candidates(pres, rep)
-    if not cands:
-        raise NoPivotError("all candidate pivot determinants vanish identically")
-    return cands[0]
+    for i in range(1, pres.n_generators + 1):
+        if _is_pivot(pres, rep, i):
+            return i
+    raise NoPivotError("all candidate pivot determinants vanish identically")
 
 
 def cuspidality_check(rep, pres):

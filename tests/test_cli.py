@@ -61,6 +61,13 @@ class TestTalex:
         assert code == 1
         assert "no such file or corpus entry" in err
 
+    def test_huge_power_exits_1(self, capsys, tmp_path):
+        pres = tmp_path / "huge.pres"
+        pres.write_text("gens a;\nrel a^1000000000;\n")
+        code, _, err = run(capsys, "talex", str(pres), "--xi=0,1")
+        assert code == 1
+        assert "line 2, col 5" in err
+
     def test_rep_file(self, capsys, tmp_path):
         rep = tmp_path / "rep.rep"
         rep.write_text("rank 1;\nchar a = 0,1;\nchar b = 0,1;\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab import LaurentMatrix, LaurentPoly
+from torsionlab import LaurentMatrix, LaurentPoly, laurent
 
 
 def lp(low, *coeffs):
@@ -157,3 +157,49 @@ class TestDeterminant:
             M = random_matrix(rng, 3)
             z = np.exp(2j * np.pi * rng.random())
             assert M.det()(z) == pytest.approx(np.linalg.det(M.eval_at(z)), rel=1e-9)
+
+
+def looped_det(M):
+    """det sampled one point at a time: eval_at, np.linalg.det, then the FFT.
+
+    This is the scalar loop LaurentMatrix.det batches; the batched version
+    must reproduce it exactly.
+    """
+    n = M.rows
+    lo = sum(min(M[i, j].low for j in range(n) if not M[i, j].is_zero) for i in range(n))
+    hi = sum(max(M[i, j].high for j in range(n) if not M[i, j].is_zero) for i in range(n))
+    N = 1
+    while N < hi - lo + 1:
+        N *= 2
+    omega = np.exp(2j * np.pi * np.arange(N) / N)
+    samples = np.empty(N, dtype=complex)
+    for k, w in enumerate(omega):
+        samples[k] = np.linalg.det(M.eval_at(w)) * w ** (-lo)
+    return LaurentPoly(lo, np.fft.fft(samples) / N), N
+
+
+class TestBatchedDeterminant:
+    def test_equals_per_point_loop(self, rng):
+        multi_block = 0
+        for trial in range(21):
+            n = 2 + trial % 7
+            wide = n >= 6 and trial >= 7
+            entries = []
+            for i in range(n):
+                for j in range(n):
+                    # every row keeps one nonzero entry, so det is not trivially 0
+                    if j != i and rng.random() < 0.25:
+                        entries.append(LaurentPoly.zero())
+                        continue
+                    width = int(rng.integers(1, 41 if wide else 6))
+                    c = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                    if rng.random() < 0.3:
+                        c = np.round(2 * c)  # Gaussian integers, with exact zeros
+                    low = int(rng.integers(-40, 41) if wide else rng.integers(-5, 6))
+                    entries.append(LaurentPoly(low, c))
+            M = LaurentMatrix(n, n, entries)
+            ref, N = looped_det(M)
+            got = M.det()
+            assert got.low == ref.low and got.coeffs == ref.coeffs
+            multi_block += N > laurent.DET_BLOCK_ELEMENTS // (n * n)
+        assert multi_block >= 3

@@ -3,7 +3,7 @@
 import pytest
 
 from torsionlab import ParseError, Word, parse_presentation
-from torsionlab.presentations import format_word
+from torsionlab.presentations import MAX_WORD_LETTERS, format_word
 
 
 class TestParsing:
@@ -68,6 +68,31 @@ class TestParsing:
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
         assert pres.word_degree(pres.relators[0]) == 0
         assert pres.word_degree(Word.generator(1)) == 1
+
+
+class TestWordLength:
+    def test_exactly_at_limit_parses(self):
+        pres = parse_presentation(f"gens a b; rel a^{MAX_WORD_LETTERS};")
+        assert len(pres.relators[0]) == MAX_WORD_LETTERS
+
+    def test_limit_counts_letters_across_powers(self):
+        half = MAX_WORD_LETTERS // 2
+        pres = parse_presentation(f"gens a b; rel a^{half} b^-{MAX_WORD_LETTERS - half};")
+        assert len(pres.relators[0]) == MAX_WORD_LETTERS
+
+    def test_one_letter_over_fails(self):
+        with pytest.raises(ParseError, match="letters") as err:
+            parse_presentation(f"gens a b;\nrel a^{MAX_WORD_LETTERS} b;")
+        assert (err.value.line, err.value.col) == (2, 5 + len(f"a^{MAX_WORD_LETTERS} "))
+
+    def test_huge_exponent_fails_before_expanding(self):
+        with pytest.raises(ParseError, match="letters") as err:
+            parse_presentation("gens a;\nrel a^1000000000;")
+        assert (err.value.line, err.value.col) == (2, 5)
+
+    def test_huge_negative_exponent_in_peripheral_word(self):
+        with pytest.raises(ParseError, match="letters"):
+            parse_presentation("gens a; meridian a; longitude A^1000000000;")
 
 
 class TestSerialization:

@@ -6,23 +6,27 @@ import pytest
 from torsionlab import (
     GroupRingElement,
     LaurentPoly,
+    Presentation,
     UnitaryRep,
     Word,
     boundary1,
     boundary2,
     choose_pivot,
     cuspidality_check,
+    fox_derivative,
     parse_presentation,
     phi_apply,
     twisted_alexander,
 )
-from torsionlab.twisted import MissingPeripheralError, NoPivotError
+from torsionlab.laurent import LaurentMatrix
+from torsionlab.twisted import MissingPeripheralError, NoPivotError, pivot_candidates
 
 from conftest import (
     KNOT_NAMES,
     SEIFERT,
     load_corpus_presentation,
     random_abelian_rep,
+    random_unitary,
     seifert_alexander,
     up_to_unit_monomial,
 )
@@ -114,6 +118,76 @@ class TestBoundaries:
             assert prod.max_abs_coeff() <= 1e-10
 
 
+def boundary2_reference(pres, rep, skip_generator=None):
+    """boundary2 entry by entry from phi_apply(fox_derivative(rel, i))."""
+    r = rep.rank
+    cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
+    rows = []
+    for rel in pres.relators:
+        blocks = [phi_apply(fox_derivative(rel, i), pres, rep) for i in cols]
+        for a in range(r):
+            rows.append([blk[a, b] for blk in blocks for b in range(r)])
+    return rows
+
+
+def torus_braid_closure(p, q):
+    """Wirtinger presentation <x_j | beta(x_j) = x_j> of T(p,q), beta = (s_1...s_{p-1})^q.
+
+    beta acts on words by the Artin action; the relator for j = p is
+    redundant and dropped.
+    """
+    x = Word.generator
+
+    def artin(i, j, s):
+        img = x(i) * x(i + 1) * x(i, -1) if j == i else x(i) if j == i + 1 else x(j)
+        return (img if s > 0 else img.inverse()).letters
+
+    images = [x(j) for j in range(1, p + 1)]
+    for _ in range(q):
+        for i in range(1, p):
+            images = [Word(sum((artin(i, j, s) for j, s in w.letters), ())) for w in images]
+    return Presentation(
+        n_generators=p,
+        generator_names=tuple(f"x{j}" for j in range(1, p + 1)),
+        relators=tuple(images[j - 1] * x(j, -1) for j in range(1, p)),
+        wirtinger=True,
+    )
+
+
+class TestBoundary2AgainstReference:
+    def compare(self, pres, rep, exact):
+        for skip in [None] + list(range(1, pres.n_generators + 1)):
+            got = boundary2(pres, rep, skip_generator=skip)
+            ref = boundary2_reference(pres, rep, skip_generator=skip)
+            n_cols = (pres.n_generators - (skip is not None)) * rep.rank
+            assert (got.rows, got.cols) == (len(ref), n_cols)
+            for a, row in enumerate(ref):
+                for b, want in enumerate(row):
+                    if exact:
+                        assert got[a, b] == want
+                    else:
+                        assert got[a, b].close_to(want, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", KNOT_NAMES + ["synthetic_h1"])
+    @pytest.mark.parametrize("xi", [1j, -1.0, 1.0])
+    def test_corpus_gaussian_characters_exact(self, name, xi):
+        # rho(prefix) and every sum are Gaussian integers: no rounding at all
+        pres = load_corpus_presentation(name)
+        self.compare(pres, UnitaryRep.character(pres.n_generators, xi), exact=True)
+
+    @pytest.mark.parametrize("name", KNOT_NAMES + ["synthetic_h1"])
+    def test_random_unitary_ranks_1_to_3(self, name, rng):
+        pres = load_corpus_presentation(name)
+        for r in (1, 2, 3):
+            rep = UnitaryRep([random_unitary(rng, r) for _ in range(pres.n_generators)])
+            self.compare(pres, rep, exact=False)
+
+    def test_torus_knot_3_16_rank4(self, rng):
+        pres = torus_braid_closure(3, 16)
+        assert max(len(rel) for rel in pres.relators) > 30
+        self.compare(pres, random_abelian_rep(rng, 3, 4), exact=False)
+
+
 class TestPivot:
     def test_rank1_character(self):
         pres = parse_presentation(TREFOIL)
@@ -123,6 +197,20 @@ class TestPivot:
         # det(t - 1) is nonzero as a polynomial
         pres = parse_presentation(TREFOIL)
         assert choose_pivot(pres, UnitaryRep.character(2, 1.0)) == 1
+
+    def test_first_of_the_candidates(self, rng):
+        pres = load_corpus_presentation("figure_eight")
+        for r in (1, 2, 3):
+            rep = random_abelian_rep(rng, 2, r)
+            assert choose_pivot(pres, rep) == pivot_candidates(pres, rep)[0]
+
+    def test_stops_at_first_valid_generator(self, monkeypatch):
+        pres = load_corpus_presentation("knot_5_2")
+        calls = []
+        det = LaurentMatrix.det
+        monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(1) or det(m))
+        assert choose_pivot(pres, UnitaryRep.character(pres.n_generators, 1j)) == 1
+        assert len(calls) == 1
 
     def test_identity_image_rank2_still_pivots(self):
         # det(t I - I) = (t - 1)^2 is nonzero as a polynomial
