@@ -219,7 +219,7 @@ def cmd_ruelle(args):
     rpt = Report("ruelle-eval")
     rpt.add("spectrum", args.spectrum)
     rpt.add("z", fmt_complex(z))
-    rpt.add("entries", len(spec.entries))
+    rpt.add("entries", len(spec.lengths))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectrumWarning)
         if args.cutoffs:

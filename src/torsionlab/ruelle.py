@@ -5,7 +5,10 @@ evaluated by summing per-factor log-determinants in increasing length
 order; the product converges absolutely for Re z > 2, and the evaluator
 reports a crude bound on the entries beyond the cutoff.  No extrapolation
 toward z = 0 is performed: the special value at the origin comes from the
-torsion routes, not from truncation.
+torsion routes, not from truncation.  A spectrum is held as arrays
+sorted by length, with the z-independent holonomy eigenvalues from one
+batched eigensolve; an evaluation is one array expression over the factors
+plus a running sum in length order, which equals a per-entry loop bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import cmath
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,19 @@ class SpectrumWarning(UserWarning):
     pass
 
 
+def _first_invalid(lengths, holonomies):
+    """(index, reason) of the first entry with a non-positive length or a
+    holonomy h with ||h^H h - I||_F > HOLONOMY_UNITARITY_TOL, else None."""
+    gram = np.conj(np.swapaxes(holonomies, 1, 2)) @ holonomies
+    defects = np.linalg.norm(gram - np.eye(holonomies.shape[1]), axis=(1, 2))
+    bad = np.flatnonzero(~(lengths > 0) | ~(defects <= HOLONOMY_UNITARITY_TOL))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return i, (f"holonomy is not unitary (defect {defects[i]:.2e})" if lengths[i] > 0
+               else f"geodesic length must be positive, got {lengths[i]}")
+
+
 @dataclass(frozen=True)
 class GeodesicEntry:
     """One prime closed geodesic: its length and unitary holonomy image."""
@@ -38,33 +55,39 @@ class GeodesicEntry:
     holonomy: np.ndarray
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"geodesic length must be positive, got {self.length}")
         h = np.asarray(self.holonomy, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("holonomy must be a square matrix")
-        defect = np.linalg.norm(h.conj().T @ h - np.eye(h.shape[0]))
-        if defect > HOLONOMY_UNITARITY_TOL:
-            raise ValueError(f"holonomy is not unitary (defect {defect:.2e})")
+        if bad := _first_invalid(np.array([self.length], dtype=float), h[None]):
+            raise ValueError(bad[1])
         object.__setattr__(self, "holonomy", h)
 
 
-@dataclass(frozen=True)
 class LengthSpectrum:
-    rank: int
-    entries: tuple
+    """Prime geodesics of rank r: ``lengths`` (E,), ``holonomies`` (E, r, r) and
+    ``eigenvalues`` (E, r, one batched eigensolve), stably sorted by length.
+    An empty spectrum holds (0, 0, 0) and (0, 0) arrays whatever its rank."""
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.holonomy.shape != (self.rank, self.rank):
-                raise ValueError("all holonomies must share the declared rank")
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e.length))
-        )
+    def __init__(self, rank, entries):
+        if any(e.holonomy.shape != (rank, rank) for e in entries):
+            raise ValueError("all holonomies must share the declared rank")
+        self._store(rank, np.array([e.length for e in entries], dtype=float),
+                    np.array([e.holonomy for e in entries], dtype=complex))
+
+    def _store(self, rank, lengths, holonomies):
+        """Sort unchecked arrays (holonomies flat or stacked) and solve for eigenvalues."""
+        order = np.argsort(lengths, kind="stable")
+        self.rank = rank
+        self.lengths = lengths[order]
+        self.holonomies = (holonomies.reshape(len(order), rank, rank)[order] if len(order)
+                           else np.empty((0, 0, 0), dtype=complex))
+        self.eigenvalues = np.linalg.eigvals(self.holonomies)
+        return self
 
     @property
-    def max_length(self):
-        return self.entries[-1].length if self.entries else 0.0
+    def entries(self):
+        """The spectrum as GeodesicEntry objects, built on each access."""
+        return tuple(GeodesicEntry(float(l), h) for l, h in zip(self.lengths, self.holonomies))
 
 
 def complex_length_from_trace(tr):
@@ -89,22 +112,18 @@ def complex_length_from_trace(tr):
     return length, theta
 
 
-def _log_factor(entry, z):
-    """-log det(I - rho(gamma) e^{-z l}) for one geodesic, branch-safe.
-
-    The eigenvalues mu of rho(gamma) e^{-z l} satisfy |mu| = e^{-Re(z) l};
-    the principal log of each 1 - mu is taken factor by factor.
-    """
-    scale = np.exp(-z * entry.length)
-    mus = np.linalg.eigvals(entry.holonomy) * scale
-    if np.max(np.abs(mus)) >= 1.0:
-        warnings.warn(
-            f"factor at length {entry.length} has spectral radius >= 1; "
-            "the Euler product diverges here",
-            SpectrumWarning,
-            stacklevel=3,
-        )
-    return -np.sum(np.log(1.0 - mus))
+def _log_prefix(spec, z, n):
+    """(n + 1,) running sums of -log det(I - rho(gamma) e^{-z l}) over the n
+    shortest entries, in length order from 0j as a per-entry loop adds them
+    (principal log of 1 - mu per eigenvalue mu).  Warns at most once, if any
+    of these factors has spectral radius >= 1."""
+    mus = spec.eigenvalues[:n] * np.exp(-z * spec.lengths[:n])[:, None]
+    divergent = np.flatnonzero(np.abs(mus).max(axis=1, initial=0.0) >= 1.0)
+    if divergent.size:
+        warnings.warn(f"{divergent.size} factor(s), the first at length "
+                      f"{spec.lengths[divergent[0]]}, have spectral radius >= 1; the Euler "
+                      "product diverges there", SpectrumWarning, stacklevel=3)
+    return np.concatenate(([0j], 0j + np.cumsum(-np.sum(np.log(1.0 - mus), axis=1))))
 
 
 def truncated_ruelle(spec, z, cutoff=None):
@@ -114,106 +133,87 @@ def truncated_ruelle(spec, z, cutoff=None):
     length <= cutoff (all entries when cutoff is None); the tail bound sums
     r e^{-x l} / (1 - e^{-x l}) with x = Re z over the skipped entries, a
     report on the data beyond the cutoff, not a mathematical tail bound
-    beyond the file's horizon.
+    beyond the file's horizon.  The tail is summed in order (np.sum is pairwise).
     """
     z = complex(z)
     if z.real <= 2.0:
-        warnings.warn(
-            f"Re z = {z.real} is outside the certified convergence region Re z > 2",
-            SpectrumWarning,
-            stacklevel=2,
-        )
-    if not spec.entries:
+        warnings.warn(f"Re z = {z.real} is outside the certified convergence region Re z > 2",
+                      SpectrumWarning, stacklevel=2)
+    if not len(spec.lengths):
         warnings.warn("empty length spectrum: the product is 1", SpectrumWarning, stacklevel=2)
         return 1.0 + 0j, 0.0
-    if cutoff is None:
-        cutoff = spec.max_length
-    log_value = 0j
-    tail = 0.0
-    x = z.real
-    for entry in spec.entries:  # ascending length
-        if entry.length <= cutoff:
-            log_value += _log_factor(entry, z)
-        else:
-            q = np.exp(-x * entry.length)
-            tail += spec.rank * q / (1.0 - q) if q < 1.0 else np.inf
-    return complex(np.exp(log_value)), float(tail)
+    n = len(spec.lengths) if cutoff is None else np.searchsorted(spec.lengths, cutoff, "right")
+    q = np.exp(-z.real * spec.lengths[n:])
+    skipped = np.full(q.shape, np.inf)
+    np.divide(spec.rank * q, 1.0 - q, out=skipped, where=q < 1.0)
+    tail = np.cumsum(skipped)[-1] if skipped.size else 0.0
+    return complex(np.exp(_log_prefix(spec, z, n)[-1])), float(tail)
 
 
 def convergence_report(spec, z, cutoffs):
     """Partial log-products at increasing cutoffs, for stabilization checks.
 
-    Returns a list of rows (cutoff, log_value, entries_used, delta_from_prev).
-    """
-    z = complex(z)
-    rows = []
-    prev = None
-    for L in sorted(cutoffs):
-        log_value = 0j
-        used = 0
-        for entry in spec.entries:
-            if entry.length > L:
-                break
-            log_value += _log_factor(entry, z)
-            used += 1
-        delta = abs(log_value - prev) if prev is not None else None
-        rows.append((L, log_value, used, delta))
-        prev = log_value
+    Returns rows (cutoff, log_value, entries_used, delta_from_prev), all read
+    off one running sum up to the largest cutoff."""
+    cutoffs = sorted(cutoffs)
+    used = np.searchsorted(spec.lengths, cutoffs, side="right").tolist()
+    prefix = _log_prefix(spec, complex(z), max(used, default=0))
+    rows, prev = [], None
+    for L, k in zip(cutoffs, used):
+        rows.append((L, prefix[k], k, None if prev is None else abs(prefix[k] - prev)))
+        prev = prefix[k]
     return rows
 
 
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_GEO = re.compile(rf"geo\s+({_NUM})\s*;(\s*(?:{_NUM},{_NUM}(?:\s+{_NUM},{_NUM})*)?\s*);")
 
 
 def parse_spectrum(text):
     """Parse the spectrum file format.
 
     ``rank r;`` then one ``geo <length> ; <re,im re,im ...> ;`` line per
-    prime geodesic, the matrix row major with r*r comma-separated pairs.
-    """
+    prime geodesic: the holonomy row major as r*r pairs ``re,im`` separated
+    by whitespace.  Lengths and unitarity are checked after the last line;
+    the error names the line of the first entry that fails."""
     rank = None
-    entries = []
+    linenos, lengths, nums = [], array("d"), array("d")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := re.fullmatch(r"rank\s+(\d+)\s*;", line):
-            if rank is not None:
-                raise ParseError("duplicate 'rank' header", lineno)
-            rank = int(m.group(1))
-            if rank < 1:
-                raise ParseError("rank must be positive", lineno)
-            continue
-        m = re.fullmatch(rf"geo\s+({_NUM})\s*;(.*);", line)
-        if not m:
+        if not (m := _GEO.fullmatch(line)):
+            if m := re.fullmatch(r"rank\s+(\d+)\s*;", line):
+                if rank is not None:
+                    raise ParseError("duplicate 'rank' header", lineno)
+                rank = int(m.group(1))
+                if rank < 1:
+                    raise ParseError("rank must be positive", lineno)
+                continue
+            if m := re.fullmatch(rf"geo\s+{_NUM}\s*;(.*);", line):
+                raise ParseError(f"malformed holonomy {m.group(1).strip()!r}", lineno)
             raise ParseError(f"malformed spectrum line: {line!r}", lineno)
         if rank is None:
             raise ParseError("'geo' before 'rank r;'", lineno)
-        length = float(m.group(1))
-        nums = re.findall(_NUM, m.group(2))
-        if len(nums) != 2 * rank * rank:
-            raise ParseError(
-                f"expected {2 * rank * rank} numbers for a rank-{rank} holonomy, "
-                f"got {len(nums)}",
-                lineno,
-            )
-        vals = [complex(float(nums[2 * k]), float(nums[2 * k + 1])) for k in range(rank * rank)]
-        mat = np.array(vals, dtype=complex).reshape(rank, rank)
-        try:
-            entries.append(GeodesicEntry(length=length, holonomy=mat))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+        body = m.group(2)
+        if (count := 2 * body.count(",")) != 2 * rank * rank:
+            raise ParseError(f"expected {2 * rank * rank} numbers for a rank-{rank} "
+                             f"holonomy, got {count}", lineno)
+        linenos.append(lineno)
+        lengths.append(float(m.group(1)))
+        nums.extend(map(float, body.replace(",", " ").split()))
     if rank is None:
         raise ParseError("missing 'rank r;' header")
-    return LengthSpectrum(rank=rank, entries=tuple(entries))
+    lengths, holonomies = np.array(lengths), np.array(nums).view(complex)
+    if len(lengths) and (bad := _first_invalid(lengths, holonomies.reshape(-1, rank, rank))):
+        raise ParseError(bad[1], linenos[bad[0]])
+    return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
 
 
 def format_spectrum(spec):
-    """Serialize a LengthSpectrum in the file format, 15 significant digits."""
+    """Serialize a LengthSpectrum in the file format, with repr-exact floats."""
     lines = [f"rank {spec.rank};"]
-    for e in spec.entries:
-        nums = []
-        for v in e.holonomy.flatten():
-            nums.append(f"{v.real:.15g},{v.imag:.15g}")
-        lines.append(f"geo {e.length:.15g} ; {' '.join(nums)} ;")
+    for length, h in zip(spec.lengths.tolist(), spec.holonomies.tolist()):
+        nums = " ".join(f"{c.real!r},{c.imag!r}" for row in h for c in row)
+        lines.append(f"geo {length!r} ; {nums} ;")
     return "\n".join(lines) + "\n"

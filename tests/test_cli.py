@@ -144,6 +144,22 @@ class TestRuelleEval:
         assert code == 0
         assert "used=2" in out and "used=4" in out and "used=8" in out
 
+    def test_empty_spectrum_of_huge_rank(self, capsys, tmp_path):
+        sp = tmp_path / "huge.spec"
+        sp.write_text("rank 1000000000;\n")
+        code, out, err = run(capsys, "ruelle-eval", str(sp), "--z=3,0", "--cutoffs=1,2")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"[ruelle-eval]\nspectrum = {sp}\nz = 3,0\nentries = 0\n"
+            "cutoff_1 = L=1 log_value=0,0 used=0\n"
+            "cutoff_2 = L=2 log_value=0,0 used=0 delta=0\n"
+            "value = 1,0\ntail_bound = 0\n"
+        )
+        code, out, _ = run(capsys, "ruelle-eval", str(sp), "--z=3,0", "--format=json-lines")
+        assert code == 0
+        assert json.loads(out) == {"report": "ruelle-eval", "spectrum": str(sp), "z": "3,0",
+                                   "entries": 0, "value": "1,0", "tail_bound": "0"}
+
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         sp = tmp_path / "bad.spec"
         sp.write_text("rank 1;\ngeo nonsense ;\n")

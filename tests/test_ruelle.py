@@ -1,6 +1,7 @@
 """Length spectra and truncated Euler products."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,49 @@ from torsionlab import (
 )
 
 from conftest import random_unitary
+
+
+def bits(x):
+    """Exact value of a real or complex number, sign of zero included."""
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def loop_log_factor(entry, z):
+    """-log det(I - rho(gamma) e^{-z l}) of one entry, one eigensolve per call."""
+    mus = np.linalg.eigvals(entry.holonomy) * np.exp(-z * entry.length)
+    return -np.sum(np.log(1.0 - mus))
+
+
+def loop_ruelle(entries, rank, z, cutoff=None):
+    """Reference for truncated_ruelle: a per-entry loop in length order."""
+    entries = sorted(entries, key=lambda e: e.length)
+    if cutoff is None:
+        cutoff = entries[-1].length
+    log_value, tail = 0j, 0.0
+    for e in entries:
+        if e.length <= cutoff:
+            log_value += loop_log_factor(e, z)
+        else:
+            q = np.exp(-z.real * e.length)
+            tail += rank * q / (1.0 - q) if q < 1.0 else np.inf
+    return complex(np.exp(log_value)), float(tail)
+
+
+def loop_report(entries, z, cutoffs):
+    """Reference for convergence_report: one loop from the start per cutoff."""
+    entries = sorted(entries, key=lambda e: e.length)
+    rows, prev = [], None
+    for L in sorted(cutoffs):
+        log_value, used = 0j, 0
+        for e in entries:
+            if e.length > L:
+                break
+            log_value += loop_log_factor(e, z)
+            used += 1
+        rows.append((L, log_value, used, abs(log_value - prev) if prev is not None else None))
+        prev = log_value
+    return rows
 
 
 def spectrum_of(pairs, rank=1):
@@ -78,6 +122,35 @@ class TestEntriesAndSpectrum:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
             LengthSpectrum(rank=2, entries=(GeodesicEntry(1.0, np.eye(1)),))
+
+    def test_array_layout_and_stable_order(self, rng):
+        hs = [random_unitary(rng, 3) for _ in range(4)]
+        lengths = [2.0, 1.0, 2.0, 0.5]
+        spec = LengthSpectrum(3, tuple(GeodesicEntry(l, h) for l, h in zip(lengths, hs)))
+        assert spec.lengths.shape == (4,) and spec.holonomies.shape == (4, 3, 3)
+        assert spec.eigenvalues.shape == (4, 3)
+        np.testing.assert_array_equal(spec.lengths, [0.5, 1.0, 2.0, 2.0])
+        # equal lengths keep their given order
+        for got, want in zip(spec.holonomies, [hs[3], hs[1], hs[0], hs[2]]):
+            np.testing.assert_array_equal(got, want)
+        for e, eig in zip(spec.entries, spec.eigenvalues):
+            np.testing.assert_array_equal(eig, np.linalg.eigvals(e.holonomy))
+
+    def test_one_eigensolve_per_entry(self, monkeypatch):
+        solved = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            solved.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        lines = ["rank 2;"] + [f"geo {1 + 0.1 * k} ; 1,0 0,0 0,0 0,1 ;" for k in range(30)]
+        spec = parse_spectrum("\n".join(lines))
+        convergence_report(spec, 3.0, [1.5, 2.5, 9.0])
+        truncated_ruelle(spec, 3.0)
+        truncated_ruelle(spec, 3.0, cutoff=2.0)
+        assert solved == [30]
 
 
 class TestTruncatedRuelle:
@@ -163,6 +236,15 @@ class TestTruncatedRuelle:
             value, tail = truncated_ruelle(LengthSpectrum(1, ()), 3.0)
         assert value == 1.0 and tail == 0.0
 
+    def test_empty_spectrum_of_huge_rank(self):
+        # nothing of size rank^2 is allocated when there are no entries
+        spec = parse_spectrum("rank 1000000000;\n")
+        assert spec.rank == 10**9 and spec.entries == ()
+        assert format_spectrum(spec) == "rank 1000000000;\n"
+        with pytest.warns(SpectrumWarning, match="empty"):
+            assert truncated_ruelle(spec, 3.0) == (1.0, 0.0)
+        assert [r[1:3] for r in convergence_report(spec, 3.0, [1.0, 2.0])] == [(0j, 0), (0j, 0)]
+
     def test_low_re_z_warns(self):
         spec = spectrum_of([(1.0, [[1.0]])])
         with pytest.warns(SpectrumWarning, match="convergence region"):
@@ -176,6 +258,76 @@ class TestTruncatedRuelle:
         messages = [str(w.message) for w in record]
         assert any("spectral radius" in m for m in messages)
         assert any("convergence region" in m for m in messages)
+
+    def test_one_spectral_radius_warning_per_call(self):
+        # at Re z <= 2 many factors diverge; each call warns about them once
+        spec = spectrum_of([(0.1 * k, [[1.0]]) for k in range(1, 40)])
+        for call in (lambda: truncated_ruelle(spec, -0.5 + 0j),
+                     lambda: truncated_ruelle(spec, 0.0, cutoff=2.0),
+                     lambda: convergence_report(spec, -1.0, [1.0, 2.0, 4.0])):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                call()
+            radius = [w for w in record if "spectral radius" in str(w.message)]
+            assert len(radius) == 1
+
+    def test_no_spectral_radius_warning_beyond_the_cutoff(self):
+        # a divergent factor past the cutoff is never evaluated
+        spec = spectrum_of([(1.0, [[1.0]]), (2.0, [[1.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            truncated_ruelle(spec, 3.0, cutoff=1.5)
+            convergence_report(spec, 3.0, [0.5, 1.5])
+
+
+class TestAgainstPerEntryLoop:
+    """The array route equals the per-entry loop it replaced, bit for bit."""
+
+    Z = (3.0, 2.5 + 0.3j, 4.0 - 1.0j, 2.0, 1.5 + 0.2j, -0.5j)
+
+    def check(self, entries, rank, cutoffs):
+        spec = LengthSpectrum(rank, tuple(entries))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for z in self.Z:
+                for cutoff in [None, *cutoffs]:
+                    got = truncated_ruelle(spec, z, cutoff)
+                    want = loop_ruelle(entries, rank, complex(z), cutoff)
+                    assert [bits(x) for x in got] == [bits(x) for x in want], (z, cutoff)
+                rows = convergence_report(spec, z, cutoffs)
+                oracle = loop_report(entries, complex(z), cutoffs)
+                assert len(rows) == len(oracle)
+                for row, want in zip(rows, oracle):
+                    assert row[0] == want[0] and row[2] == want[2]
+                    assert bits(row[1]) == bits(want[1])
+                    assert (row[3] is None) == (want[3] is None)
+                    if row[3] is not None:
+                        assert bits(row[3]) == bits(want[3])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_random_spectra(self, rng, rank):
+        for _ in range(3):
+            lengths = rng.uniform(0.3, 6.0, int(rng.integers(2, 120)))
+            lengths[: len(lengths) // 3] = np.round(lengths[: len(lengths) // 3], 1)  # duplicates
+            entries = [GeodesicEntry(float(l), random_unitary(rng, rank)) for l in lengths]
+            s = np.sort(lengths)
+            # below the first length, equal to some lengths, a median, above the last
+            cutoffs = [s[0] / 2, s[len(s) // 2], float(np.median(s)), s[-1], s[-1] + 1]
+            self.check(entries, rank, cutoffs)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_trivial_and_diagonal_holonomy(self, rng, rank):
+        lengths = [0.5, 1.0, 1.0, 2.5, 2.5, 2.5, 4.0]
+        trivial = [GeodesicEntry(l, np.eye(rank)) for l in lengths]
+        diagonal = [
+            GeodesicEntry(l, np.diag(np.exp(1j * rng.uniform(-3, 3, rank)))) for l in lengths
+        ]
+        for entries in (trivial, diagonal):
+            self.check(entries, rank, [0.1, 1.0, 2.5, 3.0, 4.0, 9.0])
+
+    @pytest.mark.parametrize("h", [[[1.0]], [[-1.0]], [[1j]]])
+    def test_single_entry(self, h):
+        self.check([GeodesicEntry(1.0, np.array(h))], 1, [0.5, 1.0, 2.0])
 
 
 class TestConvergenceReport:
@@ -220,9 +372,9 @@ class TestSpectrumFile:
         spec = LengthSpectrum(rank=2, entries=entries)
         again = parse_spectrum(format_spectrum(spec))
         assert again.rank == 2
-        for a, b in zip(spec.entries, again.entries):
-            assert a.length == pytest.approx(b.length, rel=1e-14)
-            np.testing.assert_allclose(a.holonomy, b.holonomy, atol=1e-13)
+        np.testing.assert_array_equal(again.lengths, spec.lengths)
+        np.testing.assert_array_equal(again.holonomies, spec.holonomies)
+        assert format_spectrum(again) == format_spectrum(spec)
 
     def test_missing_rank(self):
         with pytest.raises(ParseError, match="rank"):
@@ -240,3 +392,57 @@ class TestSpectrumFile:
     def test_non_unitary_holonomy_rejected(self):
         with pytest.raises(ParseError, match="unitary"):
             parse_spectrum("rank 1;\ngeo 1.0 ; 2,0 ;\n")
+
+    def test_invalid_entry_reports_its_line(self):
+        head = "rank 1;\ngeo 1.0 ; 1,0 ;\n"
+        with pytest.raises(ParseError, match="unitary") as err:
+            parse_spectrum(head + "geo 2.0 ; 0.5,0 ;\ngeo 3.0 ; 2,0 ;\n")
+        assert "line 3" in str(err.value)
+        with pytest.raises(ParseError, match="positive") as err:
+            parse_spectrum(head + "\n# comment\ngeo 0 ; 1,0 ;\ngeo -1 ; 1,0 ;\n")
+        assert "line 5" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_holonomy_rejected(self):
+        with pytest.raises(ParseError, match="unitary") as err:
+            parse_spectrum("rank 1;\ngeo 1.0 ; 1e999,0 ;\n")
+        assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1.0.0",  # read as 1.0 and .0 by a number scan
+            "1,0 junk",
+            "1e0x,0",
+            "1 0",
+            "1,0;",  # the line is "geo 1.0 ; 1,0;;"
+            "1 ,0",
+            "1,,0",
+            "(1,0)",
+        ],
+    )
+    def test_holonomy_grammar_rejects(self, body):
+        with pytest.raises(ParseError, match="malformed") as err:
+            parse_spectrum(f"rank 1;\ngeo 1.0 ; {body} ;\n")
+        assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body, value",
+        [
+            ("1,0", 1),
+            ("0,1", 1j),
+            ("-1,0", -1),
+            ("1e0,-0", 1),
+            ("+1.,0.0", 1),
+            (".6,.8", 0.6 + 0.8j),
+            ("-6E-1,8e-1", -0.6 + 0.8j),
+            ("  1,0\t", 1),
+        ],
+    )
+    def test_holonomy_grammar_accepts(self, body, value):
+        spec = parse_spectrum(f"rank 1;\ngeo 1.0 ; {body} ;\n")
+        assert spec.holonomies[0, 0, 0] == value
+
+    def test_pairs_separated_by_any_whitespace(self):
+        spec = parse_spectrum("rank 2;\ngeo 1.0 ;1,0\t0,0   0,0 0,1;\n")
+        np.testing.assert_array_equal(spec.holonomies[0], [[1, 0], [0, 1j]])
