@@ -27,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cwcomplex import knot_complex, parse_complex, torsion_report
+from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_report
 from .presentations import ParseError, parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, convergence_report, parse_spectrum, truncated_ruelle
-from .twisted import NoPivotError, twisted_alexander
+from .twisted import MissingPeripheralError, NoPivotError, twisted_alexander
 
 HYPERBOLICITY_NOTE = (
     "hyperbolicity of the knot complement is assumed, not verified; "
@@ -281,7 +281,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, OSError, ValueError, NoPivotError) as exc:
+    except (
+        ParseError,
+        FileNotFoundError,
+        OSError,
+        ValueError,
+        NoPivotError,
+        EigensolverError,
+        MissingPeripheralError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

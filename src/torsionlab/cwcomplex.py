@@ -14,11 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freegroup import GroupRingElement, Word, fox_derivative
+from .freegroup import Word, fox_derivative
 from .presentations import ParseError, parse_word, _TokenStream, _tokenize
 
 # eigenvalues below 1e-8 * (1 + spectral max) count as kernel
 ZERO_EIG_REL_TOL = 1e-8
+
+# cells a complex file may declare in one degree; checked at the count, so a
+# huge count is a ParseError rather than a loop building empty cell tables.
+# Boundary matrices and Laplacians are dense: at the cap one of them holds
+# 4096^2 complex entries (268 MB) at rank 1.
+MAX_CELLS = 4096
 
 
 class EigensolverError(RuntimeError):
@@ -73,13 +79,6 @@ class TwistedCWComplex:
     def top_degree(self):
         return len(self.cells_per_degree) - 1
 
-    def boundary_element(self, p, i):
-        """The boundary of the i-th p-cell as a row of group-ring coefficients."""
-        out = [GroupRingElement.zero() for _ in range(self.cells_per_degree[p - 1])]
-        for rec in self.incidences[p - 1][i]:
-            out[rec.target] = out[rec.target] + GroupRingElement.of_word(rec.word, rec.sign)
-        return out
-
     def validate_boundary(self):
         """Check that the composite boundary vanishes over the deck-group ring.
 
@@ -88,52 +87,52 @@ class TwistedCWComplex:
         deleted iteratively first.  This is a sound but incomplete word
         problem check; it covers complexes built from group presentations.
         """
+        bases = tuple(ls for r in self.relations for ls in (r.letters, r.inverse().letters))
         for p in range(2, self.top_degree + 1):
-            for i in range(self.cells_per_degree[p]):
-                residual = [GroupRingElement.zero() for _ in range(self.cells_per_degree[p - 2])]
-                for rec in self.incidences[p - 1][i]:
-                    for rec2 in self.incidences[p - 2][rec.target]:
-                        w = rec.word * rec2.word
-                        residual[rec2.target] = residual[rec2.target] + GroupRingElement.of_word(
-                            w, rec.sign * rec2.sign
-                        )
-                for elem in residual:
-                    collapsed = {}
-                    for w, c in elem.terms.items():
-                        nw = _delete_relators(w, self.relations)
-                        collapsed[nw] = collapsed.get(nw, 0j) + c
-                    if not GroupRingElement(collapsed).is_zero:
-                        raise ValueError(
-                            f"untwisted boundary composition is nonzero on {p}-cell {i}"
-                        )
+            lower = self.incidences[p - 2]
+            for i, recs in enumerate(self.incidences[p - 1]):
+                # (target, word) -> integer coefficient of the composite boundary
+                residual = {}
+                for rec in recs:
+                    for rec2 in lower[rec.target]:
+                        key = (rec2.target, rec.word * rec2.word)
+                        residual[key] = residual.get(key, 0) + rec.sign * rec2.sign
+                collapsed = {}
+                for (target, w), c in residual.items():
+                    if c:
+                        key = (target, _delete_relators(w, bases))
+                        collapsed[key] = collapsed.get(key, 0) + c
+                if any(collapsed.values()):
+                    raise ValueError(
+                        f"untwisted boundary composition is nonzero on {p}-cell {i}"
+                    )
 
 
-def _delete_relators(w, relations):
-    """Normalize a word by deleting relator occurrences until stable."""
-    if not relations:
-        return w
-    patterns = []
-    for r in relations:
-        for base in (r, r.inverse()):
-            ls = base.letters
-            for k in range(len(ls)):
-                patterns.append(ls[k:] + ls[:k])
-    changed = True
-    while changed:
-        changed = False
-        ls = w.letters
-        for pat in patterns:
-            m = len(pat)
-            if m == 0 or m > len(ls):
-                continue
+def _delete_relators(w, bases):
+    """Normalize a word by deleting relator occurrences until stable.
+
+    ``bases`` holds the letters of each relator and of its inverse; their
+    cyclic rotations are the patterns, tried base by base and rotation by
+    rotation.  Each step deletes the leftmost occurrence of the first
+    pattern that occurs and freely reduces.  Rotations are formed as they
+    are tried, and none for a base longer than the word, so deleting the
+    first relator from a word equal to it forms one rotation, not one per
+    letter.
+    """
+    while (shorter := _delete_first(w.letters, bases)) is not None:
+        w = shorter
+    return w
+
+
+def _delete_first(ls, bases):
+    for base in bases:
+        m = len(base)
+        for k in range(m if m <= len(ls) else 0):
+            pat = base[k:] + base[:k]
             for start in range(len(ls) - m + 1):
                 if ls[start : start + m] == pat:
-                    w = Word(ls[:start] + ls[start + m :])
-                    changed = True
-                    break
-            if changed:
-                break
-    return w
+                    return Word(ls[:start] + ls[start + m :])
+    return None
 
 
 def twisted_boundary(cx, rep, p):
@@ -143,6 +142,14 @@ def twisted_boundary(cx, rep, p):
     convention), so the operator on column vectors carries rho(word)
     transposed in each block; composites then multiply in word order and
     the chain condition holds for non-abelian representations too.
+
+    rho(word) is computed for the incidence words in sorted order, so a
+    word follows its prefixes and extends the running product of the word
+    before it when that word is one of them (every word of a Fox 2-cell is
+    a prefix of its relator); any other word starts from ``rep.of_word``.
+    Each product runs the matmuls of ``rep.of_word`` in the same order, and
+    the blocks are added in incidence order, so the matrix is bitwise equal
+    to one built from ``rep.of_word`` per incidence.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")
@@ -150,25 +157,38 @@ def twisted_boundary(cx, rep, p):
     rows = cx.cells_per_degree[p - 1] * r
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
-    for i in range(cx.cells_per_degree[p]):
-        for rec in cx.incidences[p - 1][i]:
-            block = rec.sign * rep.of_word(rec.word).T
-            out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += block
+    recs = [(i, rec) for i, cell in enumerate(cx.incidences[p - 1]) for rec in cell]
+    images = [None] * len(recs)
+    prev, mat = (), np.eye(r, dtype=complex)
+    for k in sorted(range(len(recs)), key=lambda k: recs[k][1].word.letters):
+        letters = recs[k][1].word.letters
+        if letters[: len(prev)] == prev:
+            mat = rep.extend(mat, letters[len(prev) :])
+        else:
+            mat = rep.of_word(recs[k][1].word)
+        prev = letters
+        images[k] = mat
+    for (i, rec), image in zip(recs, images):
+        out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += rec.sign * image.T
     return out
+
+
+def _laplacian(cx, boundary, p, dim):
+    """B_p^* B_p + B_{p+1} B_{p+1}^*, with ``boundary(q)`` giving B_q."""
+    lap = np.zeros((dim, dim), dtype=complex)
+    if p >= 1:
+        B = boundary(p)
+        lap += B.conj().T @ B
+    if p + 1 <= cx.top_degree:
+        B = boundary(p + 1)
+        lap += B @ B.conj().T
+    return lap
 
 
 def comb_laplacian(cx, rep, p):
     """The combinatorial Laplacian B_p^* B_p + B_{p+1} B_{p+1}^* in degree p."""
-    r = rep.rank
-    dim = cx.cells_per_degree[p] * r if p <= cx.top_degree else 0
-    lap = np.zeros((dim, dim), dtype=complex)
-    if p >= 1:
-        B = twisted_boundary(cx, rep, p)
-        lap += B.conj().T @ B
-    if p + 1 <= cx.top_degree:
-        B = twisted_boundary(cx, rep, p + 1)
-        lap += B @ B.conj().T
-    return lap
+    dim = cx.cells_per_degree[p] * rep.rank if p <= cx.top_degree else 0
+    return _laplacian(cx, lambda q: twisted_boundary(cx, rep, q), p, dim)
 
 
 @dataclass(frozen=True)
@@ -184,8 +204,10 @@ def torsion_report(cx, rep):
     betti = []
     spectra = []
     log_torsion = 0.0
+    # each B_p is built once and serves the Laplacians of degrees p - 1 and p
+    bds = [None] + [twisted_boundary(cx, rep, p) for p in range(1, cx.top_degree + 1)]
     for p in range(cx.top_degree + 1):
-        lap = comb_laplacian(cx, rep, p)
+        lap = _laplacian(cx, bds.__getitem__, p, cx.cells_per_degree[p] * rep.rank)
         if lap.shape[0] == 0:
             betti.append(0)
             spectra.append(())
@@ -271,7 +293,9 @@ def parse_complex(text):
         bd p cell_index -> (sign, word, target_index)* ;
 
     Signs are ``+`` or ``-``; words use the presentation word syntax with
-    ``1`` for the identity.
+    ``1`` for the identity.  A count must lie in 0..MAX_CELLS; a ``bd``
+    degree in 1..top, its cell index and its target indices among the cells
+    of their degree.  Anything else is a ParseError with its position.
     """
     stream = _TokenStream(_tokenize(text))
     tok, line, col = stream.next(expect="'gens'")
@@ -287,7 +311,7 @@ def parse_complex(text):
 
     relations = []
     cells = {}
-    bd = {}
+    bd_statements = []  # (p, i, line, col, [(Incidence, target line, target col)])
     while stream.peek() is not None:
         tok, line, col = stream.next()
         if tok == "rel":
@@ -300,8 +324,12 @@ def parse_complex(text):
                 p, count = int(ptok), int(ctok)
             except ValueError:
                 raise ParseError("cells takes two integers", pl, pc) from None
+            if p < 0:
+                raise ParseError(f"cell degree must be >= 0, got {p}", pl, pc)
             if p in cells:
                 raise ParseError(f"duplicate 'cells {p}'", pl, pc)
+            if not 0 <= count <= MAX_CELLS:
+                raise ParseError(f"cell count must lie in 0..{MAX_CELLS}, got {count}", cl, cc)
             cells[p] = count
             stream.expect(";")
         elif tok == "bd":
@@ -327,9 +355,9 @@ def parse_complex(text):
                 except ValueError:
                     raise ParseError(f"bad target index {ttok!r}", tl, tc) from None
                 stream.expect(")")
-                recs.append(Incidence(target, 1 if stok == "+" else -1, word))
+                recs.append((Incidence(target, 1 if stok == "+" else -1, word), tl, tc))
             stream.expect(";")
-            bd.setdefault(p, {}).setdefault(i, []).extend(recs)
+            bd_statements.append((p, i, line, col, recs))
         else:
             raise ParseError(f"expected 'rel', 'cells' or 'bd', got {tok!r}", line, col)
 
@@ -341,12 +369,21 @@ def parse_complex(text):
         if p not in cells:
             raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
         dims.append(cells[p])
-    incidences = []
-    for p in range(1, top + 1):
-        table = []
-        for i in range(dims[p]):
-            table.append(tuple(bd.get(p, {}).get(i, [])))
-        incidences.append(tuple(table))
+    bd = {}
+    for p, i, line, col, recs in bd_statements:
+        if not 1 <= p <= top:
+            raise ParseError(f"'bd' degree {p} is outside 1..{top}", line, col)
+        if not 0 <= i < dims[p]:
+            raise ParseError(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", line, col)
+        for rec, tl, tc in recs:
+            if not 0 <= rec.target < dims[p - 1]:
+                raise ParseError(
+                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", tl, tc
+                )
+            bd.setdefault((p, i), []).append(rec)
+    incidences = [
+        tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
+    ]
     return TwistedCWComplex(
         cells_per_degree=tuple(dims),
         incidences=tuple(incidences),

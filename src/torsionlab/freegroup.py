@@ -33,8 +33,21 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
+    @staticmethod
+    def _of_reduced(letters):
+        """A Word from a letter tuple the caller knows to be freely reduced."""
+        w = object.__new__(Word)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        # both operands are reduced, so cancellation happens only at the seam
+        a, b = self.letters, other.letters
+        n, m = len(a), min(len(a), len(b))
+        k = 0
+        while k < m and a[n - 1 - k][0] == b[k][0] and a[n - 1 - k][1] == -b[k][1]:
+            k += 1
+        return Word._of_reduced(a[: n - k] + b[k:])
 
     def inverse(self):
         return Word(tuple((i, -s) for i, s in reversed(self.letters)))
@@ -156,16 +169,14 @@ def fox_derivative(w, i):
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
     terms = {}
-    prefix = Word()
-    for j, s in w.letters:
+    letters = w.letters
+    for k, (j, s) in enumerate(letters):
         if j == i:
-            if s > 0:
-                term = prefix
-            else:
-                term = prefix * Word.generator(i, -1)
+            # the prefix before the letter, times x_i^-1 for an inverse
+            # letter: both are prefixes of the reduced word w
+            term = Word._of_reduced(letters[: k if s > 0 else k + 1])
             terms[term] = terms.get(term, 0) + s
-        prefix = prefix * Word(((j, s),))
-    return GroupRingElement({w: c for w, c in terms.items()})
+    return GroupRingElement(terms)
 
 
 def fundamental_identity_residual(w, n_generators=None):

@@ -53,8 +53,13 @@ class UnitaryRep:
 
     def of_word(self, w):
         """Ordered product of generator images along a word."""
-        out = np.eye(self.rank, dtype=complex)
-        for i, s in w.letters:
+        return self.extend(np.eye(self.rank, dtype=complex), w.letters)
+
+    def extend(self, out, letters):
+        """``out`` multiplied on the right by each letter's image in turn, as
+        ``of_word`` does from the identity: extending ``of_word(u)`` by the
+        letters of v is bitwise equal to ``of_word`` of the letters u + v."""
+        for i, s in letters:
             if i > len(self.images):
                 raise ValueError(f"word uses generator {i}, rep has {len(self.images)}")
             out = out @ (self.images[i - 1] if s > 0 else self._inverses[i - 1])

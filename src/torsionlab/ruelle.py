@@ -35,16 +35,20 @@ class SpectrumWarning(UserWarning):
 
 
 def _first_invalid(lengths, holonomies):
-    """(index, reason) of the first entry with a non-positive length or a
-    holonomy h with ||h^H h - I||_F > HOLONOMY_UNITARITY_TOL, else None."""
-    gram = np.conj(np.swapaxes(holonomies, 1, 2)) @ holonomies
-    defects = np.linalg.norm(gram - np.eye(holonomies.shape[1]), axis=(1, 2))
-    bad = np.flatnonzero(~(lengths > 0) | ~(defects <= HOLONOMY_UNITARITY_TOL))
+    """(index, reason) of the first entry with a length that is not finite and
+    positive, or a holonomy h with ||h^H h - I||_F > HOLONOMY_UNITARITY_TOL,
+    else None."""
+    # a huge or infinite entry gives an inf or nan defect, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.conj(np.swapaxes(holonomies, 1, 2)) @ holonomies
+        defects = np.linalg.norm(gram - np.eye(holonomies.shape[1]), axis=(1, 2))
+    length_ok = np.isfinite(lengths) & (lengths > 0)
+    bad = np.flatnonzero(~length_ok | ~(defects <= HOLONOMY_UNITARITY_TOL))
     if not bad.size:
         return None
     i = bad[0]
-    return i, (f"holonomy is not unitary (defect {defects[i]:.2e})" if lengths[i] > 0
-               else f"geodesic length must be positive, got {lengths[i]}")
+    return i, (f"holonomy is not unitary (defect {defects[i]:.2e})" if length_ok[i]
+               else f"geodesic length must be finite and positive, got {lengths[i]}")
 
 
 @dataclass(frozen=True)

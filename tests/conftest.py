@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
+from torsionlab import LaurentPoly, Presentation, UnitaryRep, Word, parse_presentation
 from torsionlab.cli import corpus_dir
 
 KNOT_NAMES = ["unknot", "trefoil", "figure_eight", "knot_5_2"]
@@ -68,6 +68,30 @@ def load_sidecar_alexander(name):
     low = int(lines[0])
     coeffs = [float(x) for x in lines[1].split()]
     return LaurentPoly(low, coeffs)
+
+
+def torus_braid_closure(p, q):
+    """Wirtinger presentation <x_j | beta(x_j) = x_j> of T(p,q), beta = (s_1...s_{p-1})^q.
+
+    beta acts on words by the Artin action; the relator for j = p is
+    redundant and dropped.
+    """
+    x = Word.generator
+
+    def artin(i, j, s):
+        img = x(i) * x(i + 1) * x(i, -1) if j == i else x(i) if j == i + 1 else x(j)
+        return (img if s > 0 else img.inverse()).letters
+
+    images = [x(j) for j in range(1, p + 1)]
+    for _ in range(q):
+        for i in range(1, p):
+            images = [Word(sum((artin(i, j, s) for j, s in w.letters), ())) for w in images]
+    return Presentation(
+        n_generators=p,
+        generator_names=tuple(f"x{j}" for j in range(1, p + 1)),
+        relators=tuple(images[j - 1] * x(j, -1) for j in range(1, p)),
+        wirtinger=True,
+    )
 
 
 def random_unitary(rng, r):

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output formats, corpus resolution."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
+import torsionlab.cli as cli
 from torsionlab.cli import main
+from torsionlab.twisted import MissingPeripheralError
 
 CIRCLE_CW = """\
 gens a ;
@@ -126,6 +130,44 @@ class TestTorsionCW:
         assert "error:" in err
 
 
+    def test_eigensolver_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        cw = tmp_path / "circle.cw"
+        cw.write_text(CIRCLE_CW)
+        code, out, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: eigensolver failed in degree 0: Eigenvalues did not converge\n"
+
+    def test_huge_cell_count_exits_1(self, capsys, tmp_path):
+        cw = tmp_path / "huge.cw"
+        cw.write_text("gens a;\ncells 0 1;\ncells 1 1000000000;\n")
+        code, _, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert code == 1
+        assert "line 3, col 9" in err
+
+    def test_out_of_range_bd_exits_1(self, capsys, tmp_path):
+        # once loaded as the circle, with both out-of-range statements dropped
+        cw = tmp_path / "dropped.cw"
+        cw.write_text(CIRCLE_CW + "bd 1 7 -> (+, a, 0) ;\nbd 4 0 -> (+, a, 0) ;\n")
+        code, out, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert "cell index 7" in err and "line 5, col 1" in err
+
+
+class TestLibraryErrors:
+    def test_missing_peripheral_exits_1(self, capsys, monkeypatch):
+        def fail(pres, rep):
+            raise MissingPeripheralError("presentation has no meridian/longitude words")
+
+        monkeypatch.setattr(cli, "twisted_alexander", fail)
+        code, out, err = run(capsys, "talex", "trefoil", "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: presentation has no meridian/longitude words\n"
+
+
 class TestRuelleEval:
     def test_single_factor(self, capsys, tmp_path):
         sp = tmp_path / "one.spec"
@@ -159,6 +201,23 @@ class TestRuelleEval:
         assert code == 0
         assert json.loads(out) == {"report": "ruelle-eval", "spectrum": str(sp), "z": "3,0",
                                    "entries": 0, "value": "1,0", "tail_bound": "0"}
+
+    @pytest.mark.parametrize(
+        "geo,message",
+        [
+            ("geo 1e999 ; 1,0 ;", "geodesic length must be finite and positive, got inf"),
+            ("geo -1e999 ; 1,0 ;", "geodesic length must be finite and positive, got -inf"),
+            ("geo 1 ; 1e999,0 ;", "holonomy is not unitary (defect nan)"),
+            ("geo 1 ; 1e200,0 ;", "holonomy is not unitary (defect inf)"),
+        ],
+    )
+    def test_overflowing_number_exits_1_without_warnings(self, capsys, tmp_path, geo, message):
+        sp = tmp_path / "inf.spec"
+        sp.write_text(f"rank 1;\ngeo 1 ; 1,0 ;\n{geo}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "ruelle-eval", str(sp), "--z=3,0")
+        assert (code, out, err, caught) == (1, "", f"error: {message} (line 3)\n", [])
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         sp = tmp_path / "bad.spec"

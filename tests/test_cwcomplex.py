@@ -1,10 +1,14 @@
 """Twisted CW complexes, combinatorial Laplacians, and torsion reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import torsionlab.cwcomplex as cwcomplex
 from torsionlab import (
     Incidence,
+    ParseError,
     TwistedCWComplex,
     UnitaryRep,
     Word,
@@ -12,6 +16,7 @@ from torsionlab import (
     boundary2,
     circle_complex,
     comb_laplacian,
+    fox_derivative,
     knot_complex,
     parse_complex,
     torsion_report,
@@ -19,7 +24,36 @@ from torsionlab import (
     twisted_alexander,
 )
 
-from conftest import KNOT_NAMES, load_corpus_presentation, random_abelian_rep
+from conftest import (
+    KNOT_NAMES,
+    load_corpus_presentation,
+    random_abelian_rep,
+    random_unitary,
+    torus_braid_closure,
+)
+
+TREFOIL_WITH_RELATOR = """
+gens a b ;
+rel a b a b^-1 a^-1 b^-1 ;
+cells 0 1 ;
+cells 1 2 ;
+cells 2 1 ;
+bd 1 0 -> (+, a, 0) (-, 1, 0) ;
+bd 1 1 -> (+, b, 0) (-, 1, 0) ;
+bd 2 0 -> (+, 1, 0) (+, a b, 0) (-, a b a b^-1 a^-1, 0)
+          (+, a, 1) (-, a b a b^-1, 1) (-, a b a b^-1 a^-1 b^-1, 1) ;
+"""
+
+# no incidence word is a prefix of another; the last cell adds three blocks
+# to its target 0 in an order that is not the sorted order of their words
+NO_SHARED_PREFIX = """
+gens a b ;
+cells 0 2 ;
+cells 1 3 ;
+bd 1 0 -> (+, a, 1) (-, b, 0) ;
+bd 1 1 -> (+, b^-1 a, 0) (-, a^-1 b^-1, 1) ;
+bd 1 2 -> (+, b, 1) (+, a, 0) (+, b^-1 a^-1, 0) (-, a^-1 b, 0) ;
+"""
 
 
 def point_complex():
@@ -72,6 +106,53 @@ class TestTwistedBoundary:
                 boundary2(pres, rep).eval_at(1.0),
                 atol=1e-10,
             )
+
+
+def twisted_boundary_reference(cx, rep, p):
+    """One ``rep.of_word`` per incidence, blocks added in incidence order."""
+    r = rep.rank
+    out = np.zeros((cx.cells_per_degree[p - 1] * r, cx.cells_per_degree[p] * r), dtype=complex)
+    for i, cell in enumerate(cx.incidences[p - 1]):
+        for rec in cell:
+            out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += (
+                rec.sign * rep.of_word(rec.word).T
+            )
+    return out
+
+
+def reference_complexes():
+    out = corpus_complexes()
+    pres = torus_braid_closure(3, 16)
+    out.append(("T(3,16)", knot_complex(pres), pres.n_generators))
+    out.append(("trefoil with relator", parse_complex(TREFOIL_WITH_RELATOR), 2))
+    out.append(("no shared prefix", parse_complex(NO_SHARED_PREFIX), 2))
+    return out
+
+
+class TestTwistedBoundaryAgainstReference:
+    @pytest.mark.parametrize("name,cx,ngen", reference_complexes())
+    def test_bitwise_equal(self, name, cx, ngen, rng):
+        reps = [UnitaryRep.character(ngen, xi) for xi in (1j, -1.0, 0.6 + 0.8j)]
+        reps += [UnitaryRep([random_unitary(rng, r) for _ in range(ngen)]) for r in (1, 2, 3)]
+        for rep in reps:
+            for p in range(1, cx.top_degree + 1):
+                got = twisted_boundary(cx, rep, p)
+                want = twisted_boundary_reference(cx, rep, p)
+                assert got.tobytes() == want.tobytes()
+
+    def test_long_word_keeps_no_prefix_products(self, rng):
+        # one 100000-letter incidence word at rank 3: storing every prefix
+        # product would take 100000 * 9 * 16 bytes = 14.4 MB
+        cx = parse_complex("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a^100000, 0) (-, 1, 0);")
+        rep = UnitaryRep([random_unitary(rng, 3)])
+        tracemalloc.start()
+        try:
+            got = twisted_boundary(cx, rep, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert got.tobytes() == twisted_boundary_reference(cx, rep, 1).tobytes()
 
 
 class TestLaplacian:
@@ -171,6 +252,21 @@ class TestTorsionReport:
             fox = abs(res.delta1(1.0) / res.delta0(1.0))
             assert rpt.torsion == pytest.approx(fox, rel=1e-8)
 
+    def test_builds_each_boundary_once(self, monkeypatch):
+        calls = []
+        original = cwcomplex.twisted_boundary
+
+        def counting(cx, rep, p):
+            calls.append(p)
+            return original(cx, rep, p)
+
+        monkeypatch.setattr(cwcomplex, "twisted_boundary", counting)
+        cx = knot_complex(load_corpus_presentation("trefoil"))
+        rpt = torsion_report(cx, UnitaryRep.character(2, 1j))
+        assert sorted(calls) == [1, 2]
+        monkeypatch.setattr(cwcomplex, "twisted_boundary", original)
+        assert rpt == torsion_report(cx, UnitaryRep.character(2, 1j))
+
 
 class TestKnotComplex:
     def test_unknot_is_circle(self):
@@ -201,6 +297,83 @@ class TestKnotComplex:
             )
 
 
+class TestValidateWithRelators:
+    """The boundary check on complexes whose 2-cells follow a word w by Fox
+    derivatives while the declared relator is r."""
+
+    R = Word(((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)))
+
+    def complex_along(self, w):
+        one_cells = tuple(
+            (Incidence(0, 1, Word.generator(i)), Incidence(0, -1, Word())) for i in (1, 2)
+        )
+        recs = []
+        for i in (1, 2):
+            for u, c in fox_derivative(w, i).terms.items():
+                count = int(round(c.real))
+                recs.extend([Incidence(i - 1, 1 if count > 0 else -1, u)] * abs(count))
+        return TwistedCWComplex(
+            cells_per_degree=(1, 2, 1),
+            incidences=(one_cells, (tuple(recs),)),
+            n_generators=2,
+            relations=(self.R,),
+        )
+
+    def test_relator_consequences_accepted(self):
+        a, b = Word.generator(1), Word.generator(2)
+        conjugates = (a * self.R * a.inverse(), b * self.R.inverse() * b.inverse())
+        for w in (self.R, self.R * self.R, self.R.inverse()) + conjugates:
+            self.complex_along(w)
+
+    def test_deletion_matches_a_precomputed_pattern_list(self, rng):
+        # reference: every rotation listed up front, scanned from the start
+        # after each deletion
+        def reference(w, relations):
+            patterns = [
+                base.letters[k:] + base.letters[:k]
+                for r in relations
+                for base in (r, r.inverse())
+                for k in range(len(r))
+            ]
+            changed = True
+            while changed:
+                changed = False
+                ls = w.letters
+                for pat in patterns:
+                    m = len(pat)
+                    for start in range(len(ls) - m + 1):
+                        if ls[start : start + m] == pat:
+                            w = Word(ls[:start] + ls[start + m :])
+                            changed = True
+                            break
+                    if changed:
+                        break
+            return w
+
+        def random_word(n):
+            return Word(tuple((int(rng.integers(1, 3)), int(rng.choice([-1, 1])))
+                              for _ in range(n)))
+
+        for _ in range(200):
+            relations = tuple(random_word(int(rng.integers(1, 6))) for _ in range(2))
+            w = Word()
+            for _ in range(int(rng.integers(1, 6))):
+                # random letters and relator rotations, freely reduced together
+                r = relations[int(rng.integers(0, 2))]
+                k = int(rng.integers(0, len(r))) if len(r) else 0
+                rotation = Word(r.letters[k:] + r.letters[:k])
+                w = w * random_word(int(rng.integers(0, 3))) * rotation
+            bases = tuple(ls for r in relations for ls in (r.letters, r.inverse().letters))
+            assert cwcomplex._delete_relators(w, bases) == reference(w, relations)
+
+    def test_off_by_a_non_relator_word_rejected(self):
+        a, b = Word.generator(1), Word.generator(2)
+        commutator = a * b * a.inverse() * b.inverse()
+        for w in (self.R * commutator, self.R * a, commutator * self.R):
+            with pytest.raises(ValueError, match="composition is nonzero on 2-cell 0"):
+                self.complex_along(w)
+
+
 class TestComplexFile:
     CIRCLE = """
     gens a ;
@@ -225,20 +398,48 @@ class TestComplexFile:
 
     def test_knot_complex_via_file_with_relator(self):
         # trefoil complex written out with its relator declared
-        text = """
-        gens a b ;
-        rel a b a b^-1 a^-1 b^-1 ;
-        cells 0 1 ;
-        cells 1 2 ;
-        cells 2 1 ;
-        bd 1 0 -> (+, a, 0) (-, 1, 0) ;
-        bd 1 1 -> (+, b, 0) (-, 1, 0) ;
-        bd 2 0 -> (+, 1, 0) (+, a b, 0) (-, a b a b^-1 a^-1, 0)
-                  (+, a, 1) (-, a b a b^-1, 1) (-, a b a b^-1 a^-1 b^-1, 1) ;
-        """
-        cx = parse_complex(text)
+        cx = parse_complex(TREFOIL_WITH_RELATOR)
         pres = load_corpus_presentation("trefoil")
         rep = UnitaryRep.character(2, 1j)
         got = torsion_report(cx, rep)
         want = torsion_report(knot_complex(pres), rep)
         assert got.torsion == pytest.approx(want.torsion, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "text,message,line,col",
+        [
+            # a degree past the top and a cell index past the last cell
+            ("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 0);\n"
+             "bd 1 7 -> (+, a, 0); bd 4 0 -> (+, a, 0);", "cell index 7", 2, 1),
+            ("gens a; cells 0 1; cells 1 1;\n  bd 4 0 -> (+, a, 0);", "degree 4", 2, 3),
+            ("gens a; cells 0 1; cells 1 1; bd 0 0 -> ;", "degree 0", 1, 31),
+            ("gens a; cells 0 1; cells 1 1; bd 1 -1 -> (+, a, 0);", "cell index -1", 1, 31),
+            # bd before the cells it names
+            ("gens a; bd 2 0 -> ; cells 0 1; cells 1 1;", "degree 2", 1, 9),
+            ("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, -1);", "target index -1",
+             1, 58),
+            ("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 1);", "target index 1",
+             1, 58),
+        ],
+        ids=["index-past-last", "degree-past-top", "degree-0", "negative-index",
+             "bd-before-cells", "negative-target", "target-past-last"],
+    )
+    def test_out_of_range_bd_rejected(self, text, message, line, col):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_complex(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_cell_count_at_cap(self):
+        cx = parse_complex(f"gens a; cells 0 1; cells 1 {cwcomplex.MAX_CELLS};")
+        assert cx.cells_per_degree == (1, cwcomplex.MAX_CELLS)
+
+    @pytest.mark.parametrize("count", [cwcomplex.MAX_CELLS + 1, 10**9, 10**30, -1])
+    def test_cell_count_past_cap_rejected(self, count):
+        with pytest.raises(ParseError, match="cell count") as err:
+            parse_complex(f"gens a; cells 0 1;\ncells 1 {count};")
+        assert (err.value.line, err.value.col) == (2, 9)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ParseError, match="degree") as err:
+            parse_complex("gens a; cells 0 1; cells -1 1;")
+        assert (err.value.line, err.value.col) == (1, 26)

@@ -47,6 +47,46 @@ class TestReduction:
         assert a**-2 == w((1, -1), (1, -1))
 
 
+def random_reduced(rng, n, gens=3):
+    return Word(tuple((int(rng.integers(1, gens + 1)), int(rng.choice([-1, 1]))) for _ in range(n)))
+
+
+class TestProduct:
+    """``*`` cancels only at the seam; the reference reduces the whole concatenation."""
+
+    def check(self, u, v):
+        got = u * v
+        assert got == Word(u.letters + v.letters)
+        assert got.letters == Word(u.letters + v.letters).letters
+
+    def test_random_reduced_words(self, rng):
+        for _ in range(300):
+            self.check(random_reduced(rng, int(rng.integers(0, 30))),
+                       random_reduced(rng, int(rng.integers(0, 30)), gens=2))
+
+    def test_empty_word(self, rng):
+        u = random_reduced(rng, 12)
+        self.check(Word(), u)
+        self.check(u, Word())
+        self.check(Word(), Word())
+
+    def test_full_cancellation(self, rng):
+        for n in (1, 5, 40):
+            u = random_reduced(rng, n)
+            self.check(u, u.inverse())
+            assert (u * u.inverse()).is_empty
+            assert (u.inverse() * u).is_empty
+
+    def test_partial_cancellation(self):
+        u = w((1, 1), (2, 1), (3, -1))
+        v = w((3, 1), (2, -1), (1, 1), (2, 1))
+        self.check(u, v)
+        assert u * v == w((1, 1), (1, 1), (2, 1))
+        # a longer right factor than left factor, cancelling all of the left
+        self.check(w((2, 1)), w((2, -1), (1, 1)))
+        assert w((2, 1)) * w((2, -1), (1, 1)) == w((1, 1))
+
+
 class TestFoxDerivative:
     def test_own_generator(self):
         d = fox_derivative(Word.generator(1), 1)

@@ -6,7 +6,6 @@ import pytest
 from torsionlab import (
     GroupRingElement,
     LaurentPoly,
-    Presentation,
     UnitaryRep,
     Word,
     boundary1,
@@ -28,6 +27,7 @@ from conftest import (
     random_abelian_rep,
     random_unitary,
     seifert_alexander,
+    torus_braid_closure,
     up_to_unit_monomial,
 )
 
@@ -128,30 +128,6 @@ def boundary2_reference(pres, rep, skip_generator=None):
         for a in range(r):
             rows.append([blk[a, b] for blk in blocks for b in range(r)])
     return rows
-
-
-def torus_braid_closure(p, q):
-    """Wirtinger presentation <x_j | beta(x_j) = x_j> of T(p,q), beta = (s_1...s_{p-1})^q.
-
-    beta acts on words by the Artin action; the relator for j = p is
-    redundant and dropped.
-    """
-    x = Word.generator
-
-    def artin(i, j, s):
-        img = x(i) * x(i + 1) * x(i, -1) if j == i else x(i) if j == i + 1 else x(j)
-        return (img if s > 0 else img.inverse()).letters
-
-    images = [x(j) for j in range(1, p + 1)]
-    for _ in range(q):
-        for i in range(1, p):
-            images = [Word(sum((artin(i, j, s) for j, s in w.letters), ())) for w in images]
-    return Presentation(
-        n_generators=p,
-        generator_names=tuple(f"x{j}" for j in range(1, p + 1)),
-        relators=tuple(images[j - 1] * x(j, -1) for j in range(1, p)),
-        wirtinger=True,
-    )
 
 
 class TestBoundary2AgainstReference:
