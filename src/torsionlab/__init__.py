@@ -36,6 +36,7 @@ from .ruelle import (
     convergence_report,
     format_spectrum,
     parse_spectrum,
+    ruelle_eval,
     truncated_ruelle,
 )
 from .twisted import (

@@ -19,6 +19,7 @@ fail (special values withheld), 3 verification deviation breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ import numpy as np
 from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_report
 from .presentations import ParseError, parse_presentation
 from .reps import UnitaryRep, parse_representation
-from .ruelle import SpectrumWarning, convergence_report, parse_spectrum, truncated_ruelle
+from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
 from .twisted import MissingPeripheralError, NoPivotError, twisted_alexander
 
 HYPERBOLICITY_NOTE = (
@@ -216,27 +217,28 @@ def cmd_torsion_cw(args):
 def cmd_ruelle(args):
     spec = parse_spectrum(resolve_input(args.spectrum, ".spec").read_text())
     z = parse_complex_flag(args.z, "--z")
+    cutoffs = [float(s) for s in args.cutoffs.split(",")] if args.cutoffs else []
     rpt = Report("ruelle-eval")
     rpt.add("spectrum", args.spectrum)
     rpt.add("z", fmt_complex(z))
     rpt.add("entries", len(spec.lengths))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectrumWarning)
-        if args.cutoffs:
-            cutoffs = [float(s) for s in args.cutoffs.split(",")]
-            for L, logv, used, delta in convergence_report(spec, z, cutoffs):
-                row = f"L={fmt(L)} log_value={fmt_complex(logv)} used={used}"
-                if delta is not None:
-                    row += f" delta={fmt(delta)}"
-                rpt.add(f"cutoff_{fmt(L)}", row)
-        value, tail = truncated_ruelle(spec, z)
-        rpt.add("value", fmt_complex(value))
-        rpt.add("tail_bound", fmt(tail))
+        rows, (value, tail) = ruelle_eval(spec, z, cutoffs)
+    for L, logv, used, delta in rows:
+        row = f"L={fmt(L)} log_value={fmt_complex(logv)} used={used}"
+        if delta is not None:
+            row += f" delta={fmt(delta)}"
+        rpt.add(f"cutoff_{fmt(L)}", row)
+    rpt.add("value", fmt_complex(value))
+    rpt.add("tail_bound", fmt(tail))
     rpt.emit(args.format)
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: main reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="torsionlab",
         description="Twisted Alexander, combinatorial torsion, and Ruelle L-function tools",

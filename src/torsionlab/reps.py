@@ -89,14 +89,14 @@ def parse_representation(text, generator_names):
     rank = None
     assigned = {}
     joined = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    *bodies, trailing = joined.split(";")
     statements = []
-    consumed = 0
-    for stmt in joined.split(";")[:-1]:
-        lineno = joined.count("\n", 0, consumed + len(stmt)) + 1
-        consumed += len(stmt) + 1
+    lineno = 1  # the line of the ';' that ends the statement
+    for stmt in bodies:
+        lineno += stmt.count("\n")
         if stmt.strip():
             statements.append((stmt.strip(), lineno))
-    if joined.split(";")[-1].strip():
+    if trailing.strip():
         raise ParseError("trailing text after the last ';'")
 
     for stmt, lineno in statements:

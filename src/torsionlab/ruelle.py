@@ -14,6 +14,7 @@ plus a running sum in length order, which equals a per-entry loop bit for bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
 import warnings
 from array import array
@@ -130,6 +131,15 @@ def _log_prefix(spec, z, n):
     return np.concatenate(([0j], 0j + np.cumsum(-np.sum(np.log(1.0 - mus), axis=1))))
 
 
+def _warn_outside_region(spec, z):
+    """Warn, for the caller of a public evaluator, when Re z <= 2 or spec is empty."""
+    if z.real <= 2.0:
+        warnings.warn(f"Re z = {z.real} is outside the certified convergence region Re z > 2",
+                      SpectrumWarning, stacklevel=3)
+    if not len(spec.lengths):
+        warnings.warn("empty length spectrum: the product is 1", SpectrumWarning, stacklevel=3)
+
+
 def truncated_ruelle(spec, z, cutoff=None):
     """Truncated Euler product and a bound on the file's remaining entries.
 
@@ -140,11 +150,8 @@ def truncated_ruelle(spec, z, cutoff=None):
     beyond the file's horizon.  The tail is summed in order (np.sum is pairwise).
     """
     z = complex(z)
-    if z.real <= 2.0:
-        warnings.warn(f"Re z = {z.real} is outside the certified convergence region Re z > 2",
-                      SpectrumWarning, stacklevel=2)
+    _warn_outside_region(spec, z)
     if not len(spec.lengths):
-        warnings.warn("empty length spectrum: the product is 1", SpectrumWarning, stacklevel=2)
         return 1.0 + 0j, 0.0
     n = len(spec.lengths) if cutoff is None else np.searchsorted(spec.lengths, cutoff, "right")
     q = np.exp(-z.real * spec.lengths[n:])
@@ -154,14 +161,8 @@ def truncated_ruelle(spec, z, cutoff=None):
     return complex(np.exp(_log_prefix(spec, z, n)[-1])), float(tail)
 
 
-def convergence_report(spec, z, cutoffs):
-    """Partial log-products at increasing cutoffs, for stabilization checks.
-
-    Returns rows (cutoff, log_value, entries_used, delta_from_prev), all read
-    off one running sum up to the largest cutoff."""
-    cutoffs = sorted(cutoffs)
-    used = np.searchsorted(spec.lengths, cutoffs, side="right").tolist()
-    prefix = _log_prefix(spec, complex(z), max(used, default=0))
+def _report_rows(cutoffs, used, prefix):
+    """convergence_report's rows at sorted cutoffs keeping ``used`` entries each."""
     rows, prev = [], None
     for L, k in zip(cutoffs, used):
         rows.append((L, prefix[k], k, None if prev is None else abs(prefix[k] - prev)))
@@ -169,19 +170,65 @@ def convergence_report(spec, z, cutoffs):
     return rows
 
 
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_GEO = re.compile(rf"geo\s+({_NUM})\s*;(\s*(?:{_NUM},{_NUM}(?:\s+{_NUM},{_NUM})*)?\s*);")
+def convergence_report(spec, z, cutoffs):
+    """Partial log-products at increasing cutoffs, for stabilization checks.
+
+    Returns rows (cutoff, log_value, entries_used, delta_from_prev), all read
+    off one running sum up to the largest cutoff."""
+    cutoffs = sorted(cutoffs)
+    used = np.searchsorted(spec.lengths, cutoffs, side="right").tolist()
+    return _report_rows(cutoffs, used, _log_prefix(spec, complex(z), max(used, default=0)))
 
 
-def parse_spectrum(text):
-    """Parse the spectrum file format.
+def ruelle_eval(spec, z, cutoffs=()):
+    """``(convergence_report(spec, z, cutoffs), truncated_ruelle(spec, z))``, bit
+    for bit and with their warnings, read off one running sum over all entries."""
+    z = complex(z)
+    _warn_outside_region(spec, z)
+    cutoffs = sorted(cutoffs)
+    used = np.searchsorted(spec.lengths, cutoffs, side="right").tolist()
+    prefix = _log_prefix(spec, z, len(spec.lengths))
+    return _report_rows(cutoffs, used, prefix), (complex(np.exp(prefix[-1])), 0.0)
 
-    ``rank r;`` then one ``geo <length> ; <re,im re,im ...> ;`` line per
-    prime geodesic: the holonomy row major as r*r pairs ``re,im`` separated
-    by whitespace.  Lengths and unitarity are checked after the last line;
-    the error names the line of the first entry that fails."""
-    rank = None
-    linenos, lengths, nums = [], array("d"), array("d")
+
+# \d, as [0-9\d] so that sre tests the ASCII range before the Unicode category
+_DIGIT = r"[0-9\d]"
+_NUM = rf"[-+]?(?:{_DIGIT}+\.?{_DIGIT}*|\.{_DIGIT}+)(?:[eE][-+]?{_DIGIT}+)?"
+_GEO = re.compile(rf"geo\s+{_NUM}\s*;(\s*(?:{_NUM},{_NUM}(?:\s+{_NUM},{_NUM})*)?\s*);")
+
+# str.splitlines() ends a line at \r\n or at any of _BREAKS; _BLANK is the rest of \s
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_BLANK = rf"[^\S{_BREAKS}]"
+_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
+# trailing blanks, an optional comment and the line's end
+_LINE_END = rf"{_BLANK}*(?:{_COMMENT.pattern})?(?:\r\n|[{_BREAKS}]|\Z)"
+_RANK = re.compile(rf"{_BLANK}*rank{_BLANK}+(\d+){_BLANK}*;{_LINE_END}")
+# sre keeps backtracking state for every number of a match until the match
+# ends, so a block is sized by the numbers it holds, not by its lines
+BLOCK_NUMBERS = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _block(pairs):
+    """Blank, comment or geo lines as the line reader accepts them, with
+    ``pairs`` holonomy pairs per geo line (no geo line when pairs is 0): as
+    many lines as hold BLOCK_NUMBERS numbers, and at least one."""
+    line = f"{_BLANK}*"
+    if pairs:
+        pair = f"{_NUM},{_NUM}"
+        line += (rf"(?:geo{_BLANK}+{_NUM}{_BLANK}*;{_BLANK}*{pair}"
+                 rf"(?:{_BLANK}+{pair}){{{pairs - 1}}}{_BLANK}*;)?")
+    lines = max(1, BLOCK_NUMBERS // (1 + 2 * pairs))
+    return re.compile(rf"(?:{line}{_LINE_END}){{1,{lines}}}")
+
+
+def _raise_first_error(text, invalid=None):
+    """The line-by-line reader, run only once a faster check has failed.
+
+    Raises the ParseError of the first line that breaks the grammar, or,
+    when every line parses, ``invalid = (entry, message)`` from the batched
+    check on the line of that geo entry."""
+    rank, entry = None, 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -199,18 +246,50 @@ def parse_spectrum(text):
             raise ParseError(f"malformed spectrum line: {line!r}", lineno)
         if rank is None:
             raise ParseError("'geo' before 'rank r;'", lineno)
-        body = m.group(2)
-        if (count := 2 * body.count(",")) != 2 * rank * rank:
+        if (count := 2 * m.group(1).count(",")) != 2 * rank * rank:
             raise ParseError(f"expected {2 * rank * rank} numbers for a rank-{rank} "
                              f"holonomy, got {count}", lineno)
-        linenos.append(lineno)
-        lengths.append(float(m.group(1)))
-        nums.extend(map(float, body.replace(",", " ").split()))
+        if invalid is not None and entry == invalid[0]:
+            raise ParseError(invalid[1], lineno)
+        entry += 1
     if rank is None:
         raise ParseError("missing 'rank r;' header")
-    lengths, holonomies = np.array(lengths), np.array(nums).view(complex)
-    if len(lengths) and (bad := _first_invalid(lengths, holonomies.reshape(-1, rank, rank))):
-        raise ParseError(bad[1], linenos[bad[0]])
+    raise AssertionError("the block reader rejected a spectrum the line reader accepts")
+
+
+def parse_spectrum(text):
+    """Parse the spectrum file format.
+
+    ``rank r;`` then one ``geo <length> ; <re,im re,im ...> ;`` line per
+    prime geodesic: the holonomy row major as r*r pairs ``re,im`` separated
+    by whitespace; ``#`` starts a comment.  Lengths and unitarity are checked
+    after the last line; the error names the line of the first entry that
+    fails.  Blocks of lines that all parse are converted with one float()
+    pass each; any failure is reported by the line reader."""
+    pos = 0
+    while pos < len(text) and (m := _block(0).match(text, pos)):
+        pos = m.end()
+    if not (header := _RANK.match(text, pos)) or (rank := int(header[1])) < 1:
+        _raise_first_error(text)
+    # a pair takes at least three characters, so no geo line can hold more
+    # pairs than the text has characters: such a rank is never compiled
+    block = _block(rank * rank if rank * rank <= len(text) else 0)
+    nums, pos = array("d"), header.end()
+    while pos < len(text):
+        if not (m := block.match(text, pos)):
+            _raise_first_error(text)
+        lines = m[0]
+        if "#" in lines:
+            lines = _COMMENT.sub("", lines)
+        nums.extend(map(float, lines.replace("geo", " ").replace(";", " ").replace(",", " ").split()))
+        pos = m.end()
+    if not nums:
+        return LengthSpectrum(rank, ())
+    # one row per entry: the length, then the holonomy as re,im pairs
+    table = np.frombuffer(nums).reshape(-1, 1 + 2 * rank * rank)
+    lengths, holonomies = table[:, 0], np.ascontiguousarray(table[:, 1:]).view(complex)
+    if bad := _first_invalid(lengths, holonomies.reshape(-1, rank, rank)):
+        _raise_first_error(text, bad)
     return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
 
 

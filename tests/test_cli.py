@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output formats, corpus resolution."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -243,3 +246,37 @@ class TestCorpusResolution:
         code, out, _ = run(capsys, "talex", str(p), "--xi=0,1")
         assert code in (0, 2)
         assert "delta1" in out
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_fresh_processes(self, capsys, tmp_path):
+        sp = tmp_path / "many.spec"
+        sp.write_text("rank 1;\n" + "".join(f"geo {0.5 * k} ; 0,1 ;\n" for k in range(1, 9)))
+        cx = tmp_path / "circle.cw"
+        cx.write_text(CIRCLE_CW)
+        calls = [
+            ["ruelle-eval", str(sp), "--z=3,0", "--cutoffs=1,2,4"],
+            ["ruelle-eval", str(sp), "--z=3,0"],
+            ["ruelle-eval", str(sp), "--z=2.5,1", "--format=json-lines", "--cutoffs=3"],
+            ["ruelle-eval", str(sp), "--z=2.5,1"],
+            ["talex", "trefoil", "--xi=0,1", "--format=json-lines"],
+            ["verify-knot", "figure_eight", "--xi=0,1", "--tol=1e-3"],
+            ["verify-knot", "figure_eight", "--xi=0,1"],
+            ["talex", "trefoil", "--xi=0,1"],
+            ["torsion-cw", str(cx), "--xi=0,1", "--format=json-lines"],
+            ["ruelle-eval", str(tmp_path / "missing.spec"), "--z=3,0"],
+            ["ruelle-eval", str(sp), "--z=3,0"],
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        script = ("import sys\nfrom torsionlab.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv, (code, out) in zip(calls, in_process):
+            fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                   text=True, env=env, timeout=120)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv

@@ -1,5 +1,7 @@
 """Representation construction, validation, and file parsing."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,25 @@ class TestRepFile:
     def test_char_requires_rank_one(self):
         with pytest.raises(ParseError, match="rank 1"):
             parse_representation("rank 2;\nchar a = 1,0;", ("a",))
+
+    def test_statement_lines(self):
+        # the line of a statement is that of its ';', comments and blank lines counted
+        text = "rank 1;\n\n# c ; d\nchar a = 1,0;\nchar b =\n 1,0;\n\nbogus\n;\n"
+        with pytest.raises(ParseError, match=r"unrecognized statement 'bogus' \(line 9\)"):
+            parse_representation(text, ("a", "b"))
+        with pytest.raises(ParseError, match=r"'char' requires 'rank 1;' first \(line 4\)"):
+            parse_representation(text.replace("rank 1", "rank 2"), ("a", "b"))
+
+    def test_many_statements_in_linear_time(self):
+        # line numbers were once recounted from the start for every statement,
+        # so 100 000 statements took about a minute
+        n = 100_000
+        body = "rank 1;\n" + "char a = 1,0;\n" * (n - 1)
+        start = time.perf_counter()
+        rep = parse_representation(body + "char a = 0,1;\n", ("a",))
+        assert time.perf_counter() - start < 10.0
+        assert rep.images[0][0, 0] == 1j
+        with pytest.raises(ParseError) as err:
+            parse_representation(body + "char a = 1,0,0;\n", ("a",))
+        assert err.value.line == n + 1
+        assert str(err.value) == f"unrecognized statement 'char a = 1,0,0' (line {n + 1})"

@@ -1,10 +1,17 @@
 """Length spectra and truncated Euler products."""
 
 import cmath
+import json
+import re
+import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
+
+import torsionlab.cli as cli
+import torsionlab.ruelle as ruelle
 
 from torsionlab import (
     GeodesicEntry,
@@ -20,6 +27,45 @@ from torsionlab import (
 )
 
 from conftest import random_unitary
+
+_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_GEO = re.compile(rf"geo\s+({_NUM})\s*;(\s*(?:{_NUM},{_NUM}(?:\s+{_NUM},{_NUM})*)?\s*);")
+
+
+def line_reader(text):
+    """Reference for parse_spectrum: the line-by-line reader it replaced."""
+    rank = None
+    linenos, lengths, nums = [], array("d"), array("d")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not (m := _GEO.fullmatch(line)):
+            if m := re.fullmatch(r"rank\s+(\d+)\s*;", line):
+                if rank is not None:
+                    raise ParseError("duplicate 'rank' header", lineno)
+                rank = int(m.group(1))
+                if rank < 1:
+                    raise ParseError("rank must be positive", lineno)
+                continue
+            if m := re.fullmatch(rf"geo\s+{_NUM}\s*;(.*);", line):
+                raise ParseError(f"malformed holonomy {m.group(1).strip()!r}", lineno)
+            raise ParseError(f"malformed spectrum line: {line!r}", lineno)
+        if rank is None:
+            raise ParseError("'geo' before 'rank r;'", lineno)
+        body = m.group(2)
+        if (count := 2 * body.count(",")) != 2 * rank * rank:
+            raise ParseError(f"expected {2 * rank * rank} numbers for a rank-{rank} "
+                             f"holonomy, got {count}", lineno)
+        linenos.append(lineno)
+        lengths.append(float(m.group(1)))
+        nums.extend(map(float, body.replace(",", " ").split()))
+    if rank is None:
+        raise ParseError("missing 'rank r;' header")
+    lengths, holonomies = np.array(lengths), np.array(nums).view(complex)
+    if len(lengths) and (bad := ruelle._first_invalid(lengths, holonomies.reshape(-1, rank, rank))):
+        raise ParseError(bad[1], linenos[bad[0]])
+    return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
 
 
 def bits(x):
@@ -446,3 +492,237 @@ class TestSpectrumFile:
     def test_pairs_separated_by_any_whitespace(self):
         spec = parse_spectrum("rank 2;\ngeo 1.0 ;1,0\t0,0   0,0 0,1;\n")
         np.testing.assert_array_equal(spec.holonomies[0], [[1, 0], [0, 1j]])
+
+
+def geo_line(length, h):
+    return f"geo {length!r} ; " + " ".join(f"{c.real!r},{c.imag!r}" for c in h.ravel().tolist()) + " ;"
+
+
+def random_geo_lines(rng, rank, n):
+    """n geo lines in no length order, a third of them sharing lengths."""
+    lengths = rng.uniform(0.3, 6.0, n)
+    lengths[: n // 3] = np.round(lengths[: n // 3], 1)
+    return [geo_line(float(l), random_unitary(rng, rank)) for l in lengths]
+
+
+def lines_per_block(rank):
+    return ruelle.BLOCK_NUMBERS // (1 + 2 * rank * rank)
+
+
+def assert_same_as_line_reader(text):
+    """parse_spectrum gives the reference's arrays bit for bit, or its ParseError."""
+    try:
+        want = line_reader(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_spectrum(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return exc
+    got = parse_spectrum(text)
+    assert got.rank == want.rank
+    for name in ("lengths", "holonomies", "eigenvalues"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    return got
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# ways to write the same spectrum: (head lines, geo lines) -> text
+DECORATIONS = {
+    "plain": lambda head, geo: "\n".join(head + geo) + "\n",
+    "no final newline": lambda head, geo: "\n".join(head + geo),
+    "comments": lambda head, geo: "\n".join(
+        ["# a spectrum; geo 1 ; 2,0 ;"] + head
+        + [g + (" # 1,0 ; rank 3;" if k % 7 == 0 else "") for k, g in enumerate(geo)]
+        + ["#"]) + "\n",
+    "blank lines": lambda head, geo: "\n\n \n" + "\n".join(
+        head + [g + ("\n\n   \t" if k % 5 == 0 else "") for k, g in enumerate(geo)]) + "\n\n",
+    "tabs": lambda head, geo: "\n".join(
+        [h.replace(" ", "\t") for h in head] + [g.replace(" ", "\t ") for g in geo]) + "\n",
+    "crlf": lambda head, geo: "\r\n".join(head + geo) + "\r\n",
+    "unicode digits": lambda head, geo: "\n".join(
+        [h.translate(ARABIC_DIGITS) for h in head]
+        + [g.translate(ARABIC_DIGITS) if k % 3 == 0 else g for k, g in enumerate(geo)]) + "\n",
+    "unicode whitespace": lambda head, geo: "\u3000" + "\u2028".join(head) + "\x1c" + "".join(
+        g.replace(" ", "\xa0\x1f" if k % 2 else "\u2003") + "\x0b\x0c\x1d\x1e\x85\u2028\u2029\r"[k % 8]
+        for k, g in enumerate(geo)),
+}
+
+
+class TestBlockReader:
+    """parse_spectrum equals the line-by-line reader it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("decoration", sorted(DECORATIONS))
+    def test_random_spectra(self, rng, rank, decoration, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the line reader ran on a valid spectrum")
+
+        monkeypatch.setattr(ruelle, "_raise_first_error", no_walk)
+        for n in (0, 1, 2 * lines_per_block(rank) + 7):
+            text = DECORATIONS[decoration]([f"rank {rank};"], random_geo_lines(rng, rank, n))
+            spec = assert_same_as_line_reader(text)
+            assert len(spec.lengths) == n
+
+    def test_line_breaks_and_blanks_are_those_of_splitlines(self):
+        space = {c for c in map(chr, range(0x110000)) if c.isspace()}
+        breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+        assert breaks <= space
+        assert {c for c in space if re.fullmatch(ruelle._BLANK, c)} == space - breaks
+        assert {c for c in space if re.fullmatch(f"[{ruelle._BREAKS}]", c)} == breaks
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n# comments only\n\n",
+            "geo 1 ; 1,0 ;\nrank 1;\n",
+            "rank 0;\ngeo 1 ; 1,0 ;\n",
+            "rank -1;\n",
+            "rank 1; geo 1 ; 1,0 ;\n",
+            "rank 2 # 2;\n",
+            "\n\nrank 1;\nrank 2;\n",
+            "rank 1;\ngeo 1 ;\x0c 1,0 ;\n",  # a line break inside a geo line
+            "rank 1;\ngeo 1 ; 1,0 \x85;\n",
+            "rank 1;\ngeo 1 ; 1,0 ;\x00\n",
+            "rank ١;\ngeo ١ ; ١,٠ ; x\n",
+            "rank 1000000000;\n\n# empty\n",
+            "rank 1000000000;\ngeo 1 ; 1,0 ;\n",
+            "rank 99999999999999999999;\ngeo 1 ; 1,0 ;\n",
+        ],
+    )
+    def test_whole_file_cases(self, text):
+        assert_same_as_line_reader(text)
+
+    def test_huge_rank_gives_the_count_error(self):
+        # r*r pairs never become a regex repetition count
+        with pytest.raises(ParseError) as err:
+            parse_spectrum("rank 1000000000;\ngeo 1 ; 1,0 ;\n")
+        assert str(err.value) == ("expected 2000000000000000000 numbers for a "
+                                  "rank-1000000000 holonomy, got 2 (line 2)")
+
+    BAD_LINES = [
+        "geo 1 ; 1,0 junk ;",
+        "geo 1 ; 1,0 0,1 ;",
+        "geo 1 ; 1,0;;",
+        "geo 1 ; ;",
+        "geo1 ; 1,0 ;",
+        "rank 1;",
+        "nonsense",
+        "geo 1 ; 2,0 ;",
+        "geo 0 ; 1,0 ;",
+        "geo -1 ; 1,0 ;",
+        "geo 1e999 ; 1,0 ;",
+        "geo 1 ; 1e200,0 ;",
+    ]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    def test_malformed_line_anywhere(self, rng, bad):
+        per_block = lines_per_block(1)
+        geo = random_geo_lines(rng, 1, 3 * per_block)
+        # line k + 2 of the file is geo[k]; blocks start at geo[0], geo[per_block], ...
+        for k in (0, 5, per_block - 1, per_block, per_block + 1, 2 * per_block, len(geo) - 1):
+            lines = list(geo)
+            lines[k] = bad
+            exc = assert_same_as_line_reader("rank 1;\n" + "\n".join(lines) + "\n")
+            assert exc.line == k + 2
+
+    def test_grammar_error_beats_an_earlier_invalid_entry(self, rng):
+        geo = random_geo_lines(rng, 1, 2 * lines_per_block(1))
+        geo[3], geo[-1] = "geo 1 ; 2,0 ;", "geo 1 ; 1,0 junk ;"
+        exc = assert_same_as_line_reader("rank 1;\n" + "\n".join(geo) + "\n")
+        assert "malformed holonomy" in str(exc) and exc.line == len(geo) + 1
+
+    def test_first_invalid_entry_in_file_order(self, rng):
+        geo = random_geo_lines(rng, 2, 3 * lines_per_block(2))
+        geo[200] = geo_line(9.0, 2 * np.eye(2))
+        geo[100] = geo_line(-1.0, np.eye(2))
+        exc = assert_same_as_line_reader("rank 2;\n\n" + "\n".join(geo) + "\n")
+        assert "positive" in str(exc) and exc.line == 103
+
+    def test_peak_memory_is_one_block(self):
+        # 20 000 rank-2 entries, 3.7 MB of text: the arrays and the unitarity
+        # check take about 7 MB; a token list for the whole file adds over 12 MB
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((20000, 2, 2)) + 1j * rng.standard_normal((20000, 2, 2))
+        q, _ = np.linalg.qr(z)
+        text = "rank 2;\n" + "\n".join(geo_line(float(l), h) for l, h in
+                                       zip(rng.uniform(0.3, 5.0, 20000), q)) + "\n"
+        parse_spectrum(text)
+        tracemalloc.start()
+        try:
+            spec = parse_spectrum(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spec.lengths) == 20000
+        assert peak < 12e6, f"{peak / 1e6:.1f} MB"
+
+
+class TestRuelleEval:
+    """ruelle_eval reads the table and the value off one running sum."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_equals_separate_calls(self, rng, rank):
+        lengths = rng.uniform(0.3, 6.0, 300)
+        lengths[:100] = np.round(lengths[:100], 1)
+        spec = LengthSpectrum(rank, tuple(GeodesicEntry(float(l), random_unitary(rng, rank))
+                                          for l in lengths))
+        cutoffs = [3.3, 0.1, float(lengths[7]), 9.0, 1.2, float(np.max(lengths))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for z in (3.0, 2.5 + 0.3j, 4.0 - 1.0j, 1.5 + 0.2j, -0.5j):
+                for cuts in ([], cutoffs):
+                    rows, value = ruelle.ruelle_eval(spec, z, cuts)
+                    want = convergence_report(spec, z, cuts)
+                    assert [(r[0], bits(r[1]), r[2], r[3] and bits(r[3])) for r in rows] == \
+                        [(r[0], bits(r[1]), r[2], r[3] and bits(r[3])) for r in want]
+                    assert [bits(x) for x in value] == \
+                        [bits(x) for x in truncated_ruelle(spec, z)]
+
+    def test_empty_spectrum_and_warnings(self):
+        empty = LengthSpectrum(3, ())
+        with pytest.warns(SpectrumWarning, match="empty"):
+            assert ruelle.ruelle_eval(empty, 3.0, [1.0]) == ([(1.0, 0j, 0, None)], (1 + 0j, 0.0))
+        spec = spectrum_of([(1.0, [[1.0]])])
+        with pytest.warns(SpectrumWarning) as record:
+            ruelle.ruelle_eval(spec, -1.0)
+        messages = [str(w.message) for w in record]
+        assert sum("spectral radius" in m for m in messages) == 1
+        assert sum("convergence region" in m for m in messages) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_cli_computes_one_prefix(self, rng, tmp_path, monkeypatch, capsys, fmt):
+        lines = random_geo_lines(rng, 2, 500)
+        path = tmp_path / "s.spec"
+        path.write_text("rank 2;\n" + "\n".join(lines) + "\n")
+        spec = parse_spectrum(path.read_text())
+        cutoffs = [2.0, 0.5, 4.25, 7.0]
+        z = 2.75 - 0.5j
+        rows = convergence_report(spec, z, cutoffs)
+        value, tail = truncated_ruelle(spec, z)
+
+        calls = []
+        log_prefix = ruelle._log_prefix
+
+        def counting(spec, z, n):
+            calls.append(n)
+            return log_prefix(spec, z, n)
+
+        monkeypatch.setattr(ruelle, "_log_prefix", counting)
+        argv = ["ruelle-eval", str(path), "--z=2.75,-0.5", "--cutoffs=2,0.5,4.25,7",
+                f"--format={fmt}"]
+        assert cli.main(argv) == 0
+        assert calls == [500]
+        out = capsys.readouterr().out
+        fields = (json.loads(out) if fmt == "json-lines" else
+                  dict(line.split(" = ", 1) for line in out.splitlines()[1:]))
+        for L, logv, used, delta in rows:
+            row = f"L={cli.fmt(L)} log_value={cli.fmt_complex(logv)} used={used}"
+            if delta is not None:
+                row += f" delta={cli.fmt(delta)}"
+            assert fields[f"cutoff_{cli.fmt(L)}"] == row
+        assert fields["value"] == cli.fmt_complex(value)
+        assert fields["tail_bound"] == cli.fmt(tail)
