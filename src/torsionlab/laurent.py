@@ -3,11 +3,12 @@
 Polynomials are stored densely as (lowest exponent, coefficient list) and
 kept normalized: after every arithmetic operation coefficients whose
 magnitude is below TRIM_TOL relative to the largest one are dropped, so
-degree bookkeeping stays exact.  Determinants of Laurent matrices are
-computed by evaluation at roots of unity and FFT interpolation; the
-evaluation runs on numpy arrays, one block of sample points at a time, and
-reproduces the scalar per-point evaluation (``eval_at`` followed by
-``np.linalg.det``) bit for bit.
+degree bookkeeping stays exact.  A matrix of them is one coefficient
+tensor.  Its determinant is sampled at the N-th roots of unity, one coset
+of B-th roots at a time (a twist, a fold mod B and one length-B FFT per
+coset), and interpolated by an FFT; its coefficient errors relative to the
+largest coefficient are a small multiple of machine epsilon times the
+condition of the sample matrices.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 # relative threshold below which a coefficient counts as zero
 TRIM_TOL = 1e-12
-# matrix elements evaluated per block of determinant sample points; bounds
-# the scratch arrays of LaurentMatrix.det whatever the degree spread
+# matrix elements per coset of determinant sample points; bounds the scratch
+# arrays of LaurentMatrix.det beyond its trimmed tensor, whatever the spread
 DET_BLOCK_ELEMENTS = 1 << 12
 
 
@@ -169,9 +170,15 @@ class LaurentPoly:
 
 
 class LaurentMatrix:
-    """A rows-by-cols matrix with LaurentPoly entries, row major."""
+    """A rows-by-cols matrix over C[t, t^-1], stored as one coefficient tensor.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``coef[i, j, k]`` is the coefficient of ``t**(low[i] + k)`` in entry
+    (i, j): each row has one lowest exponent, and the entries are zero
+    padded to a common width.  Entries are not kept normalized; a
+    LaurentPoly is built, and trimmed, only when an entry is indexed.
+    """
+
+    __slots__ = ("low", "coef")
 
     def __init__(self, rows, cols, entries):
         entries = list(entries)
@@ -180,9 +187,23 @@ class LaurentMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        grid = [[e for e in entries[i * cols : (i + 1) * cols] if not e.is_zero]
+                for i in range(rows)]
+        low = [min((e.low for e in row), default=0) for row in grid]
+        width = max((e.high - lw + 1 for lw, row in zip(low, grid) for e in row), default=1)
+        self.low = np.array(low, dtype=np.int64)
+        self.coef = np.zeros((rows, cols, width), dtype=complex)
+        for k, e in enumerate(entries):
+            if not e.is_zero:
+                shift = e.low - low[k // cols]
+                self.coef[k // cols, k % cols, shift : shift + len(e.coeffs)] = e.coeffs
+
+    @classmethod
+    def from_tensor(cls, low, coef):
+        """The matrix of a (rows,) lowest-exponent vector and a (rows, cols, width) tensor."""
+        m = cls.__new__(cls)
+        m.low, m.coef = np.asarray(low, dtype=np.int64), coef
+        return m
 
     @staticmethod
     def from_rows(rows_of_entries):
@@ -191,17 +212,21 @@ class LaurentMatrix:
         flat = [e for row in rows_of_entries for e in row]
         return LaurentMatrix(rows, cols, flat)
 
+    rows = property(lambda self: self.coef.shape[0])
+    cols = property(lambda self: self.coef.shape[1])
+
+    @property
+    def entries(self):
+        return [self[i, j] for i in range(self.rows) for j in range(self.cols)]
+
     def __getitem__(self, idx):
         i, j = idx
-        return self.entries[i * self.cols + j]
+        return LaurentPoly(int(self.low[i]), self.coef[i, j].tolist())
 
     def eval_at(self, z):
         """Entrywise numeric evaluation, as a complex numpy array."""
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self[i, j](z)
-        return out
+        out = [[self[i, j](z) for j in range(self.cols)] for i in range(self.rows)]
+        return np.array(out, dtype=complex).reshape(self.rows, self.cols)
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -216,25 +241,31 @@ class LaurentMatrix:
         return LaurentMatrix(self.rows, other.cols, out)
 
     def max_abs_coeff(self):
-        return max((e.max_abs_coeff() for e in self.entries), default=0.0)
+        return float(np.abs(self.coef).max(initial=0.0))
 
     def det(self):
         """Determinant by evaluation at roots of unity and FFT interpolation.
 
-        The exponent spread of det is bounded row by row; the determinant is
-        sampled at N >= spread+1 points on the unit circle (N a power of
-        two) and the coefficients recovered by a discrete Fourier inversion.
+        Entries are trimmed by the LaurentPoly rule (|c| <= TRIM_TOL * max|c|
+        of the entry counts as zero).  Each row of det spans at most its
+        entries' exponent range, so det is sampled at the N-th roots w**k,
+        N the least power of two above the sum of the row spreads, and its
+        coefficients are one ``np.fft.fft`` of the samples.
 
-        The entries are packed once into a coefficient tensor (each entry's
-        own lowest exponent at index 0, zeros above its top), and the
-        samples are taken in blocks of at most DET_BLOCK_ELEMENTS matrix
-        elements: Horner runs at all points of a block at once, and one
-        batched ``np.linalg.det`` factors the block's matrices.  Every
-        sample equals, bit for bit, ``np.linalg.det(self.eval_at(w))``:
-        the complex products are written out in split real/imaginary form,
-        in the same order as Python's ``complex.__mul__`` evaluates them,
-        because numpy's vectorized complex multiply may round differently,
-        and the powers ``w**low`` come from Python's own complex power.
+        The roots are taken in N/B cosets {w**(s + q N/B) : q < B}.  For
+        coset s the tensor is twisted by w**(s*m) (m the exponent), folded
+        mod B, and one length-B ``np.fft.ifft`` along the exponents gives B
+        sample matrices for one batched ``np.linalg.det``.  The rows' lowest
+        exponents leave the determinant as one power of w per sample, read
+        from the table of roots.  B is the largest power of two with
+        B * rows * cols <= DET_BLOCK_ELEMENTS: beyond one copy of the trimmed
+        tensor and the N samples, scratch memory does not grow with N.
+
+        Accuracy: LAPACK factors each sample matrix backward stably and both
+        transforms are stable, so coefficient errors relative to max|c| of
+        det are a small multiple of machine epsilon times the condition of
+        the sample matrices.  The tests measure them against a 200-bit
+        oracle on random matrices up to 8 x 8.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -242,59 +273,34 @@ class LaurentMatrix:
         if n == 0:
             return LaurentPoly.one()
         if n == 1:
-            return self.entries[0]
-        lo = hi = 0
-        for i in range(n):
-            row = [self[i, j] for j in range(n) if not self[i, j].is_zero]
-            if not row:
-                return LaurentPoly.zero()
-            lo += min(e.low for e in row)
-            hi += max(e.high for e in row)
-        spread = hi - lo
-        N = 1
-        while N < spread + 1:
-            N *= 2
+            return self[0, 0]
+        keep = np.abs(self.coef)
+        keep = keep > TRIM_TOL * keep.max(axis=2, keepdims=True)
+        live = keep.any(axis=2)
+        if not live.any(axis=1).all():
+            return LaurentPoly.zero()
+        width = keep.shape[2]
+        # lowest and highest nonzero exponent of every row, above self.low
+        first = np.where(live, keep.argmax(axis=2), width).min(axis=1)
+        last = np.where(live, width - 1 - keep[:, :, ::-1].argmax(axis=2), -1).max(axis=1)
+        lo = int((self.low + first).sum())
+        N = 1 << int((last - first).sum()).bit_length()
         omega = np.exp(2j * np.pi * np.arange(N) / N)
 
-        # coefficient tensor, highest power first: coef[k] holds the
-        # coefficients of t**(low + width-1-k) of every entry.  The zero
-        # padding leaves Horner's accumulator at exactly +0 until an entry's
-        # own top coefficient is reached.
-        E = n * n
-        width = max(len(e.coeffs) for e in self.entries)
-        coef = np.zeros((E, width), dtype=complex)
-        for idx, e in enumerate(self.entries):
-            coef[idx, : len(e.coeffs)] = e.coeffs
-        coef = coef[:, ::-1].T
-        cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
-        lows, low_row = np.unique([e.low for e in self.entries], return_inverse=True)
-        lows = [int(low) for low in lows]
-
-        block = max(1, DET_BLOCK_ELEMENTS // E)
+        g, h = int(first.min()), int(last.max()) + 1
+        B = min(N, 1 << max(0, (DET_BLOCK_ELEMENTS // (n * n)).bit_length() - 1))
+        K = -(-(h - g) // B)
+        # fold[k, b] holds the n x n coefficients of t**(g + k*B + b)
+        fold = np.zeros((K * B, n, n), dtype=complex)
+        np.copyto(fold[: h - g], self.coef[:, :, g:h].transpose(2, 0, 1),
+                  where=keep[:, :, g:h].transpose(2, 0, 1))
+        fold = fold.reshape(K, B, n * n)
+        exps = np.arange(K * B).reshape(K, B)
+        C = N // B
         samples = np.empty(N, dtype=complex)
-        for start in range(0, N, block):
-            w = omega[start : start + block]
-            zr, zi = w.real[:, None], w.imag[:, None]
-            ar, ai, nr, ni, tmp = np.zeros((5, len(w), E))
-            for k in range(width):
-                # (nr, ni) = (ar, ai) * (zr, zi) + (cr, ci), in that order
-                np.multiply(ar, zr, out=nr)
-                np.multiply(ai, zi, out=tmp)
-                np.subtract(nr, tmp, out=nr)
-                np.add(nr, cr[k], out=nr)
-                np.multiply(ar, zi, out=ni)
-                np.multiply(ai, zr, out=tmp)
-                np.add(ni, tmp, out=ni)
-                np.add(ni, ci[k], out=ni)
-                ar, ai, nr, ni = nr, ni, ar, ai
-            # times w**low, with the power taken in Python complex arithmetic
-            powers = np.array([[complex(x) ** low for low in lows] for x in w])[:, low_row]
-            pr, pi = powers.real, powers.imag
-            mats = np.empty((len(w), n, n), dtype=complex)
-            mats.real = (ar * pr - ai * pi).reshape(-1, n, n)
-            mats.imag = (ar * pi + ai * pr).reshape(-1, n, n)
-            dets = np.linalg.det(mats)
-            for k in range(len(w)):
-                samples[start + k] = dets[k] * omega[start + k] ** (-lo)
-        coeffs = np.fft.fft(samples) / N
-        return LaurentPoly(lo, coeffs)
+        for s in range(C):
+            mats = np.einsum("kb,kbx->bx", omega[s * exps % N], fold).reshape(B, n, n)
+            samples[s::C] = np.linalg.det(np.fft.ifft(mats, axis=0, norm="forward"))
+        # det M(w) w**-lo = det(sample matrix) w**-(sum over rows of first - g)
+        samples *= omega[-np.arange(N) * int((first - g).sum()) % N]
+        return LaurentPoly(lo, np.fft.fft(samples) / N)

@@ -11,6 +11,7 @@ the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,28 +55,19 @@ def phi_apply(elem, pres, rep):
 def _generator_block(pres, rep, i):
     """Phi(x_i - 1) = rho(x_i) * t**d_i - I, as an r x r LaurentMatrix."""
     r = rep.rank
-    mat = rep.images[i - 1]
     d = pres.abelianization_degrees[i - 1]
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            p = LaurentPoly.t(d, mat[a, b])
-            if a == b:
-                p = p - LaurentPoly.one()
-            row.append(p)
-        rows.append(row)
-    return LaurentMatrix.from_rows(rows)
+    low = min(d, 0)
+    coef = np.zeros((r, r, abs(d) + 1), dtype=complex)
+    coef[:, :, d - low] = rep.images[i - 1]
+    coef[range(r), range(r), -low] -= 1
+    return LaurentMatrix.from_tensor(np.full(r, low), coef)
 
 
 def boundary1(pres, rep):
     """The nr x r block column with i-th block Phi(x_i - 1)."""
-    n, r = pres.n_generators, rep.rank
-    blocks = [_generator_block(pres, rep, i) for i in range(1, n + 1)]
-    rows = []
-    for blk in blocks:
-        for a in range(r):
-            rows.append([blk[a, b] for b in range(r)])
+    r = rep.rank
+    blocks = [_generator_block(pres, rep, i) for i in range(1, pres.n_generators + 1)]
+    rows = [[blk[a, b] for b in range(r)] for blk in blocks for a in range(r)]
     return LaurentMatrix.from_rows(rows)
 
 
@@ -88,38 +80,38 @@ def boundary2(pres, rep, skip_generator=None):
     Each relator is walked once with a running prefix product, the same
     left-to-right matmul sequence ``UnitaryRep.of_word`` runs.  The Fox
     term of a letter x_i is +rho(prefix) t**deg(prefix) before it, and of
-    a letter x_i^-1 it is -rho(prefix) t**deg(prefix) after it; the terms
-    are added in word order into a dense (degree, r, r) buffer per block,
-    and each LaurentPoly entry is built once at the end.  ``phi_apply`` of
-    ``fox_derivative`` is the reference this is tested against.
+    a letter x_i^-1 it is -rho(prefix) t**deg(prefix) after it.  The terms
+    are added in word order straight into the matrix's coefficient tensor,
+    whose rows of relator j all start at the lowest prefix degree of r_j;
+    no LaurentPoly is built.  ``phi_apply`` of ``fox_derivative`` is the
+    reference this is tested against.
     """
-    n, r = pres.n_generators, rep.rank
-    cols = [i for i in range(1, n + 1) if i != skip_generator]
+    r = rep.rank
+    cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
+    block = {i: c for c, i in enumerate(cols)}
     degrees = pres.abelianization_degrees
-    rows = []
-    for rel in pres.relators:
-        # degree of every prefix; buf[j - 1] is the (degree, r, r) buffer
-        # of generator j
-        prefix_deg = [0]
-        for j, s in rel.letters:
-            prefix_deg.append(prefix_deg[-1] + degrees[j - 1] * s)
-        low = min(prefix_deg)
-        buf = np.zeros((n, max(prefix_deg) - low + 1, r, r), dtype=complex)
+    prefix_degs = [
+        list(accumulate((degrees[j - 1] * s for j, s in rel.letters), initial=0))
+        for rel in pres.relators
+    ]
+    lows = [min(d) for d in prefix_degs]
+    width = max((max(d) - low + 1 for d, low in zip(prefix_degs, lows)), default=1)
+    coef = np.zeros((len(lows), r, len(cols), r, width), dtype=complex)
+    for rel, deg, low, out in zip(pres.relators, prefix_degs, lows, coef):
+        # out[a, c, b, k] is entry (a, b) of block column c at t**(low + k)
         prefix = np.eye(r, dtype=complex)
         for k, (j, s) in enumerate(rel.letters):
+            c = block.get(j)
             if s > 0:
-                buf[j - 1, prefix_deg[k] - low] += prefix
+                if c is not None:
+                    out[:, c, :, deg[k] - low] += prefix
                 prefix = prefix @ rep.images[j - 1]
             else:
                 prefix = prefix @ rep._inverses[j - 1]
-                buf[j - 1, prefix_deg[k + 1] - low] -= prefix
-        for a in range(r):
-            rows.append(
-                [LaurentPoly(low, buf[i - 1, :, a, b].tolist()) for i in cols for b in range(r)]
-            )
-    if not rows:
-        return LaurentMatrix(0, len(cols) * r, [])
-    return LaurentMatrix.from_rows(rows)
+                if c is not None:
+                    out[:, c, :, deg[k + 1] - low] -= prefix
+    coef = coef.reshape(len(lows) * r, len(cols) * r, width)
+    return LaurentMatrix.from_tensor(np.repeat(lows, r), coef)
 
 
 def _is_pivot(pres, rep, i):

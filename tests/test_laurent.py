@@ -1,5 +1,10 @@
 """Laurent polynomial arithmetic and matrix determinants."""
 
+import functools
+import math
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,28 +164,113 @@ class TestDeterminant:
             assert M.det()(z) == pytest.approx(np.linalg.det(M.eval_at(z)), rel=1e-9)
 
 
-def looped_det(M):
-    """det sampled one point at a time: eval_at, np.linalg.det, then the FFT.
+# fraction bits of the fixed-point oracle below
+ORACLE_BITS = 200
 
-    This is the scalar loop LaurentMatrix.det batches; the batched version
-    must reproduce it exactly.
+
+@functools.cache
+def _oracle_roots(N):
+    """exp(2 pi i k / N), k < N, as fixed-point integers (real and imaginary parts)."""
+    with mpmath.workprec(ORACLE_BITS + 20):
+        angles = [mpmath.mpf(2 * k) / N for k in range(N)]
+        return [
+            np.array([int(mpmath.nint(mpmath.ldexp(f(x), ORACLE_BITS))) for x in angles],
+                     dtype=object)
+            for f in (mpmath.cospi, mpmath.sinpi)
+        ]
+
+
+def _oracle_dft(xr, xi, wr, wi, sign):
+    """Radix-2 DFT along the last axis: entry k is sum_m x_m exp(sign 2 pi i k m / N)."""
+    N = xr.shape[-1]
+    if N == 1:
+        return xr, xi
+    er, ei = _oracle_dft(xr[..., ::2], xi[..., ::2], wr, wi, sign)
+    odd_r, odd_i = _oracle_dft(xr[..., 1::2], xi[..., 1::2], wr, wi, sign)
+    step = len(wr) // N
+    tr, ti = wr[: len(wr) // 2 : step], sign * wi[: len(wi) // 2 : step]
+    pr = (odd_r * tr - odd_i * ti) >> ORACLE_BITS
+    pi = (odd_r * ti + odd_i * tr) >> ORACLE_BITS
+    return np.concatenate([er + pr, er - pr], -1), np.concatenate([ei + pi, ei - pi], -1)
+
+
+def oracle_det(M):
+    """det(M) to about 2**-ORACLE_BITS: (lo, N, coefficients of t**lo ... as mpc).
+
+    Evaluation at the N-th roots of unity and interpolation, as in
+    LaurentMatrix.det, but on fixed-point numbers held as Python integers in
+    numpy object arrays: the float64 coefficients are exact there, the roots
+    of unity come from mpmath, the transforms are radix-2 DFTs, and the N
+    sample determinants are Gaussian eliminations with partial pivoting, run
+    at all points at once.
     """
-    n = M.rows
-    lo = sum(min(M[i, j].low for j in range(n) if not M[i, j].is_zero) for i in range(n))
-    hi = sum(max(M[i, j].high for j in range(n) if not M[i, j].is_zero) for i in range(n))
-    N = 1
-    while N < hi - lo + 1:
-        N *= 2
-    omega = np.exp(2j * np.pi * np.arange(N) / N)
-    samples = np.empty(N, dtype=complex)
-    for k, w in enumerate(omega):
-        samples[k] = np.linalg.det(M.eval_at(w)) * w ** (-lo)
-    return LaurentPoly(lo, np.fft.fft(samples) / N), N
+    n, one = M.rows, 1 << ORACLE_BITS
+    rows = [[M[i, j] for j in range(n) if not M[i, j].is_zero] for i in range(n)]
+    lows = [min(e.low for e in row) for row in rows]
+    spread = sum(max(e.high for e in row) for row in rows) - sum(lows)
+    N = 1 << spread.bit_length()
+    cr, ci = np.zeros((2, n, n, N), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            e = M[i, j]
+            for k, c in enumerate(e.coeffs):
+                # exact: a power-of-two scaling of a float64 that is not tiny
+                cr[i, j, e.low - lows[i] + k] = int(math.ldexp(c.real, ORACLE_BITS))
+                ci[i, j, e.low - lows[i] + k] = int(math.ldexp(c.imag, ORACLE_BITS))
+    wr, wi = _oracle_roots(N)
+    # ar[k, i, j] + i ai[k, i, j]: row-shifted entry (i, j) at w**k
+    ar, ai = (np.moveaxis(x, -1, 0).copy() for x in _oracle_dft(cr, ci, wr, wi, 1))
+    dr, di = np.full(N, one, dtype=object), np.zeros(N, dtype=object)
+    pts = np.arange(N)
+    for k in range(n):
+        piv = k + np.argmax(ar[:, k:, k] ** 2 + ai[:, k:, k] ** 2, axis=1)
+        for a in (ar, ai):
+            a[pts, k], a[pts, piv] = a[pts, piv].copy(), a[pts, k].copy()
+        sign = np.where(piv == k, 1, -1).astype(object)
+        pr, pi = ar[:, k, k], ai[:, k, k]
+        dr, di = (sign * ((dr * pr - di * pi) >> ORACLE_BITS),
+                  sign * ((dr * pi + di * pr) >> ORACLE_BITS))
+        den = pr * pr + pi * pi
+        den[den == 0] = 1  # the column is zero: det is zero here already
+        # multipliers f = a[i, k] / a[k, k] for all rows below k
+        lr, li = ar[:, k + 1 :, k], ai[:, k + 1 :, k]
+        fr = ((lr * pr[:, None] + li * pi[:, None]) << ORACLE_BITS) // den[:, None]
+        fi = ((li * pr[:, None] - lr * pi[:, None]) << ORACLE_BITS) // den[:, None]
+        ur, ui = ar[:, None, k, k:], ai[:, None, k, k:]
+        ar[:, k + 1 :, k:] -= (fr[..., None] * ur - fi[..., None] * ui) >> ORACLE_BITS
+        ai[:, k + 1 :, k:] -= (fr[..., None] * ui + fi[..., None] * ur) >> ORACLE_BITS
+    # the samples det(M(w)) w**-lo are the determinants of the shifted rows
+    sr, si = _oracle_dft(dr, di, wr, wi, -1)
+    with mpmath.workprec(ORACLE_BITS):
+        scale = mpmath.ldexp(N, ORACLE_BITS)
+        coeffs = [mpmath.mpc(mpmath.mpf(r) / scale, mpmath.mpf(i) / scale) for r, i in zip(sr, si)]
+    return sum(lows), N, coeffs
+
+
+def oracle_error(got, lo, exact):
+    """Largest coefficient error of got, relative to the oracle's max |c|."""
+    err = max(abs(mpmath.mpc(got.coeff(lo + k)) - c) for k, c in enumerate(exact))
+    outside = [c for k, c in enumerate(got.coeffs) if not 0 <= got.low + k - lo < len(exact)]
+    return float(max([err] + [abs(c) for c in outside]) / max(abs(c) for c in exact))
+
+
+def det_extent(M):
+    """lo and the sample count N of det, from the trimmed LaurentPoly entries."""
+    rows = [[M[i, j] for j in range(M.cols) if not M[i, j].is_zero] for i in range(M.rows)]
+    lo = sum(min(e.low for e in row) for row in rows)
+    hi = sum(max(e.high for e in row) for row in rows)
+    return lo, 1 << (hi - lo).bit_length()
+
+
+# worst oracle_error of the Horner sampler this module used before the coset
+# FFT, on the 21 matrices of TestBatchedDeterminant: 5.3324e-14, rounded up
+HORNER_WORST_ERROR = 5.333e-14
 
 
 class TestBatchedDeterminant:
-    def test_equals_per_point_loop(self, rng):
+    def test_matches_high_precision_oracle(self, rng):
         multi_block = 0
+        worst = 0.0
         for trial in range(21):
             n = 2 + trial % 7
             wide = n >= 6 and trial >= 7
@@ -198,8 +288,65 @@ class TestBatchedDeterminant:
                     low = int(rng.integers(-40, 41) if wide else rng.integers(-5, 6))
                     entries.append(LaurentPoly(low, c))
             M = LaurentMatrix(n, n, entries)
-            ref, N = looped_det(M)
-            got = M.det()
-            assert got.low == ref.low and got.coeffs == ref.coeffs
-            multi_block += N > laurent.DET_BLOCK_ELEMENTS // (n * n)
+            lo, N, exact = oracle_det(M)
+            worst = max(worst, oracle_error(M.det(), lo, exact))
+            # several cosets of B-th roots, B the largest power of two with B n^2 <= the block
+            multi_block += N > 1 << (laurent.DET_BLOCK_ELEMENTS // (n * n)).bit_length() - 1
+        assert worst <= HORNER_WORST_ERROR
         assert multi_block >= 3
+
+    def test_scratch_memory_bounded_by_block_size(self, rng):
+        # rows spread 128 apart, so det is sampled at N = 4096 points
+        n, width = 16, 129
+        coef = rng.standard_normal((n, n, width)) + 1j * rng.standard_normal((n, n, width))
+        M = LaurentMatrix.from_tensor(np.zeros(n, dtype=int), coef)
+        N = det_extent(M)[1]
+        assert N == 4096
+        tracemalloc.start()
+        try:
+            d = M.det()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not d.is_zero
+        # one trimmed copy of the tensor, O(N) for the samples, the roots and
+        # the LaurentPoly result, and a few blocks of per-coset scratch; every
+        # sample matrix at once would take N n^2 complex numbers, over 4x more
+        bound = coef.nbytes + 200 * N + 16 * 16 * laurent.DET_BLOCK_ELEMENTS
+        assert peak < bound < N * n * n * 16 / 4
+
+
+class TestDenseTrim:
+    """The dense determinant path applies the LaurentPoly trimming rule per entry."""
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("where", [0, 2, 4])  # low end, interior, high end
+    def test_edge_coefficients(self, monkeypatch, factor, where):
+        coeffs = [1.0, -1.0, 1.0, 1.0, 1.0]
+        coeffs[where] = factor * laurent.TRIM_TOL * 1.0
+        # rows start at t^-1, and entry (0, 0) is padded by one zero on each side
+        coef = np.zeros((2, 2, 7), dtype=complex)
+        coef[0, 0, 1:6] = coeffs
+        coef[0, 1, 3] = 1.0  # t^1, inside entry (0, 0)'s range
+        coef[1, 1, 1] = 1.0  # the constant 1
+        M = LaurentMatrix.from_tensor(np.array([-1, -1]), coef)
+        assert M[0, 0] == LaurentPoly(0, coeffs)
+        kept = factor > 1
+        assert len(M[0, 0].coeffs) == (5 if kept or where == 2 else 4)
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda x: calls.append(len(x)) or fft(x))
+        d = M.det()
+        lo, N = det_extent(M)
+        assert calls == [N]
+        assert N == (8 if kept or where == 2 else 4)
+        assert d.close_to(M[0, 0], rtol=1e-13)
+        assert d.low == lo
+
+    def test_zero_row_gives_zero(self):
+        coef = np.zeros((3, 3, 4), dtype=complex)
+        coef[0] = 1.0
+        coef[2, 1, 3] = 2.0
+        assert LaurentMatrix.from_tensor(np.array([0, 5, -2]), coef).det().is_zero
+        coef[1, 2, 0] = 1e-300  # a nonzero row, however small, is kept
+        assert not LaurentMatrix.from_tensor(np.array([0, 5, -2]), coef).det().is_zero

@@ -164,6 +164,32 @@ class TestBoundary2AgainstReference:
         self.compare(pres, random_abelian_rep(rng, 3, 4), exact=False)
 
 
+class TestTracedWork:
+    """The Fox route's work happens inside the spans the benchmark traces."""
+
+    def test_boundary2_is_one_tensor(self, monkeypatch, rng):
+        pres = torus_braid_closure(3, 16)
+        rep = UnitaryRep([random_unitary(rng, 8)] * 3)
+        built = []
+        init = LaurentPoly.__init__
+        monkeypatch.setattr(LaurentPoly, "__init__", lambda p, *a: built.append(1) or init(p, *a))
+        b2 = boundary2(pres, rep, skip_generator=1)
+        assert type(b2) is LaurentMatrix
+        assert b2.coef.shape[:2] == (16, 16)
+        assert not built
+
+    def test_twisted_alexander_takes_three_determinants(self, monkeypatch, rng):
+        pres = torus_braid_closure(3, 16)
+        rep = UnitaryRep([random_unitary(rng, 8)] * 3)
+        calls = []
+        det = LaurentMatrix.det
+        monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(m.rows) or det(m))
+        res = twisted_alexander(pres, rep)
+        # the pivot test, delta0 and delta1
+        assert res.pivot_column == 1
+        assert calls == [8, 8, 16]
+
+
 class TestPivot:
     def test_rank1_character(self):
         pres = parse_presentation(TREFOIL)
