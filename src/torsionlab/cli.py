@@ -26,8 +26,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_report
 from .presentations import ParseError, parse_presentation
 from .reps import UnitaryRep, parse_representation

@@ -173,22 +173,16 @@ def twisted_boundary(cx, rep, p):
     return out
 
 
-def _laplacian(cx, boundary, p, dim):
-    """B_p^* B_p + B_{p+1} B_{p+1}^*, with ``boundary(q)`` giving B_q."""
+def _laplacian(bds, p, dim):
+    """B_p^* B_p + B_{p+1} B_{p+1}^*, a dim x dim matrix, from bds = [None, B_1, ..., B_top]."""
     lap = np.zeros((dim, dim), dtype=complex)
     if p >= 1:
-        B = boundary(p)
+        B = bds[p]
         lap += B.conj().T @ B
-    if p + 1 <= cx.top_degree:
-        B = boundary(p + 1)
+    if p + 1 < len(bds):
+        B = bds[p + 1]
         lap += B @ B.conj().T
     return lap
-
-
-def comb_laplacian(cx, rep, p):
-    """The combinatorial Laplacian B_p^* B_p + B_{p+1} B_{p+1}^* in degree p."""
-    dim = cx.cells_per_degree[p] * rep.rank if p <= cx.top_degree else 0
-    return _laplacian(cx, lambda q: twisted_boundary(cx, rep, q), p, dim)
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ def torsion_report(cx, rep):
     # each B_p is built once and serves the Laplacians of degrees p - 1 and p
     bds = [None] + [twisted_boundary(cx, rep, p) for p in range(1, cx.top_degree + 1)]
     for p in range(cx.top_degree + 1):
-        lap = _laplacian(cx, bds.__getitem__, p, cx.cells_per_degree[p] * rep.rank)
+        lap = _laplacian(bds, p, cx.cells_per_degree[p] * rep.rank)
         if lap.shape[0] == 0:
             betti.append(0)
             spectra.append(())
@@ -234,7 +228,12 @@ def torsion_report(cx, rep):
 
 def knot_complex(pres):
     """The 2-complex of a Wirtinger presentation: one 0-cell, n 1-cells,
-    n-1 2-cells attached along the relators via Fox derivatives."""
+    n-1 2-cells attached along the relators via Fox derivatives.
+
+    The boundary of a 2-cell lists, generator by generator, one incidence
+    on 1-cell i per term of the relator's Fox derivative by x_i, with the
+    term's coefficient (+1 or -1) as its sign.
+    """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
     n = pres.n_generators
@@ -250,10 +249,7 @@ def knot_complex(pres):
     for rel in pres.relators:
         recs = []
         for i in range(1, n + 1):
-            for w, c in fox_derivative(rel, i).terms.items():
-                count = int(round(c.real))
-                sign = 1 if count > 0 else -1
-                recs.extend([Incidence(i - 1, sign, w)] * abs(count))
+            recs.extend(Incidence(i - 1, c, w) for w, c in fox_derivative(rel, i).items())
         two_cells.append(tuple(recs))
     if pres.relators:
         return TwistedCWComplex(
@@ -268,17 +264,6 @@ def knot_complex(pres):
         incidences=(tuple(one_cells),),
         n_generators=n,
         generator_names=pres.generator_names,
-    )
-
-
-def circle_complex():
-    """One 0-cell and one 1-cell glued along (x1 - 1)."""
-    return TwistedCWComplex(
-        cells_per_degree=(1, 1),
-        incidences=(
-            ((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),
-        ),
-        n_generators=1,
     )
 
 

@@ -24,7 +24,11 @@ RELATOR_TOL = 1e-8
 
 
 class UnitaryRep:
-    """Unitary matrices assigned to the generators of a presentation."""
+    """Unitary matrices assigned to the generators of a presentation.
+
+    ``images[i - 1]`` is rho(x_i) and ``inverses[i - 1]`` its inverse, the
+    conjugate transpose.
+    """
 
     def __init__(self, images):
         images = [np.asarray(m, dtype=complex) for m in images]
@@ -41,7 +45,7 @@ class UnitaryRep:
                 )
         self.rank = r
         self.images = images
-        self._inverses = [m.conj().T for m in images]
+        self.inverses = [m.conj().T for m in images]
 
     @staticmethod
     def character(n_generators, xi):
@@ -62,7 +66,7 @@ class UnitaryRep:
         for i, s in letters:
             if i > len(self.images):
                 raise ValueError(f"word uses generator {i}, rep has {len(self.images)}")
-            out = out @ (self.images[i - 1] if s > 0 else self._inverses[i - 1])
+            out = out @ (self.images[i - 1] if s > 0 else self.inverses[i - 1])
         return out
 
     def validate_against(self, pres):

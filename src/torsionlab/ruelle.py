@@ -13,7 +13,6 @@ plus a running sum in length order, which equals a per-entry loop bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import re
 import warnings
@@ -25,10 +24,6 @@ import numpy as np
 from .presentations import ParseError
 
 HOLONOMY_UNITARITY_TOL = 1e-10
-
-
-class NotLoxodromicError(ValueError):
-    """Trace of a non-loxodromic (elliptic or parabolic) element."""
 
 
 class SpectrumWarning(UserWarning):
@@ -93,28 +88,6 @@ class LengthSpectrum:
     def entries(self):
         """The spectrum as GeodesicEntry objects, built on each access."""
         return tuple(GeodesicEntry(float(l), h) for l, h in zip(self.lengths, self.holonomies))
-
-
-def complex_length_from_trace(tr):
-    """Complex length (l, theta) of a loxodromic element from its trace.
-
-    Solves 2 cosh((l + i theta)/2) = +-tr with l > 0 (the sign ambiguity of
-    PSL(2, C) is resolved by folding theta into (-pi, pi]).  Real traces in
-    [-2, 2] are elliptic or parabolic and rejected.
-    """
-    tr = complex(tr)
-    if abs(tr.imag) < 1e-14 and abs(tr.real) <= 2.0:
-        raise NotLoxodromicError(f"trace {tr} lies in [-2, 2]: not loxodromic")
-    w = cmath.acosh(tr / 2.0)  # principal branch: Re w >= 0
-    length = 2.0 * w.real
-    theta = 2.0 * w.imag
-    # fold into (-pi, pi]: theta -> theta - 2 pi k, the +-tr ambiguity shifts by 2 pi
-    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi
-    if theta <= -np.pi + 1e-15:
-        theta = np.pi
-    if length <= 1e-14:
-        raise NotLoxodromicError(f"trace {tr} gives zero translation length")
-    return length, theta
 
 
 def _log_prefix(spec, z, n):

@@ -34,22 +34,19 @@ class MissingPeripheralError(RuntimeError):
 def phi_apply(elem, pres, rep):
     """Apply Phi = (abelianization) tensor rho to a group-ring element.
 
-    Returns an r x r LaurentMatrix: each word w contributes
-    coeff * rho(w) * t**degree(w).  The pipeline does not call this: it is
-    the reference that tests compare ``boundary2`` against, applied to
-    ``fox_derivative`` of each relator.
+    ``elem`` maps words to coefficients, as ``fox_derivative`` returns.
+    Returns an r x r LaurentMatrix: each word w adds coeff * rho(w) at
+    t**degree(w), with ``rep.of_word`` and ``pres.word_degree``, in the
+    dict's order.  The pipeline does not call this: applied to
+    ``fox_derivative`` of each relator, it is the reference that tests
+    compare ``boundary2`` against.
     """
-    r = rep.rank
-    entries = [[LaurentPoly.zero() for _ in range(r)] for _ in range(r)]
-    for w, c in elem.terms.items():
-        mat = rep.of_word(w)
-        d = pres.word_degree(w)
-        for i in range(r):
-            for j in range(r):
-                v = c * mat[i, j]
-                if v != 0:
-                    entries[i][j] = entries[i][j] + LaurentPoly.t(d, v)
-    return LaurentMatrix.from_rows(entries)
+    degrees = [pres.word_degree(w) for w in elem]
+    low = min(degrees, default=0)
+    coef = np.zeros((rep.rank, rep.rank, max(degrees, default=0) - low + 1), dtype=complex)
+    for (w, c), d in zip(elem.items(), degrees):
+        coef[:, :, d - low] += c * rep.of_word(w)
+    return LaurentMatrix(np.full(rep.rank, low), coef)
 
 
 def _generator_block(pres, rep, i):
@@ -60,15 +57,7 @@ def _generator_block(pres, rep, i):
     coef = np.zeros((r, r, abs(d) + 1), dtype=complex)
     coef[:, :, d - low] = rep.images[i - 1]
     coef[range(r), range(r), -low] -= 1
-    return LaurentMatrix.from_tensor(np.full(r, low), coef)
-
-
-def boundary1(pres, rep):
-    """The nr x r block column with i-th block Phi(x_i - 1)."""
-    r = rep.rank
-    blocks = [_generator_block(pres, rep, i) for i in range(1, pres.n_generators + 1)]
-    rows = [[blk[a, b] for b in range(r)] for blk in blocks for a in range(r)]
-    return LaurentMatrix.from_rows(rows)
+    return LaurentMatrix(np.full(r, low), coef)
 
 
 def boundary2(pres, rep, skip_generator=None):
@@ -83,8 +72,9 @@ def boundary2(pres, rep, skip_generator=None):
     a letter x_i^-1 it is -rho(prefix) t**deg(prefix) after it.  The terms
     are added in word order straight into the matrix's coefficient tensor,
     whose rows of relator j all start at the lowest prefix degree of r_j;
-    no LaurentPoly is built.  ``phi_apply`` of ``fox_derivative`` is the
-    reference this is tested against.
+    no LaurentPoly is built.  ``phi_apply`` of ``fox_derivative`` runs the
+    same matmuls and additions per block, and is the reference this is
+    tested against.
     """
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
@@ -107,33 +97,29 @@ def boundary2(pres, rep, skip_generator=None):
                     out[:, c, :, deg[k] - low] += prefix
                 prefix = prefix @ rep.images[j - 1]
             else:
-                prefix = prefix @ rep._inverses[j - 1]
+                prefix = prefix @ rep.inverses[j - 1]
                 if c is not None:
                     out[:, c, :, deg[k + 1] - low] -= prefix
     coef = coef.reshape(len(lows) * r, len(cols) * r, width)
-    return LaurentMatrix.from_tensor(np.repeat(lows, r), coef)
+    return LaurentMatrix(np.repeat(lows, r), coef)
 
 
 def _is_pivot(pres, rep, i):
-    """True iff the Phi(x_i - 1) block has nonvanishing determinant.
+    """The determinant of the Phi(x_i - 1) block, or None if it vanishes identically.
 
     The determinant is tested by evaluation at 8 fixed points on the
     circle |t| = 2.
     """
     det = _generator_block(pres, rep, i).det()
-    return any(abs(det(z)) > 1e-9 for z in _PIVOT_TEST_POINTS)
-
-
-def pivot_candidates(pres, rep):
-    """Generator indices whose Phi(x_i - 1) block has nonvanishing determinant."""
-    return [i for i in range(1, pres.n_generators + 1) if _is_pivot(pres, rep, i)]
+    return det if any(abs(det(z)) > 1e-9 for z in _PIVOT_TEST_POINTS) else None
 
 
 def choose_pivot(pres, rep):
-    """Smallest generator index usable as the Wada pivot."""
+    """The smallest generator index usable as the Wada pivot, and the
+    determinant of its Phi(x_i - 1) block (delta0)."""
     for i in range(1, pres.n_generators + 1):
-        if _is_pivot(pres, rep, i):
-            return i
+        if (det := _is_pivot(pres, rep, i)) is not None:
+            return i, det
     raise NoPivotError("all candidate pivot determinants vanish identically")
 
 
@@ -175,11 +161,9 @@ def twisted_alexander(pres, rep, pivot=None):
         raise ValueError("twisted_alexander requires a Wirtinger presentation")
     rep.validate_against(pres)
     if pivot is None:
-        pivot = choose_pivot(pres, rep)
-    elif pivot not in pivot_candidates(pres, rep):
+        pivot, delta0 = choose_pivot(pres, rep)
+    elif not 1 <= pivot <= pres.n_generators or (delta0 := _is_pivot(pres, rep, pivot)) is None:
         raise NoPivotError(f"generator {pivot} is not a valid pivot")
-
-    delta0 = _generator_block(pres, rep, pivot).det()
     delta1 = boundary2(pres, rep, skip_generator=pivot).det()
 
     h1_vanishes = (

@@ -6,6 +6,8 @@ import pytest
 from torsionlab import LaurentPoly, Presentation, UnitaryRep, Word, parse_presentation
 from torsionlab.cli import corpus_dir
 
+from oracles import ONE, close_to, scale
+
 KNOT_NAMES = ["unknot", "trefoil", "figure_eight", "knot_5_2"]
 
 # Seifert matrices, independent of the Fox-calculus pipeline
@@ -25,7 +27,7 @@ def seifert_alexander(V):
     """
     m = V.shape[0]
     if m == 0:
-        return LaurentPoly.one()
+        return ONE
     import itertools
 
     # each entry is the degree-1 polynomial V[i][j] - t * V[j][i]
@@ -125,8 +127,8 @@ def up_to_unit_monomial(p, q, tol=1e-9):
     unit = p.coeffs[0] / q.coeffs[0]
     if abs(abs(unit) - 1.0) > tol:
         return False
-    shifted = LaurentPoly(p.low - q.low, q.coeffs).scale(unit)
-    return p.close_to(shifted, rtol=tol)
+    shifted = scale(LaurentPoly(p.low - q.low, q.coeffs), unit)
+    return close_to(p, shifted, rtol=tol)
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """Length spectra and truncated Euler products."""
 
-import cmath
 import json
 import re
 import tracemalloc
@@ -12,19 +11,8 @@ import pytest
 
 import torsionlab.cli as cli
 import torsionlab.ruelle as ruelle
-
-from torsionlab import (
-    GeodesicEntry,
-    LengthSpectrum,
-    NotLoxodromicError,
-    ParseError,
-    SpectrumWarning,
-    complex_length_from_trace,
-    convergence_report,
-    format_spectrum,
-    parse_spectrum,
-    truncated_ruelle,
-)
+from torsionlab import LengthSpectrum, ParseError, SpectrumWarning, format_spectrum, parse_spectrum
+from torsionlab.ruelle import GeodesicEntry, convergence_report, truncated_ruelle
 
 from conftest import random_unitary
 
@@ -117,39 +105,6 @@ def spectrum_of(pairs, rank=1):
         for l, h in pairs
     )
     return LengthSpectrum(rank=rank, entries=entries)
-
-
-class TestComplexLength:
-    def test_real_hyperbolic_trace(self):
-        l, theta = complex_length_from_trace(2 * np.cosh(0.5))
-        assert l == pytest.approx(1.0, abs=1e-12)
-        assert theta == pytest.approx(0.0, abs=1e-12)
-
-    def test_loxodromic_with_rotation(self):
-        tr = 2 * cmath.cosh((1.0 + 1j * np.pi / 2) / 2)
-        l, theta = complex_length_from_trace(tr)
-        assert l == pytest.approx(1.0, abs=1e-12)
-        assert theta == pytest.approx(np.pi / 2, abs=1e-12)
-
-    def test_negative_trace_same_length(self):
-        # PSL(2, C) sign ambiguity: -tr shifts theta by 2 pi, folded back
-        tr = 2 * cmath.cosh((0.7 + 0.3j) / 2)
-        l1, t1 = complex_length_from_trace(tr)
-        l2, t2 = complex_length_from_trace(-tr)
-        assert l1 == pytest.approx(l2, abs=1e-12)
-        assert abs((t1 - t2 + np.pi) % (2 * np.pi) - np.pi) < 1e-10
-
-    @pytest.mark.parametrize("tr", [2.0, -2.0, 0.0, 1.5])
-    def test_elliptic_or_parabolic_rejected(self, tr):
-        with pytest.raises(NotLoxodromicError):
-            complex_length_from_trace(tr)
-
-    def test_theta_in_fold_interval(self, rng):
-        for _ in range(50):
-            w = complex(rng.uniform(0.05, 3.0), rng.uniform(-9, 9))
-            l, theta = complex_length_from_trace(2 * cmath.cosh(w / 2))
-            assert l > 0
-            assert -np.pi < theta <= np.pi
 
 
 class TestEntriesAndSpectrum:
