@@ -30,7 +30,13 @@ from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_re
 from .presentations import ParseError, parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
-from .twisted import MissingPeripheralError, NoPivotError, twisted_alexander
+from .twisted import (
+    MissingPeripheralError,
+    NoPivotError,
+    boundary2,
+    choose_pivot,
+    twisted_alexander,
+)
 
 HYPERBOLICITY_NOTE = (
     "hyperbolicity of the knot complement is assumed, not verified; "
@@ -116,7 +122,7 @@ def load_rep(args, pres):
         rep = UnitaryRep.character(pres.n_generators, xi)
     else:
         raise SystemExit("error: one of --xi or --rep is required")
-    rep.validate_against(pres)
+    # twisted_alexander checks that rep is well defined on pres
     return rep
 
 
@@ -154,7 +160,10 @@ def cmd_verify_knot(args):
     tol = args.tol if args.tol is not None else 1e-8
 
     result = twisted_alexander(pres, rep)
-    trivial = twisted_alexander(pres, UnitaryRep.character(pres.n_generators, 1.0))
+    # delta1 of the trivial rep, computed as twisted_alexander computes it
+    trivial = UnitaryRep.character(pres.n_generators, 1.0)
+    pivot, _ = choose_pivot(pres, trivial)
+    trivial_delta1 = boundary2(pres, trivial, skip_generator=pivot).det()
 
     rpt = Report("verify-knot")
     rpt.add("presentation", args.presentation)
@@ -174,7 +183,7 @@ def cmd_verify_knot(args):
     cw_value = cw.torsion**2
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of
     # modulus 1 on |t| = 1
-    closed_form = (abs(trivial.delta1(xi)) / abs(1.0 - xi)) ** 2
+    closed_form = (abs(trivial_delta1(xi)) / abs(1.0 - xi)) ** 2
 
     values = [fox_value, cw_value, closed_form]
     deviation = max(

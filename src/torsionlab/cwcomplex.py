@@ -1,9 +1,12 @@
 """Twisted chain complexes of finite CW complexes and zeta-regularized torsion.
 
-Cells carry incidence records (target cell, sign, deck-group word); tensoring
-with a unitary representation of the deck group gives finite-dimensional
-boundary matrices.  The combinatorial Laplacian in each degree is
-B_p^* B_p + B_{p+1} B_{p+1}^*; its positive spectrum, weighted by
+Cells carry incidence records (target cell, sign, deck-group word).  A word
+may be held as a prefix of a longer one, as the Fox terms of a 2-cell are
+prefixes of its relator, so a complex built from a presentation, its
+validation and its boundary matrices stay linear in the relator lengths.
+Tensoring with a unitary representation of the deck group gives
+finite-dimensional boundary matrices.  The combinatorial Laplacian in each
+degree is B_p^* B_p + B_{p+1} B_{p+1}^*; its positive spectrum, weighted by
 (-1)^p * p, defines the zeta-regularized torsion
 exp( (1/2) * sum_p (-1)^p p sum_{lambda>0} log lambda ).
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freegroup import Word, fox_derivative
+from .freegroup import Word
 from .presentations import ParseError, parse_word, _TokenStream, _tokenize
 
 # eigenvalues below 1e-8 * (1 + spectral max) count as kernel
@@ -33,9 +36,29 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Incidence:
+    """``sign`` times the deck-group word ``word`` on cell ``target`` of the
+    degree below.
+
+    ``Incidence(target, sign, word)`` holds the word itself.  With a length
+    the word is the prefix of that many letters of ``base``: the Fox terms
+    of a 2-cell all share their relator this way instead of each holding a
+    copy.  ``word`` builds the prefix only when read.
+    """
+
     target: int
     sign: int
-    word: Word
+    base: Word
+    length: int | None = None  # None: all of base
+
+    def __post_init__(self):
+        if self.length is None:
+            object.__setattr__(self, "length", len(self.base))
+
+    @property
+    def word(self):
+        if self.length == len(self.base):
+            return self.base
+        return Word._of_reduced(self.base.letters[: self.length])
 
 
 @dataclass(frozen=True)
@@ -73,6 +96,10 @@ class TwistedCWComplex:
                         raise ValueError(f"degree {p}: target {rec.target} out of range")
                     if rec.sign not in (1, -1):
                         raise ValueError("incidence signs must be +1 or -1")
+                    if not (0 <= rec.length <= len(rec.base)):
+                        raise ValueError(
+                            f"degree {p}: prefix length {rec.length} outside 0..{len(rec.base)}"
+                        )
         self.validate_boundary()
 
     @property
@@ -86,26 +113,85 @@ class TwistedCWComplex:
         occurrences of relators (any cyclic rotation, either orientation) are
         deleted iteratively first.  This is a sound but incomplete word
         problem check; it covers complexes built from group presentations.
+
+        The composite is keyed by reduced words interned as integer nodes of
+        the free group's Cayley tree (``_CayleyTree``): the words of a cell's
+        incidences come from one walk along each base word, and each product
+        with a lower incidence walks that incidence's letters on from there.
+        Only keys with a nonzero coefficient are turned back into words for
+        relator deletion, so a Fox 2-cell costs time linear in its relator.
         """
         bases = tuple(ls for r in self.relations for ls in (r.letters, r.inverse().letters))
+        tree = _CayleyTree()
         for p in range(2, self.top_degree + 1):
-            lower = self.incidences[p - 2]
+            lower = [
+                [(rec.target, rec.sign, rec.word.letters) for rec in cell]
+                for cell in self.incidences[p - 2]
+            ]
             for i, recs in enumerate(self.incidences[p - 1]):
-                # (target, word) -> integer coefficient of the composite boundary
+                # (target, node) -> integer coefficient of the composite boundary
                 residual = {}
+                paths = {}  # id(base) -> the node of each prefix of base
                 for rec in recs:
-                    for rec2 in lower[rec.target]:
-                        key = (rec2.target, rec.word * rec2.word)
-                        residual[key] = residual.get(key, 0) + rec.sign * rec2.sign
+                    if id(rec.base) not in paths:
+                        paths[id(rec.base)] = tree.prefixes(rec.base.letters)
+                    node = paths[id(rec.base)][rec.length]
+                    for target, sign, letters in lower[rec.target]:
+                        key = (target, tree.walk(node, letters))
+                        residual[key] = residual.get(key, 0) + rec.sign * sign
                 collapsed = {}
-                for (target, w), c in residual.items():
+                for (target, node), c in residual.items():
                     if c:
-                        key = (target, _delete_relators(w, bases))
+                        key = (target, _delete_relators(tree.word(node), bases))
                         collapsed[key] = collapsed.get(key, 0) + c
                 if any(collapsed.values()):
                     raise ValueError(
                         f"untwisted boundary composition is nonzero on {p}-cell {i}"
                     )
+
+
+class _CayleyTree:
+    """Reduced words of a free group interned as integer nodes.
+
+    Node 0 is the empty word.  A node times a letter is its parent when the
+    letter inverts the node's last letter, and otherwise its child along
+    that letter, made on first use; so equal reduced words get equal nodes.
+    """
+
+    def __init__(self):
+        self.parent = [0]
+        self.last = [None]  # the letter that leads to each node
+        self.children = {}  # (node, letter) -> node
+
+    def step(self, node, letter):
+        i, s = letter
+        if self.last[node] == (i, -s):
+            return self.parent[node]
+        child = self.children.get((node, letter))
+        if child is None:
+            child = self.children[node, letter] = len(self.parent)
+            self.parent.append(node)
+            self.last.append(letter)
+        return child
+
+    def walk(self, node, letters):
+        for letter in letters:
+            node = self.step(node, letter)
+        return node
+
+    def prefixes(self, letters):
+        """The nodes of the prefixes of a word, from one walk along it."""
+        nodes = [0]
+        for letter in letters:
+            nodes.append(self.step(nodes[-1], letter))
+        return nodes
+
+    def word(self, node):
+        letters = []
+        while node:
+            letters.append(self.last[node])
+            node = self.parent[node]
+        return Word._of_reduced(tuple(reversed(letters)))
 
 
 def _delete_relators(w, bases):
@@ -143,13 +229,13 @@ def twisted_boundary(cx, rep, p):
     transposed in each block; composites then multiply in word order and
     the chain condition holds for non-abelian representations too.
 
-    rho(word) is computed for the incidence words in sorted order, so a
-    word follows its prefixes and extends the running product of the word
-    before it when that word is one of them (every word of a Fox 2-cell is
-    a prefix of its relator); any other word starts from ``rep.of_word``.
-    Each product runs the matmuls of ``rep.of_word`` in the same order, and
-    the blocks are added in incidence order, so the matrix is bitwise equal
-    to one built from ``rep.of_word`` per incidence.
+    rho(word) is computed base word by base word: the incidences sharing a
+    base are taken in order of prefix length, and each extends the running
+    product of the one before it (every word of a Fox 2-cell is a prefix of
+    its relator, so a relator is walked once).  Each product runs the
+    matmuls of ``rep.of_word`` in the same order, and the blocks are added
+    in incidence order, so the matrix is bitwise equal to one built from
+    ``rep.of_word`` per incidence.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")
@@ -158,16 +244,19 @@ def twisted_boundary(cx, rep, p):
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
     recs = [(i, rec) for i, cell in enumerate(cx.incidences[p - 1]) for rec in cell]
+    by_base = {}  # id(base) -> indices into recs
+    for k, (_, rec) in enumerate(recs):
+        by_base.setdefault(id(rec.base), []).append(k)
     images = [None] * len(recs)
-    prev, mat = (), np.eye(r, dtype=complex)
-    for k in sorted(range(len(recs)), key=lambda k: recs[k][1].word.letters):
-        letters = recs[k][1].word.letters
-        if letters[: len(prev)] == prev:
-            mat = rep.extend(mat, letters[len(prev) :])
-        else:
-            mat = rep.of_word(recs[k][1].word)
-        prev = letters
-        images[k] = mat
+    for ks in by_base.values():
+        ks.sort(key=lambda k: recs[k][1].length)
+        letters = recs[ks[0]][1].base.letters
+        done, mat = 0, np.eye(r, dtype=complex)
+        for k in ks:
+            length = recs[k][1].length
+            mat = rep.extend(mat, letters[done:length])
+            done = length
+            images[k] = mat
     for (i, rec), image in zip(recs, images):
         out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += rec.sign * image.T
     return out
@@ -232,7 +321,10 @@ def knot_complex(pres):
 
     The boundary of a 2-cell lists, generator by generator, one incidence
     on 1-cell i per term of the relator's Fox derivative by x_i, with the
-    term's coefficient (+1 or -1) as its sign.
+    term's coefficient (+1 or -1) as its sign, in letter order.  The term
+    of a letter x_i is the prefix of the relator before it, of x_i^-1 the
+    prefix through it; each incidence holds the relator and that prefix
+    length, so a relator is walked once and no prefix word is built.
     """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
@@ -247,10 +339,10 @@ def knot_complex(pres):
         )
     two_cells = []
     for rel in pres.relators:
-        recs = []
-        for i in range(1, n + 1):
-            recs.extend(Incidence(i - 1, c, w) for w, c in fox_derivative(rel, i).items())
-        two_cells.append(tuple(recs))
+        by_generator = [[] for _ in range(n)]
+        for k, (j, s) in enumerate(rel.letters):
+            by_generator[j - 1].append(Incidence(j - 1, s, rel, k if s > 0 else k + 1))
+        two_cells.append(tuple(rec for recs in by_generator for rec in recs))
     if pres.relators:
         return TwistedCWComplex(
             cells_per_degree=(1, n, len(pres.relators)),

@@ -100,6 +100,11 @@ def fox_derivative(w, i):
     reduced word w: the prefix before an x_i, or the prefix ending in an
     x_i^-1.  Two terms could share a prefix only if x_i^-1 x_i occurred in
     w, so every coefficient is +1 or -1 and none cancels.
+
+    The command line does not call this: ``knot_complex`` and ``boundary2``
+    each find the terms in one walk along the relator.  It stays as the
+    reference the tests build those terms from, and as a layer the
+    benchmark tracer counts.
     """
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")

@@ -3,7 +3,8 @@
 None of this is on a command-line path: Laurent polynomial arithmetic and
 matrices packed from entries, group-ring arithmetic on {Word: coefficient}
 dicts, the first boundary matrix of a presentation, pivot candidates, the
-circle complex and the combinatorial Laplacian of a degree.
+circle complex, the knot complex's 2-cells from Fox derivatives and the
+combinatorial Laplacian of a degree.
 """
 
 import functools
@@ -166,6 +167,16 @@ def circle_complex():
         incidences=(((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),),
         n_generators=1,
     )
+
+
+def fox_knot_incidences(pres):
+    """The (target, sign, word) triples of each 2-cell of ``knot_complex(pres)``,
+    one per term of ``fox_derivative(rel, i)``, generator by generator."""
+    return [
+        [(i - 1, c, w) for i in range(1, pres.n_generators + 1)
+         for w, c in fox_derivative(rel, i).items()]
+        for rel in pres.relators
+    ]
 
 
 def comb_laplacian(cx, rep, p):

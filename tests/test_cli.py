@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import torsionlab.cli as cli
 from torsionlab.cli import main
-from torsionlab.twisted import MissingPeripheralError
+from torsionlab import UnitaryRep, parse_presentation
+from torsionlab.twisted import MissingPeripheralError, twisted_alexander
 
 CIRCLE_CW = """\
 gens a ;
@@ -86,6 +88,25 @@ class TestTalex:
         with pytest.raises(SystemExit):
             main(["talex", "trefoil", "--xi=2,0"])
 
+    def test_ill_defined_rep_rejected(self, capsys, tmp_path):
+        rep = tmp_path / "rep.rep"
+        rep.write_text("rank 2;\nmat a = [[0,0],[1,0],[1,0],[0,0]];\n"
+                       "mat b = [[1,0],[0,0],[0,0],[-1,0]];\n")
+        code, out, err = run(capsys, "talex", "figure_eight", "--rep", str(rep))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: relator 1 maps to a non-identity matrix")
+
+    def test_ill_defined_rep_on_non_wirtinger_reports_wirtinger(self, capsys, tmp_path):
+        # the rep is checked once, inside twisted_alexander, after the
+        # presentation is found not to be Wirtinger
+        pres = tmp_path / "square.pres"
+        pres.write_text("gens a b;\nrel a^2;\n")
+        rep = tmp_path / "rep.rep"
+        rep.write_text("rank 1;\nchar a = 0,1;\nchar b = 0,1;\n")
+        code, out, err = run(capsys, "talex", str(pres), "--rep", str(rep))
+        assert (code, out) == (1, "")
+        assert err == "error: twisted_alexander requires a Wirtinger presentation\n"
+
 
 class TestVerifyKnot:
     def test_figure_eight_xi_minus_one(self, capsys):
@@ -101,6 +122,40 @@ class TestVerifyKnot:
         code, out, _ = run(capsys, "verify-knot", name, "--xi=0,1")
         assert code == 0
         assert "agree = true" in out
+
+    def test_closed_form_without_a_second_pipeline(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(pres, rep):
+            calls.append(rep)
+            return twisted_alexander(pres, rep)
+
+        monkeypatch.setattr(cli, "twisted_alexander", counting)
+        code, out, _ = run(capsys, "verify-knot", "knot_5_2", "--xi=0,1")
+        assert code == 0 and len(calls) == 1
+        # the closed form still reads delta1 of the full trivial-rep pipeline
+        pres = parse_presentation((cli.corpus_dir() / "knot_5_2.pres").read_text())
+        delta1 = twisted_alexander(pres, UnitaryRep.character(2, 1.0)).delta1
+        assert f"closed_form = {cli.fmt((abs(delta1(1j)) / abs(1 - 1j)) ** 2)}\n" in out
+
+    def test_memory_linear_in_relator_length(self, capsys, tmp_path):
+        # <a, b | [a, b]^k> at L and 4L letters: a linear route peaks about 4
+        # times higher at 4L, one that stores every Fox term as its own
+        # prefix word about 16 times (400 MB at 8000 letters)
+        peaks = []
+        for length in (2000, 8000):
+            pres = tmp_path / f"long{length}.pres"
+            pres.write_text("gens a b; wirtinger; rel " + "a b A B " * (length // 4) + ";\n")
+            tracemalloc.start()
+            try:
+                code = main(["verify-knot", str(pres), "--xi=0,1"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert "agree = true" in capsys.readouterr().out
+        assert peaks[1] / peaks[0] < 6
+        assert peaks[1] < 10_000_000
 
     def test_hypotheses_failure_exits_2(self, capsys):
         code, out, _ = run(capsys, "verify-knot", "trefoil", "--xi=1,0")

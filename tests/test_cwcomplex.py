@@ -1,5 +1,6 @@
 """Twisted CW complexes, combinatorial Laplacians, and torsion reports."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from conftest import (
     random_unitary,
     torus_braid_closure,
 )
-from oracles import boundary1, circle_complex, comb_laplacian, eval_at
+from oracles import boundary1, circle_complex, comb_laplacian, eval_at, fox_knot_incidences
 
 TREFOIL_WITH_RELATOR = """
 gens a b ;
@@ -52,6 +53,30 @@ bd 1 0 -> (+, a, 1) (-, b, 0) ;
 bd 1 1 -> (+, b^-1 a, 0) (-, a^-1 b^-1, 1) ;
 bd 1 2 -> (+, b, 1) (+, a, 0) (+, b^-1 a^-1, 0) (-, a^-1 b, 0) ;
 """
+
+# two incidences of equal length, one pair of them with equal words
+SHARED_LENGTH = """
+gens a b ;
+cells 0 2 ;
+cells 1 2 ;
+bd 1 0 -> (+, a b, 0) (-, b a, 1) (+, a b, 1) ;
+bd 1 1 -> (-, a^-1 b, 0) (+, b^2, 1) (-, 1, 0) ;
+"""
+
+
+def shared_base_complex():
+    """Prefix incidences of one base out of length order, two at one length."""
+    w = Word(((1, 1), (2, 1), (1, -1), (2, 1), (2, 1)))
+    recs = (Incidence(1, 1, w, 3), Incidence(0, -1, w, 1), Incidence(0, 1, w, 3),
+            Incidence(1, -1, w, 0), Incidence(1, 1, w))
+    return TwistedCWComplex(cells_per_degree=(2, 1), incidences=((recs,),), n_generators=2)
+
+
+def knot_presentations():
+    out = [(name, load_corpus_presentation(name)) for name in KNOT_NAMES]
+    out += [(f"T({p},{q})", torus_braid_closure(p, q))
+            for p, q in ((2, 3), (2, 15), (2, 63), (3, 4), (3, 16), (3, 28))]
+    return out
 
 
 def point_complex():
@@ -124,6 +149,11 @@ def reference_complexes():
     out.append(("T(3,16)", knot_complex(pres), pres.n_generators))
     out.append(("trefoil with relator", parse_complex(TREFOIL_WITH_RELATOR), 2))
     out.append(("no shared prefix", parse_complex(NO_SHARED_PREFIX), 2))
+    pres = torus_braid_closure(2, 63)
+    assert [len(r) for r in pres.relators] == [128]
+    out.append(("T(2,63), a 128-letter relator", knot_complex(pres), pres.n_generators))
+    out.append(("shared length", parse_complex(SHARED_LENGTH), 2))
+    out.append(("shared base and length", shared_base_complex(), 2))
     return out
 
 
@@ -282,6 +312,44 @@ class TestKnotComplex:
         with pytest.raises(ValueError, match="Wirtinger"):
             knot_complex(pres)
 
+    @pytest.mark.parametrize("name,pres", knot_presentations(),
+                             ids=[name for name, _ in knot_presentations()])
+    def test_incidences_match_fox_construction(self, name, pres):
+        cx = knot_complex(pres)
+        two_cells = cx.incidences[1] if cx.top_degree == 2 else ()
+        got = [[(rec.target, rec.sign, rec.word) for rec in cell] for cell in two_cells]
+        assert got == fox_knot_incidences(pres)
+
+    def test_incidences_share_their_relator(self):
+        pres = torus_braid_closure(3, 16)
+        cx = knot_complex(pres)
+        for rel, cell in zip(pres.relators, cx.incidences[1]):
+            assert all(rec.base is rel for rec in cell)
+
+    @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "knot_5_2"])
+    def test_one_mutated_incidence_rejected(self, name):
+        # every prefix length moved by one, and every sign flipped, in turn
+        cx = knot_complex(load_corpus_presentation(name))
+        cell = cx.incidences[1][0]
+        for k, rec in enumerate(cell):
+            changes = [{"sign": -rec.sign}]
+            changes += [{"length": rec.length + d} for d in (-1, 1)
+                        if 0 <= rec.length + d <= len(rec.base)]
+            for change in changes:
+                mutated = cell[:k] + (dataclasses.replace(rec, **change),) + cell[k + 1:]
+                with pytest.raises(ValueError, match="composition"):
+                    dataclasses.replace(cx, incidences=(cx.incidences[0],
+                                                        (mutated,) + cx.incidences[1][1:]))
+
+    @pytest.mark.parametrize("length", [-1, 7])
+    def test_prefix_length_out_of_range_rejected(self, length):
+        cx = knot_complex(load_corpus_presentation("trefoil"))
+        rel = cx.relations[0]
+        assert len(rel) == 6
+        cell = (Incidence(0, 1, rel, length),) + cx.incidences[1][0][1:]
+        with pytest.raises(ValueError, match=f"prefix length {length} outside 0..6"):
+            dataclasses.replace(cx, incidences=(cx.incidences[0], (cell,)))
+
     def test_bad_composition_rejected(self):
         # a 2-cell glued along a word that is not a relator consequence
         with pytest.raises(ValueError, match="composition"):
@@ -293,6 +361,39 @@ class TestKnotComplex:
                 ),
                 n_generators=1,
             )
+
+
+class TestIncidence:
+    W = Word(((1, 1), (2, -1), (1, 1)))
+
+    def test_whole_word(self):
+        rec = Incidence(0, 1, self.W)
+        assert rec.word is self.W
+        assert rec == Incidence(0, 1, self.W, 3)
+
+    def test_prefix_built_when_read(self):
+        assert [Incidence(0, -1, self.W, n).word for n in range(4)] == [
+            Word(self.W.letters[:n]) for n in range(4)
+        ]
+
+
+class TestCayleyTree:
+    def test_nodes_are_reduced_words(self, rng):
+        tree = cwcomplex._CayleyTree()
+
+        def random_letters(n):
+            return tuple((int(rng.integers(1, 4)), int(rng.choice([-1, 1]))) for _ in range(n))
+
+        seen = {}
+        for _ in range(300):
+            u, v = random_letters(int(rng.integers(0, 8))), random_letters(int(rng.integers(0, 8)))
+            assert tree.prefixes(u)[-1] == tree.walk(0, u)
+            node = tree.walk(tree.walk(0, u), v)
+            want = Word(u) * Word(v)
+            assert tree.word(node) == want
+            # one node per reduced word, one reduced word per node
+            assert seen.setdefault(want.letters, node) == node
+        assert len(set(seen.values())) == len(seen)
 
 
 class TestValidateWithRelators:
