@@ -27,7 +27,7 @@ import warnings
 from pathlib import Path
 
 from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_report
-from .presentations import ParseError, parse_presentation
+from .presentations import parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
 from .twisted import (
@@ -111,24 +111,19 @@ class Report:
                 print(f"{k} = {v}", file=file)
 
 
-def load_rep(args, pres):
+def load_rep(args, names):
+    """The representation of ``--rep``, or the character of ``--xi``, on the
+    generators ``names``."""
     if args.rep:
-        text = Path(args.rep).read_text()
-        rep = parse_representation(text, pres.generator_names)
-    elif args.xi is not None:
-        xi = parse_complex_flag(args.xi, "--xi")
-        if abs(abs(xi) - 1.0) > 1e-10:
-            raise SystemExit(f"error: --xi must have modulus 1, got |xi| = {abs(xi)}")
-        rep = UnitaryRep.character(pres.n_generators, xi)
-    else:
+        return parse_representation(Path(args.rep).read_text(), names)
+    if args.xi is None:
         raise SystemExit("error: one of --xi or --rep is required")
-    # twisted_alexander checks that rep is well defined on pres
-    return rep
+    return UnitaryRep.character(len(names), parse_complex_flag(args.xi, "--xi"))
 
 
 def cmd_talex(args):
     pres = parse_presentation(resolve_input(args.presentation, ".pres").read_text())
-    rep = load_rep(args, pres)
+    rep = load_rep(args, pres.generator_names)
     result = twisted_alexander(pres, rep)
 
     rpt = Report("talex")
@@ -153,10 +148,8 @@ def cmd_talex(args):
 
 def cmd_verify_knot(args):
     pres = parse_presentation(resolve_input(args.presentation, ".pres").read_text())
-    xi = parse_complex_flag(args.xi, "--xi")
-    if abs(abs(xi) - 1.0) > 1e-10:
-        raise SystemExit(f"error: --xi must have modulus 1, got |xi| = {abs(xi)}")
-    rep = UnitaryRep.character(pres.n_generators, xi)
+    rep = load_rep(args, pres.generator_names)
+    xi = complex(rep.images[0][0, 0])  # the --xi value, bit for bit
     tol = args.tol if args.tol is not None else 1e-8
 
     result = twisted_alexander(pres, rep)
@@ -202,13 +195,7 @@ def cmd_verify_knot(args):
 
 def cmd_torsion_cw(args):
     cx = parse_complex(resolve_input(args.complex, ".cw").read_text())
-    if args.rep:
-        rep = parse_representation(Path(args.rep).read_text(), cx.names())
-    elif args.xi is not None:
-        xi = parse_complex_flag(args.xi, "--xi")
-        rep = UnitaryRep.character(cx.n_generators, xi)
-    else:
-        raise SystemExit("error: one of --xi or --rep is required")
+    rep = load_rep(args, cx.names())
     report = torsion_report(cx, rep)
     rpt = Report("torsion-cw")
     rpt.add("complex", args.complex)
@@ -267,7 +254,7 @@ def build_parser():
     p.add_argument("--xi", required=True, help="rank-1 character value re,im")
     p.add_argument("--tol", type=float, help="relative agreement tolerance (default 1e-8)")
     common(p)
-    p.set_defaults(func=cmd_verify_knot)
+    p.set_defaults(func=cmd_verify_knot, rep=None)
 
     p = sub.add_parser("torsion-cw", help="torsion report of a twisted CW complex")
     p.add_argument("complex")
@@ -291,8 +278,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except (
-        ParseError,
-        FileNotFoundError,
         OSError,
         ValueError,
         NoPivotError,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freegroup import Word
-from .presentations import ParseError, parse_word, _TokenStream, _tokenize
+from .presentations import ParseError, _TokenStream
 
 # eigenvalues below 1e-8 * (1 + spectral max) count as kernel
 ZERO_EIG_REL_TOL = 1e-8
@@ -362,29 +362,20 @@ def knot_complex(pres):
 def parse_complex(text):
     """Parse the complex file format.
 
-    Grammar (``#`` comments, statements end with ``;``)::
+    Tokens, comments, the ``gens`` header and words follow the rules of the
+    ``presentations`` module.  Grammar::
 
         gens name+ ;
-        rels? ( "rel" word ";" )*          # optional deck-group relators
+        ( "rel" word ";" )*                # optional deck-group relators
         cells p count ;                    # one per degree, contiguous from 0
         bd p cell_index -> (sign, word, target_index)* ;
 
-    Signs are ``+`` or ``-``; words use the presentation word syntax with
-    ``1`` for the identity.  A count must lie in 0..MAX_CELLS; a ``bd``
+    Signs are ``+`` or ``-``.  A count must lie in 0..MAX_CELLS; a ``bd``
     degree in 1..top, its cell index and its target indices among the cells
     of their degree.  Anything else is a ParseError with its position.
     """
-    stream = _TokenStream(_tokenize(text))
-    tok, line, col = stream.next(expect="'gens'")
-    if tok != "gens":
-        raise ParseError(f"complex file must start with 'gens', got {tok!r}", line, col)
-    names = []
-    while True:
-        tok, line, col = stream.next(expect="a generator name or ';'")
-        if tok == ";":
-            break
-        names.append(tok)
-    name_to_index = {nm: k + 1 for k, nm in enumerate(names)}
+    stream = _TokenStream(text)
+    names, letters = stream.generators()
 
     relations = []
     cells = {}
@@ -392,15 +383,11 @@ def parse_complex(text):
     while stream.peek() is not None:
         tok, line, col = stream.next()
         if tok == "rel":
-            relations.append(parse_word(stream, name_to_index))
+            relations.append(stream.word(letters))
             stream.expect(";")
         elif tok == "cells":
-            ptok, pl, pc = stream.next(expect="a degree")
-            ctok, cl, cc = stream.next(expect="a cell count")
-            try:
-                p, count = int(ptok), int(ctok)
-            except ValueError:
-                raise ParseError("cells takes two integers", pl, pc) from None
+            p, pl, pc = stream.integer("degree")
+            count, cl, cc = stream.integer("cell count")
             if p < 0:
                 raise ParseError(f"cell degree must be >= 0, got {p}", pl, pc)
             if p in cells:
@@ -410,12 +397,8 @@ def parse_complex(text):
             cells[p] = count
             stream.expect(";")
         elif tok == "bd":
-            ptok, pl, pc = stream.next(expect="a degree")
-            itok, il, ic = stream.next(expect="a cell index")
-            try:
-                p, i = int(ptok), int(itok)
-            except ValueError:
-                raise ParseError("bd takes two integers", pl, pc) from None
+            p = stream.integer("degree")[0]
+            i = stream.integer("cell index")[0]
             stream.expect("-")
             stream.expect(">")
             recs = []
@@ -425,12 +408,9 @@ def parse_complex(text):
                 if stok not in ("+", "-"):
                     raise ParseError(f"expected '+' or '-', got {stok!r}", sl, sc)
                 stream.expect(",")
-                word = _parse_word_until(stream, name_to_index, ",")
-                ttok, tl, tc = stream.next(expect="a target index")
-                try:
-                    target = int(ttok)
-                except ValueError:
-                    raise ParseError(f"bad target index {ttok!r}", tl, tc) from None
+                word = stream.word(letters, stop=",")
+                stream.expect(",")
+                target, tl, tc = stream.integer("target index")
                 stream.expect(")")
                 recs.append((Incidence(target, 1 if stok == "+" else -1, word), tl, tc))
             stream.expect(";")
@@ -466,21 +446,6 @@ def parse_complex(text):
         incidences=tuple(incidences),
         n_generators=len(names),
         relations=tuple(relations),
-        generator_names=tuple(names),
+        generator_names=names,
     )
 
-
-def _parse_word_until(stream, name_to_index, stop):
-    """Parse a word whose end is marked by the given token (consumed)."""
-    toks = []
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of input inside a word, expected {stop!r}")
-        if tok[0] == stop:
-            stream.next()
-            break
-        toks.append(stream.next())
-    sub = _TokenStream(toks + [(";", 0, 0)])
-    word = parse_word(sub, name_to_index)
-    return word

@@ -1,16 +1,31 @@
-"""Finite group presentations and their line-oriented text format.
+"""Finite group presentations, and the statement syntax they share with
+complexes (``cwcomplex.parse_complex``).
 
-Grammar (``#`` starts a comment, statements end with ``;``)::
+``.pres`` and ``.cw`` files are read by one token stream under one set of
+rules:
 
-    file       := header relator* peripheral?
-    header     := "gens" name+ ";" ("wirtinger" ";")?
+- ``#`` starts a comment that runs to the end of its line.
+- A token is a name ``[A-Za-z_][A-Za-z0-9_]*``, ``^``, an integer
+  ``-?[0-9]+`` or any other single non-space character.  Statements end
+  with ``;``.
+- The file starts with the header ``gens name+ ;``: at least one name, no
+  name twice, each starting with a lowercase letter or ``_``.  The k-th
+  name is the generator x_k.
+- A word is ``(letter ("^" integer)? | "1")+``, read up to the token that
+  ends its statement or field.  A letter is a declared name, or for its
+  inverse the name with its first character capitalized, so ``X1`` and
+  ``x1^-1`` denote the same letter; ``1`` is the identity.  A word holds
+  at most MAX_WORD_LETTERS letters once its powers are written out, and it
+  is never empty.
+
+Grammar of a presentation::
+
+    file       := header ("wirtinger" ";")? relator* peripheral?
     relator    := "rel" word ";"
     peripheral := "meridian" word ";" "longitude" word ";"
-    word       := (name ("^" integer)?)+
 
-A letter may also be inverted by capitalizing its first character, so
-``X1`` and ``x1^-1`` denote the same letter.  The canonical serialization
-uses the ``name^exponent`` form with lowercase names.
+The canonical serialization uses the ``name^exponent`` form with lowercase
+names.
 """
 
 from __future__ import annotations
@@ -81,20 +96,18 @@ class Presentation:
 MAX_WORD_LETTERS = 100_000
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^|-?\d+|;|\S")
-
-
-def _tokenize(text):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for m in _TOKEN.finditer(line):
-            tokens.append((m.group(0), lineno, m.start() + 1))
-    return tokens
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """The tokens of a ``.pres`` or ``.cw`` file, and the rules they share."""
+
+    def __init__(self, text):
+        self.tokens = [
+            (m.group(0), lineno, m.start() + 1)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN.finditer(line.split("#", 1)[0])
+        ]
         self.pos = 0
 
     def peek(self):
@@ -112,77 +125,84 @@ class _TokenStream:
         if tok != text:
             raise ParseError(f"expected {text!r}, got {tok!r}", line, col)
 
+    def integer(self, what):
+        """``(value, line, col)`` of an integer token."""
+        tok, line, col = self.next(expect=f"an integer {what}")
+        try:
+            return int(tok), line, col
+        except ValueError:
+            raise ParseError(f"bad {what} {tok!r}", line, col) from None
 
-def parse_word(stream, name_to_index):
-    """Parse a word up to (not including) the terminating ';'.
+    def generators(self):
+        """The ``gens`` header: the names, and the table ``word`` reads letters
+        from, which maps the k-th name to (k, 1) and the name capitalized to
+        (k, -1)."""
+        tok, line, col = self.next(expect="'gens'")
+        if tok != "gens":
+            raise ParseError(f"file must start with 'gens', got {tok!r}", line, col)
+        names = []
+        while True:
+            tok, line, col = self.next(expect="a generator name or ';'")
+            if tok == ";":
+                break
+            if not _NAME.fullmatch(tok) or tok[0].isupper():
+                raise ParseError(f"generator names must be lowercase, got {tok!r}", line, col)
+            if tok in names:
+                raise ParseError(f"duplicate generator {tok!r}", line, col)
+            names.append(tok)
+        if not names:
+            raise ParseError("no generators declared", line, col)
+        letters = {}
+        for k, name in enumerate(names, start=1):
+            letters[name] = (k, 1)
+            if name[0] != "_":
+                letters[name[0].upper() + name[1:]] = (k, -1)
+        return tuple(names), letters
 
-    Raises ParseError at the letter that takes the word past
-    MAX_WORD_LETTERS letters.
-    """
-    letters = []
-    saw_any = False
-    while True:
-        tok = stream.peek()
-        if tok is None or tok[0] == ";":
-            break
-        name, line, col = stream.next()
-        if name == "1":
-            # the identity word; legal anywhere a word is expected
-            saw_any = True
-            continue
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-            raise ParseError(f"expected a generator name, got {name!r}", line, col)
-        sign = 1
-        lookup = name
-        if name[0].isupper():
-            sign = -1
-            lookup = name[0].lower() + name[1:]
-        if lookup not in name_to_index:
-            raise ParseError(f"unknown generator {name!r}", line, col)
-        exponent = sign
-        if stream.peek() and stream.peek()[0] == "^":
-            stream.next()
-            etok, eline, ecol = stream.next(expect="an integer exponent")
-            try:
-                exponent = sign * int(etok)
-            except ValueError:
-                raise ParseError(f"bad exponent {etok!r}", eline, ecol) from None
-        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
-            raise ParseError(
-                f"word longer than {MAX_WORD_LETTERS} letters after expanding powers",
-                line,
-                col,
-            )
-        idx = name_to_index[lookup]
-        unit = 1 if exponent > 0 else -1
-        letters.extend([(idx, unit)] * abs(exponent))
-        saw_any = True
-    if not saw_any:
-        tok = stream.peek()
-        line, col = (tok[1], tok[2]) if tok else (None, None)
-        raise ParseError("empty word", line, col)
-    return Word(tuple(letters))
+    def word(self, letters, stop=";"):
+        """The word up to the ``stop`` token, which is left unread.
+
+        Raises ParseError at the letter that takes the word past
+        MAX_WORD_LETTERS letters, and at the stop token if the word is empty.
+        """
+        tokens = self.tokens
+        start = pos = self.pos
+        out = []
+        while pos < len(tokens) and tokens[pos][0] != stop:
+            name, line, col = tokens[pos]
+            pos += 1
+            if name == "1":
+                # the identity word; legal anywhere a word is expected
+                continue
+            letter = letters.get(name)
+            if letter is None:
+                if _NAME.fullmatch(name):
+                    raise ParseError(f"unknown generator {name!r}", line, col)
+                raise ParseError(f"expected a generator name, got {name!r}", line, col)
+            count = 1
+            if pos < len(tokens) and tokens[pos][0] == "^":
+                self.pos = pos + 1
+                count = self.integer("exponent")[0]
+                pos = self.pos
+                if count < 0:
+                    letter, count = (letter[0], -letter[1]), -count
+            if len(out) + count > MAX_WORD_LETTERS:
+                raise ParseError(
+                    f"word longer than {MAX_WORD_LETTERS} letters after expanding powers",
+                    line,
+                    col,
+                )
+            out += [letter] * count
+        if pos == start:
+            raise ParseError("empty word", *(tokens[pos][1:] if pos < len(tokens) else ()))
+        self.pos = pos
+        return Word(tuple(out))
 
 
 def parse_presentation(text):
     """Parse the presentation file format into a Presentation."""
-    stream = _TokenStream(_tokenize(text))
-    tok, line, col = stream.next(expect="'gens'")
-    if tok != "gens":
-        raise ParseError(f"file must start with 'gens', got {tok!r}", line, col)
-    names = []
-    while True:
-        tok, line, col = stream.next(expect="a generator name or ';'")
-        if tok == ";":
-            break
-        if not re.fullmatch(r"[a-z_][A-Za-z0-9_]*", tok):
-            raise ParseError(f"generator names must be lowercase, got {tok!r}", line, col)
-        if tok in names:
-            raise ParseError(f"duplicate generator {tok!r}", line, col)
-        names.append(tok)
-    if not names:
-        raise ParseError("no generators declared", line, col)
-    name_to_index = {nm: k + 1 for k, nm in enumerate(names)}
+    stream = _TokenStream(text)
+    names, letters = stream.generators()
 
     wirtinger = False
     if stream.peek() and stream.peek()[0] == "wirtinger":
@@ -195,20 +215,20 @@ def parse_presentation(text):
     while stream.peek() is not None:
         tok, line, col = stream.next()
         if tok == "rel":
-            relators.append(parse_word(stream, name_to_index))
+            relators.append(stream.word(letters))
             stream.expect(";")
         elif tok == "meridian":
-            meridian = parse_word(stream, name_to_index)
+            meridian = stream.word(letters)
             stream.expect(";")
             stream.expect("longitude")
-            longitude = parse_word(stream, name_to_index)
+            longitude = stream.word(letters)
             stream.expect(";")
         else:
             raise ParseError(f"expected 'rel' or 'meridian', got {tok!r}", line, col)
 
     return Presentation(
         n_generators=len(names),
-        generator_names=tuple(names),
+        generator_names=names,
         relators=tuple(relators),
         wirtinger=wirtinger,
         meridian=meridian,

@@ -7,6 +7,9 @@ file format is::
     mat <name> = [ [re,im], [re,im], ... ];   # r*r entries, row major
     char <name> = re,im;                      # rank-1 shorthand
 
+A ``mat`` body holds exactly r*r pairs with one comma between consecutive
+pairs; any other text in it is a ParseError.
+
 Unitarity is enforced to 1e-10; when validated against a presentation,
 relator images must equal the identity to 1e-8.
 """
@@ -35,14 +38,17 @@ class UnitaryRep:
         if not images:
             raise ValueError("a representation needs at least one generator image")
         r = images[0].shape[0]
-        for k, m in enumerate(images):
-            if m.shape != (r, r):
-                raise ValueError(f"generator image {k + 1} is not {r}x{r}")
-            err = np.linalg.norm(m.conj().T @ m - np.eye(r))
-            if err > UNITARITY_TOL:
-                raise ValueError(
-                    f"generator image {k + 1} is not unitary (defect {err:.2e})"
-                )
+        # a huge, inf or nan entry gives an inf or nan defect and no warning;
+        # the tolerance checks here are written `not err <= tol` so nan fails
+        with np.errstate(all="ignore"):
+            for k, m in enumerate(images):
+                if m.shape != (r, r):
+                    raise ValueError(f"generator image {k + 1} is not {r}x{r}")
+                err = np.linalg.norm(m.conj().T @ m - np.eye(r))
+                if not err <= UNITARITY_TOL:
+                    raise ValueError(
+                        f"generator image {k + 1} is not unitary (defect {err:.2e})"
+                    )
         self.rank = r
         self.images = images
         self.inverses = [m.conj().T for m in images]
@@ -51,7 +57,7 @@ class UnitaryRep:
     def character(n_generators, xi):
         """The rank-1 representation sending every generator to xi."""
         xi = complex(xi)
-        if abs(abs(xi) - 1.0) > UNITARITY_TOL:
+        if not abs(abs(xi) - 1.0) <= UNITARITY_TOL:
             raise ValueError(f"character value must have modulus 1, got |xi|={abs(xi)}")
         return UnitaryRep([np.array([[xi]])] * n_generators)
 
@@ -78,7 +84,7 @@ class UnitaryRep:
             )
         for k, r in enumerate(pres.relators):
             err = np.linalg.norm(self.of_word(r) - np.eye(self.rank))
-            if err > RELATOR_TOL:
+            if not err <= RELATOR_TOL:
                 raise ValueError(
                     f"relator {k + 1} maps to a non-identity matrix (defect {err:.2e})"
                 )
@@ -117,13 +123,22 @@ def parse_representation(text, generator_names):
             name, body = m.groups()
             if rank is None:
                 raise ParseError("'mat' requires 'rank r;' first", lineno)
-            pairs = _PAIR.findall(body)
-            if len(pairs) != rank * rank:
+            # pairs at 1::3 and 2::3, the text around them at 0::3
+            parts = _PAIR.split(body)
+            seps = parts[::3]
+            between = set(map(str.strip, seps[1:-1]))
+            if seps[0].strip() or seps[-1].strip() or not between <= {","}:
                 raise ParseError(
-                    f"matrix for {name!r} needs {rank * rank} [re,im] pairs, got {len(pairs)}",
+                    f"matrix for {name!r} must hold [re,im] pairs with one comma between",
                     lineno,
                 )
-            vals = [complex(float(a), float(b)) for a, b in pairs]
+            n = len(seps) - 1
+            if n != rank * rank:
+                raise ParseError(
+                    f"matrix for {name!r} needs {rank * rank} [re,im] pairs, got {n}",
+                    lineno,
+                )
+            vals = [complex(float(a), float(b)) for a, b in zip(parts[1::3], parts[2::3])]
             assigned[name] = np.array(vals, dtype=complex).reshape(rank, rank)
         else:
             raise ParseError(f"unrecognized statement {stmt.splitlines()[0]!r}", lineno)

@@ -85,8 +85,38 @@ class TestTalex:
         assert "ruelle_at_0 = 4.5" in out
 
     def test_nonunit_xi_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["talex", "trefoil", "--xi=2,0"])
+        # the modulus is checked once, by UnitaryRep.character
+        code, out, err = run(capsys, "talex", "trefoil", "--xi=2,0")
+        assert (code, out) == (1, "")
+        assert err == "error: character value must have modulus 1, got |xi|=2.0\n"
+
+    @pytest.mark.parametrize("command", ["talex", "verify-knot", "torsion-cw"])
+    def test_nan_xi_rejected_without_warnings(self, capsys, command, tmp_path):
+        target = "trefoil"
+        if command == "torsion-cw":
+            target = tmp_path / "circle.cw"
+            target.write_text(CIRCLE_CW)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, str(target), "--xi=nan,0")
+        assert (code, out, caught) == (1, "", [])
+        assert err == "error: character value must have modulus 1, got |xi|=nan\n"
+
+    @pytest.mark.parametrize(
+        "char,message",
+        [
+            ("char a = 1e999,0;", "generator image 1 is not unitary (defect nan)"),
+            ("mat a = [ junk [0,1] ];",
+             "matrix for 'a' must hold [re,im] pairs with one comma between (line 2)"),
+        ],
+    )
+    def test_bad_rep_file_exits_1_without_warnings(self, capsys, tmp_path, char, message):
+        rep = tmp_path / "bad.rep"
+        rep.write_text(f"rank 1;\n{char}\nchar b = 0,1;\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "talex", "trefoil", "--rep", str(rep))
+        assert (code, out, err, caught) == (1, "", f"error: {message}\n", [])
 
     def test_ill_defined_rep_rejected(self, capsys, tmp_path):
         rep = tmp_path / "rep.rep"
@@ -187,6 +217,13 @@ class TestTorsionCW:
         assert code == 1
         assert "error:" in err
 
+
+    def test_semicolon_inside_word_exits_1(self, capsys, tmp_path):
+        cw = tmp_path / "semi.cw"
+        cw.write_text(CIRCLE_CW.replace("(+, a, 0)", "(+, a ; junk junk, 0)"))
+        code, out, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: expected a generator name, got ';' (line 4, col 17)\n"
 
     def test_eigensolver_failure_exits_1(self, capsys, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,9 +1,15 @@
 """Presentation file parsing."""
 
+import itertools
+
 import pytest
 
-from torsionlab import ParseError, Word, parse_presentation
+from torsionlab import ParseError, Word, knot_complex, parse_complex, parse_presentation
 from torsionlab.presentations import MAX_WORD_LETTERS, format_word
+
+from conftest import torus_braid_closure
+
+CW_TAIL = "cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 0);"
 
 
 class TestParsing:
@@ -104,3 +110,115 @@ class TestSerialization:
 
     def test_identity_word(self):
         assert format_word(Word(), ("a",)) == "1"
+
+
+def mixed_syntax(w, names):
+    """A word written with every letter form: runs of one letter as a power,
+    and single letters cycling through ``x``, ``x^1``, ``X^-1`` (or ``X``,
+    ``x^-1``, ``X^1`` for an inverse)."""
+    if w.is_empty:
+        return "1"
+    forms = itertools.cycle(range(3))
+    parts = []
+    for (i, s), run in itertools.groupby(w.letters):
+        k = len(list(run))
+        name = names[i - 1]
+        cap = name[0].upper() + name[1:]
+        if k > 1:
+            parts.append(f"{name}^{s * k}" if s > 0 else f"{cap}^{k}")
+        else:
+            form = next(forms)
+            parts.append([name, f"{name}^1", f"{cap}^-1"][form] if s > 0
+                         else [cap, f"{name}^-1", f"{cap}^1"][form])
+    return " ".join(parts)
+
+
+TORUS_KNOTS = [(2, 7), (3, 4), (3, 16), (4, 5)]
+
+
+class TestSharedSyntax:
+    """.pres and .cw files read one token stream under one set of rules."""
+
+    @pytest.mark.parametrize(
+        "header,message,col",
+        [
+            ("gens a a;", "duplicate generator 'a'", 8),
+            ("gens ( 7;", "generator names must be lowercase, got '\\('", 6),
+            ("gens ;", "no generators declared", 6),
+            ("gens a B;", "generator names must be lowercase, got 'B'", 8),
+            ("cells 0 1;", "file must start with 'gens', got 'cells'", 1),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_header_rules(self, fmt, header, message, col):
+        text = header + ("\nrel a;" if fmt == "pres" else "\n" + CW_TAIL)
+        parse = parse_presentation if fmt == "pres" else parse_complex
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("p,q", TORUS_KNOTS)
+    def test_pres_round_trip_in_every_letter_form(self, p, q):
+        pres = torus_braid_closure(p, q)
+        names = pres.generator_names
+        text = f"gens {' '.join(names)}; wirtinger;\n" + "".join(
+            f"rel {mixed_syntax(r, names)};\n" for r in pres.relators
+        )
+        assert all(form in text for form in ("^-1", "^1 ", "X", "^2"))
+        assert parse_presentation(text).relators == pres.relators
+
+    @pytest.mark.parametrize("p,q", TORUS_KNOTS)
+    def test_cw_round_trip_in_every_letter_form(self, p, q):
+        pres = torus_braid_closure(p, q)
+        names = pres.generator_names
+        cx = knot_complex(pres)
+        lines = [f"gens {' '.join(names)};"]
+        lines += [f"rel {mixed_syntax(r, names)};" for r in pres.relators]
+        lines += [f"cells {d} {c};" for d, c in enumerate(cx.cells_per_degree)]
+        for deg, table in enumerate(cx.incidences, start=1):
+            for i, recs in enumerate(table):
+                fields = " ".join(
+                    f"({'+' if rec.sign > 0 else '-'}, {mixed_syntax(rec.word, names)}, "
+                    f"{rec.target})"
+                    for rec in recs
+                )
+                lines.append(f"bd {deg} {i} -> {fields};")
+        got = parse_complex("\n".join(lines))
+        assert got.relations == pres.relators
+        assert got.cells_per_degree == cx.cells_per_degree
+        assert [[[(rec.target, rec.sign, rec.word) for rec in recs] for recs in table]
+                for table in got.incidences] == [
+            [[(rec.target, rec.sign, rec.word) for rec in recs] for recs in table]
+            for table in cx.incidences
+        ]
+
+    def test_semicolon_inside_cw_word_rejected(self):
+        text = "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0 -> (+, a ; junk junk, 0) (-, 1, 0);\n"
+        with pytest.raises(ParseError, match="expected a generator name, got ';'") as err:
+            parse_complex(text)
+        assert (err.value.line, err.value.col) == (4, 17)
+
+    def test_empty_cw_word_at_its_position(self):
+        text = "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0 -> (+, a, 0)\n   (+, , 0);\n"
+        with pytest.raises(ParseError, match="empty word") as err:
+            parse_complex(text)
+        assert (err.value.line, err.value.col) == (5, 8)
+
+    def test_cw_word_at_end_of_input(self):
+        with pytest.raises(ParseError, match="end of input, expected ','"):
+            parse_complex("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a a")
+
+    @pytest.mark.parametrize(
+        "statement,message,col",
+        [
+            ("cells x 1;", "bad degree 'x'", 7),
+            ("cells 2 x;", "bad cell count 'x'", 9),
+            ("bd 1 x -> ;", "bad cell index 'x'", 6),
+            ("bd 1 0 -> (+, a, x);", "bad target index 'x'", 18),
+            ("bd 1 0 -> (+, a^x, 0);", "bad exponent 'x'", 17),
+        ],
+    )
+    def test_bad_integer_at_its_position(self, statement, message, col):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_complex(f"gens a; cells 0 1; cells 1 1;\n{statement}")
+        assert (err.value.line, err.value.col) == (2, col)

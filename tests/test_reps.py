@@ -1,6 +1,8 @@
 """Representation construction, validation, and file parsing."""
 
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,27 @@ class TestUnitaryRep:
         got = rep.of_word(Word(((1, 1), (2, -1), (1, 1))))
         np.testing.assert_allclose(got, u @ v.conj().T @ u, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "entry,defect", [(np.inf, "nan"), (np.nan, "nan"), (1e200, "inf")]
+    )
+    def test_non_finite_image_rejected_without_warnings(self, entry, defect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"not unitary \(defect {defect}\)"):
+                UnitaryRep([np.array([[entry]])])
+
+    @pytest.mark.parametrize("xi", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0)])
+    def test_non_finite_character_rejected(self, xi):
+        with pytest.raises(ValueError, match="modulus 1"):
+            UnitaryRep.character(2, xi)
+
+    def test_nan_relator_image_rejected(self):
+        pres = parse_presentation("gens a b; wirtinger; rel a b a b^-1 a^-1 b^-1;")
+        rep = UnitaryRep.character(2, 1j)
+        rep.images[0][0, 0] = np.nan  # set after the unitarity check
+        with pytest.raises(ValueError, match=r"relator 1 maps to a non-identity matrix"):
+            rep.validate_against(pres)
+
     def test_validate_against(self):
         pres = parse_presentation("gens a b; wirtinger; rel a b a b^-1 a^-1 b^-1;")
         UnitaryRep.character(2, 1j).validate_against(pres)
@@ -57,6 +80,47 @@ class TestRepFile:
     def test_wrong_entry_count(self):
         with pytest.raises(ParseError, match="pairs"):
             parse_representation("rank 2;\nmat a = [ [1,0] ];", ("a",))
+
+    ONE, ZERO = "[1,0]", "[0,0]"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "junk [1,0], [0,0], [0,0], [1,0]",
+            "[1,0], [0,0], [0,0], [1,0] junk",
+            "[1,0], [0,0], x [0,0], [1,0]",
+            "[1,0] [0,0], [0,0], [1,0]",
+            "[1,0],, [0,0], [0,0], [1,0]",
+            ", [1,0], [0,0], [0,0], [1,0]",
+            "[1,0], [0,0], [0,0], [1,0],",
+            "[1,0], [0,0], [0,0], [1,0]]",
+            "[1,0], [0,0], [ 0 0 ], [0,0], [1,0]",
+        ],
+    )
+    def test_text_between_pairs_rejected(self, body):
+        text = f"rank 2;\nmat a = [ {body} ];\n"
+        with pytest.raises(ParseError, match=r"one comma between \(line 2\)"):
+            parse_representation(text, ("a",))
+
+    def test_pairs_across_lines(self):
+        text = "rank 2;\nmat a = [[1,0],[0,0]  ,\n  [0,0]\n, [ 1 , 0 ] # identity\n];\n"
+        rep = parse_representation(text, ("a",))
+        np.testing.assert_array_equal(rep.images[0], np.eye(2))
+
+    def test_mat_memory_linear_in_pairs(self):
+        # a regex repetition over the pairs keeps about 1.3 KB of sre state
+        # per pair, some 185 times the pair's text
+        r = 100
+        pairs = ", ".join(self.ONE if k % (r + 1) == 0 else self.ZERO for k in range(r * r))
+        text = f"rank {r};\nmat a = [ {pairs} ];\n"
+        tracemalloc.start()
+        try:
+            rep = parse_representation(text, ("a",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(rep.images[0], np.eye(r))
+        assert peak < 64 * len(text)
 
     def test_missing_generator(self):
         with pytest.raises(ParseError, match="no matrix assigned"):
