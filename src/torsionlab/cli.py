@@ -30,13 +30,7 @@ from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_re
 from .presentations import parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
-from .twisted import (
-    MissingPeripheralError,
-    NoPivotError,
-    boundary2,
-    choose_pivot,
-    twisted_alexander,
-)
+from .twisted import MissingPeripheralError, boundary2, twisted_alexander
 
 HYPERBOLICITY_NOTE = (
     "hyperbolicity of the knot complement is assumed, not verified; "
@@ -85,7 +79,7 @@ def parse_complex_flag(s, what):
         re_s, im_s = s.split(",")
         return complex(float(re_s), float(im_s))
     except ValueError:
-        raise SystemExit(f"error: {what} must be given as re,im, got {s!r}")
+        raise ValueError(f"{what} must be given as re,im, got {s!r}") from None
 
 
 class Report:
@@ -117,7 +111,7 @@ def load_rep(args, names):
     if args.rep:
         return parse_representation(Path(args.rep).read_text(), names)
     if args.xi is None:
-        raise SystemExit("error: one of --xi or --rep is required")
+        raise ValueError("one of --xi or --rep is required")
     return UnitaryRep.character(len(names), parse_complex_flag(args.xi, "--xi"))
 
 
@@ -155,8 +149,7 @@ def cmd_verify_knot(args):
     result = twisted_alexander(pres, rep)
     # delta1 of the trivial rep, computed as twisted_alexander computes it
     trivial = UnitaryRep.character(pres.n_generators, 1.0)
-    pivot, _ = choose_pivot(pres, trivial)
-    trivial_delta1 = boundary2(pres, trivial, skip_generator=pivot).det()
+    trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column).det()
 
     rpt = Report("verify-knot")
     rpt.add("presentation", args.presentation)
@@ -195,7 +188,7 @@ def cmd_verify_knot(args):
 
 def cmd_torsion_cw(args):
     cx = parse_complex(resolve_input(args.complex, ".cw").read_text())
-    rep = load_rep(args, cx.names())
+    rep = load_rep(args, cx.generator_names)
     report = torsion_report(cx, rep)
     rpt = Report("torsion-cw")
     rpt.add("complex", args.complex)
@@ -277,13 +270,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError,
-        ValueError,
-        NoPivotError,
-        EigensolverError,
-        MissingPeripheralError,
-    ) as exc:
+    except (OSError, ValueError, EigensolverError, MissingPeripheralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

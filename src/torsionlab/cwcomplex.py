@@ -66,20 +66,15 @@ class TwistedCWComplex:
     """A finite CW complex with group-word-labeled incidence data.
 
     ``incidences[p][i]`` lists the records of the boundary of the i-th
-    p-cell, for p >= 1.  ``relations`` (optional) are deck-group relators
-    used when validating the untwisted boundary condition.
+    p-cell, for p >= 1.  ``generator_names`` name the deck-group
+    generators x_1, x_2, ...  ``relations`` (optional) are deck-group
+    relators used when validating the untwisted boundary condition.
     """
 
     cells_per_degree: tuple
     incidences: tuple  # indexed by degree p >= 1: tuple (per cell) of Incidence tuples
-    n_generators: int
+    generator_names: tuple
     relations: tuple = field(default=())
-    generator_names: tuple = field(default=())
-
-    def names(self):
-        if self.generator_names:
-            return self.generator_names
-        return tuple(f"x{k + 1}" for k in range(self.n_generators))
 
     def __post_init__(self):
         dims = self.cells_per_degree
@@ -347,14 +342,12 @@ def knot_complex(pres):
         return TwistedCWComplex(
             cells_per_degree=(1, n, len(pres.relators)),
             incidences=(tuple(one_cells), tuple(two_cells)),
-            n_generators=n,
             relations=tuple(pres.relators),
             generator_names=pres.generator_names,
         )
     return TwistedCWComplex(
         cells_per_degree=(1, n),
         incidences=(tuple(one_cells),),
-        n_generators=n,
         generator_names=pres.generator_names,
     )
 
@@ -444,7 +437,6 @@ def parse_complex(text):
     return TwistedCWComplex(
         cells_per_degree=tuple(dims),
         incidences=tuple(incidences),
-        n_generators=len(names),
         relations=tuple(relations),
         generator_names=names,
     )

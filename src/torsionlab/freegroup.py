@@ -52,11 +52,9 @@ class Word:
     def inverse(self):
         return Word(tuple((i, -s) for i, s in reversed(self.letters)))
 
-    def exponent_sum(self, i=None):
-        """Exponent sum of generator i, or of all letters when i is None."""
-        if i is None:
-            return sum(s for _, s in self.letters)
-        return sum(s for j, s in self.letters if j == i)
+    def exponent_sum(self):
+        """The sum of the letters' exponents: the word's image in Z."""
+        return sum(s for _, s in self.letters)
 
     def max_generator(self):
         return max((i for i, _ in self.letters), default=0)

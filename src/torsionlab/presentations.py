@@ -31,7 +31,7 @@ names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .freegroup import Word
 
@@ -50,41 +50,29 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation with abelianization data and peripheral words."""
+    """A finite presentation with optional peripheral words."""
 
-    n_generators: int
     generator_names: tuple
     relators: tuple
     wirtinger: bool = False
     meridian: Word | None = None
     longitude: Word | None = None
-    abelianization_degrees: tuple = field(default=())
 
     def __post_init__(self):
-        if not self.abelianization_degrees:
-            object.__setattr__(
-                self, "abelianization_degrees", (1,) * self.n_generators
-            )
         for r in self.relators:
             if r.max_generator() > self.n_generators:
                 raise ParseError(
                     f"relator {r!r} uses a generator beyond the declared {self.n_generators}"
                 )
-        if self.wirtinger:
-            if len(self.relators) != self.n_generators - 1:
-                raise ParseError(
-                    f"wirtinger presentation needs {self.n_generators - 1} relators, "
-                    f"got {len(self.relators)}"
-                )
-            if any(d != 1 for d in self.abelianization_degrees):
-                raise ParseError("wirtinger presentations have all degrees equal to 1")
+        if self.wirtinger and len(self.relators) != self.n_generators - 1:
+            raise ParseError(
+                f"wirtinger presentation needs {self.n_generators - 1} relators, "
+                f"got {len(self.relators)}"
+            )
 
-    def word_degree(self, w):
-        """Image exponent of a word under the abelianization map."""
-        return sum(
-            self.abelianization_degrees[i - 1] * w.exponent_sum(i)
-            for i in range(1, self.n_generators + 1)
-        )
+    @property
+    def n_generators(self):
+        return len(self.generator_names)
 
     @property
     def has_peripheral(self):
@@ -214,6 +202,9 @@ def parse_presentation(text):
     meridian = longitude = None
     while stream.peek() is not None:
         tok, line, col = stream.next()
+        if meridian is not None:
+            # the peripheral pair ends the file
+            raise ParseError(f"expected end of input, got {tok!r}", line, col)
         if tok == "rel":
             relators.append(stream.word(letters))
             stream.expect(";")
@@ -227,7 +218,6 @@ def parse_presentation(text):
             raise ParseError(f"expected 'rel' or 'meridian', got {tok!r}", line, col)
 
     return Presentation(
-        n_generators=len(names),
         generator_names=names,
         relators=tuple(relators),
         wirtinger=wirtinger,

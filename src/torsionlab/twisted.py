@@ -1,7 +1,7 @@
 """Twisted Alexander functions of knot groups and their special values.
 
 Given a Wirtinger presentation and a unitary representation rho, the map
-Phi sends a word with abelianization degree d to rho(word) * t**d.  The
+Phi sends a word with exponent sum d to rho(word) * t**d.  The
 Fox Jacobian of the relators under Phi gives the boundary matrices; the
 ratio of determinants delta1/delta0 is the twisted Alexander function,
 whose modulus at t=1 is the torsion, and its square the Ruelle value at
@@ -19,29 +19,26 @@ from .laurent import LaurentMatrix, LaurentPoly
 
 H1_TOL = 1e-9
 CUSPIDAL_TOL = 1e-9
-# where a candidate pivot determinant is tested for vanishing identically
-_PIVOT_TEST_POINTS = 2.0 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
 
 
 class NoPivotError(RuntimeError):
-    """Every candidate pivot determinant vanishes identically."""
+    """The requested pivot is not a generator."""
 
 
 class MissingPeripheralError(RuntimeError):
     """The presentation carries no meridian/longitude words."""
 
 
-def phi_apply(elem, pres, rep):
+def phi_apply(elem, rep):
     """Apply Phi = (abelianization) tensor rho to a group-ring element.
 
     ``elem`` maps words to coefficients, as ``fox_derivative`` returns.
     Returns an r x r LaurentMatrix: each word w adds coeff * rho(w) at
-    t**degree(w), with ``rep.of_word`` and ``pres.word_degree``, in the
-    dict's order.  The pipeline does not call this: applied to
-    ``fox_derivative`` of each relator, it is the reference that tests
-    compare ``boundary2`` against.
+    t**w.exponent_sum(), with ``rep.of_word``, in the dict's order.  The
+    pipeline does not call this: applied to ``fox_derivative`` of each
+    relator, it is the reference that tests compare ``boundary2`` against.
     """
-    degrees = [pres.word_degree(w) for w in elem]
+    degrees = [w.exponent_sum() for w in elem]
     low = min(degrees, default=0)
     coef = np.zeros((rep.rank, rep.rank, max(degrees, default=0) - low + 1), dtype=complex)
     for (w, c), d in zip(elem.items(), degrees):
@@ -49,15 +46,13 @@ def phi_apply(elem, pres, rep):
     return LaurentMatrix(np.full(rep.rank, low), coef)
 
 
-def _generator_block(pres, rep, i):
-    """Phi(x_i - 1) = rho(x_i) * t**d_i - I, as an r x r LaurentMatrix."""
+def _generator_block(rep, i):
+    """Phi(x_i - 1) = rho(x_i) * t - I, as an r x r LaurentMatrix."""
     r = rep.rank
-    d = pres.abelianization_degrees[i - 1]
-    low = min(d, 0)
-    coef = np.zeros((r, r, abs(d) + 1), dtype=complex)
-    coef[:, :, d - low] = rep.images[i - 1]
-    coef[range(r), range(r), -low] -= 1
-    return LaurentMatrix(np.full(r, low), coef)
+    coef = np.zeros((r, r, 2), dtype=complex)
+    coef[:, :, 1] = rep.images[i - 1]
+    coef[range(r), range(r), 0] = -1
+    return LaurentMatrix([0] * r, coef)
 
 
 def boundary2(pres, rep, skip_generator=None):
@@ -79,10 +74,8 @@ def boundary2(pres, rep, skip_generator=None):
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
     block = {i: c for c, i in enumerate(cols)}
-    degrees = pres.abelianization_degrees
     prefix_degs = [
-        list(accumulate((degrees[j - 1] * s for j, s in rel.letters), initial=0))
-        for rel in pres.relators
+        list(accumulate((s for _, s in rel.letters), initial=0)) for rel in pres.relators
     ]
     lows = [min(d) for d in prefix_degs]
     width = max((max(d) - low + 1 for d, low in zip(prefix_degs, lows)), default=1)
@@ -104,23 +97,17 @@ def boundary2(pres, rep, skip_generator=None):
     return LaurentMatrix(np.repeat(lows, r), coef)
 
 
-def _is_pivot(pres, rep, i):
-    """The determinant of the Phi(x_i - 1) block, or None if it vanishes identically.
-
-    The determinant is tested by evaluation at 8 fixed points on the
-    circle |t| = 2.
-    """
-    det = _generator_block(pres, rep, i).det()
-    return det if any(abs(det(z)) > 1e-9 for z in _PIVOT_TEST_POINTS) else None
-
-
 def choose_pivot(pres, rep):
-    """The smallest generator index usable as the Wada pivot, and the
-    determinant of its Phi(x_i - 1) block (delta0)."""
-    for i in range(1, pres.n_generators + 1):
-        if (det := _is_pivot(pres, rep, i)) is not None:
-            return i, det
-    raise NoPivotError("all candidate pivot determinants vanish identically")
+    """The Wada pivot, generator 1, and the determinant of its
+    Phi(x_1 - 1) block (delta0).
+
+    Every generator of a Wirtinger presentation has exponent sum 1, so its
+    block is rho(x_i) t - I, whose determinant has leading coefficient
+    det rho(x_i) and constant coefficient (-1)^r.  Both have modulus 1
+    when rho is unitary, so the determinant never vanishes and every
+    generator is a pivot.
+    """
+    return 1, _generator_block(rep, 1).det()
 
 
 def cuspidality_check(rep, pres):
@@ -162,7 +149,9 @@ def twisted_alexander(pres, rep, pivot=None):
     rep.validate_against(pres)
     if pivot is None:
         pivot, delta0 = choose_pivot(pres, rep)
-    elif not 1 <= pivot <= pres.n_generators or (delta0 := _is_pivot(pres, rep, pivot)) is None:
+    elif 1 <= pivot <= pres.n_generators:
+        delta0 = _generator_block(rep, pivot).det()
+    else:
         raise NoPivotError(f"generator {pivot} is not a valid pivot")
     delta1 = boundary2(pres, rep, skip_generator=pivot).det()
 

@@ -89,7 +89,6 @@ def torus_braid_closure(p, q):
         for i in range(1, p):
             images = [Word(sum((artin(i, j, s) for j, s in w.letters), ())) for w in images]
     return Presentation(
-        n_generators=p,
         generator_names=tuple(f"x{j}" for j in range(1, p + 1)),
         relators=tuple(images[j - 1] * x(j, -1) for j in range(1, p)),
         wirtinger=True,

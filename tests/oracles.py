@@ -14,7 +14,7 @@ import numpy as np
 from torsionlab.cwcomplex import Incidence, TwistedCWComplex, _laplacian, twisted_boundary
 from torsionlab.freegroup import Word, fox_derivative
 from torsionlab.laurent import LaurentMatrix, LaurentPoly
-from torsionlab.twisted import _is_pivot, phi_apply
+from torsionlab.twisted import _generator_block, phi_apply
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
@@ -147,14 +147,21 @@ def fundamental_identity_residual(w, n_generators=None):
 
 def boundary1(pres, rep):
     """The nr x r block column with i-th block Phi(x_i - 1)."""
-    blocks = [phi_apply({Word.generator(i): 1, Word(): -1}, pres, rep)
+    blocks = [phi_apply({Word.generator(i): 1, Word(): -1}, rep)
               for i in range(1, pres.n_generators + 1)]
     return matrix([[blk[a, b] for b in range(rep.rank)] for blk in blocks for a in range(rep.rank)])
 
 
+# where a candidate pivot determinant is tested for vanishing identically
+PIVOT_TEST_POINTS = 2.0 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
+
+
 def pivot_candidates(pres, rep):
-    """Generator indices whose Phi(x_i - 1) block has nonvanishing determinant."""
-    return [i for i in range(1, pres.n_generators + 1) if _is_pivot(pres, rep, i) is not None]
+    """Generator indices whose Phi(x_i - 1) block determinant is above 1e-9
+    in modulus at one of 8 fixed points on the circle |t| = 2."""
+    dets = [_generator_block(rep, i).det() for i in range(1, pres.n_generators + 1)]
+    return [i for i, det in enumerate(dets, start=1)
+            if any(abs(det(z)) > 1e-9 for z in PIVOT_TEST_POINTS)]
 
 
 # -- the CW route ----------------------------------------------------------------
@@ -165,7 +172,7 @@ def circle_complex():
     return TwistedCWComplex(
         cells_per_degree=(1, 1),
         incidences=(((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),),
-        n_generators=1,
+        generator_names=("a",),
     )
 
 

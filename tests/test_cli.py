@@ -263,6 +263,33 @@ class TestLibraryErrors:
         assert err == "error: presentation has no meridian/longitude words\n"
 
 
+class TestMalformedFlags:
+    """A malformed flag is an input error: main returns 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["talex", "trefoil", "--xi=1"], "--xi must be given as re,im, got '1'"),
+            (["ruelle-eval", "SPEC", "--z=1"], "--z must be given as re,im, got '1'"),
+            (["talex", "trefoil"], "one of --xi or --rep is required"),
+        ],
+        ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep"],
+    )
+    def test_exits_1(self, capsys, tmp_path, argv, message):
+        spec = tmp_path / "one.spec"
+        spec.write_text("rank 1;\ngeo 1 ; 1,0 ;\n")
+        code, out, err = run(capsys, *(str(spec) if a == "SPEC" else a for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_second_peripheral_pair_exits_1(self, capsys, tmp_path):
+        pres = tmp_path / "two_pairs.pres"
+        pres.write_text("gens a b; wirtinger; rel a b a B A B;\n"
+                        "meridian a; longitude b a^2 b a^-4;\nmeridian b; longitude a;\n")
+        code, out, err = run(capsys, "talex", str(pres), "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: expected end of input, got 'meridian' (line 3, col 1)\n"
+
+
 class TestRuelleEval:
     def test_single_factor(self, capsys, tmp_path):
         sp = tmp_path / "one.spec"

@@ -20,6 +20,7 @@ from torsionlab import (
 )
 from torsionlab.cwcomplex import twisted_boundary
 from torsionlab.freegroup import fox_derivative
+from torsionlab.presentations import MAX_WORD_LETTERS
 from torsionlab.twisted import boundary2
 
 from conftest import (
@@ -69,7 +70,9 @@ def shared_base_complex():
     w = Word(((1, 1), (2, 1), (1, -1), (2, 1), (2, 1)))
     recs = (Incidence(1, 1, w, 3), Incidence(0, -1, w, 1), Incidence(0, 1, w, 3),
             Incidence(1, -1, w, 0), Incidence(1, 1, w))
-    return TwistedCWComplex(cells_per_degree=(2, 1), incidences=((recs,),), n_generators=2)
+    return TwistedCWComplex(
+        cells_per_degree=(2, 1), incidences=((recs,),), generator_names=("a", "b")
+    )
 
 
 def knot_presentations():
@@ -80,7 +83,7 @@ def knot_presentations():
 
 
 def point_complex():
-    return TwistedCWComplex(cells_per_degree=(1,), incidences=(), n_generators=1)
+    return TwistedCWComplex(cells_per_degree=(1,), incidences=(), generator_names=("a",))
 
 
 def corpus_complexes():
@@ -359,7 +362,7 @@ class TestKnotComplex:
                     ((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),
                     ((Incidence(0, 1, Word()),),),
                 ),
-                n_generators=1,
+                generator_names=("a",),
             )
 
 
@@ -412,7 +415,7 @@ class TestValidateWithRelators:
         return TwistedCWComplex(
             cells_per_degree=(1, 2, 1),
             incidences=(one_cells, (tuple(recs),)),
-            n_generators=2,
+            generator_names=("a", "b"),
             relations=(self.R,),
         )
 
@@ -525,6 +528,26 @@ class TestComplexFile:
         with pytest.raises(ParseError, match=message) as err:
             parse_complex(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    def test_bd_word_at_letter_cap(self):
+        text = f"gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a^{MAX_WORD_LETTERS}, 0);"
+        cx = parse_complex(text)
+        assert len(cx.incidences[0][0][0].word) == MAX_WORD_LETTERS
+
+    def test_bd_word_one_letter_past_cap(self):
+        field = f"bd 1 0 -> (+, a^{MAX_WORD_LETTERS} "
+        with pytest.raises(ParseError, match="letters") as err:
+            parse_complex(f"gens a; cells 0 1; cells 1 1;\n{field}a, 0);")
+        assert (err.value.line, err.value.col) == (2, len(field) + 1)
+
+    def test_rel_at_letter_cap(self):
+        cx = parse_complex(f"gens a b; rel a^{MAX_WORD_LETTERS}; cells 0 1;")
+        assert len(cx.relations[0]) == MAX_WORD_LETTERS
+
+    def test_rel_one_letter_past_cap(self):
+        with pytest.raises(ParseError, match="letters") as err:
+            parse_complex(f"gens a b;\nrel a^{MAX_WORD_LETTERS} b; cells 0 1;")
+        assert (err.value.line, err.value.col) == (2, 5 + len(f"a^{MAX_WORD_LETTERS} "))
 
     def test_cell_count_at_cap(self):
         cx = parse_complex(f"gens a; cells 0 1; cells 1 {cwcomplex.MAX_CELLS};")

@@ -23,7 +23,6 @@ class TestParsing:
         assert pres.relators[0] == Word(
             ((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
         )
-        assert pres.abelianization_degrees == (1, 1)
 
     def test_unknot(self):
         pres = parse_presentation("gens a; wirtinger;")
@@ -72,8 +71,19 @@ class TestParsing:
 
     def test_word_degree(self):
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
-        assert pres.word_degree(pres.relators[0]) == 0
-        assert pres.word_degree(Word.generator(1)) == 1
+        assert pres.relators[0].exponent_sum() == 0
+        assert Word.generator(1).exponent_sum() == 1
+
+    @pytest.mark.parametrize(
+        "tail,token,col",
+        [("meridian b; longitude a;", "meridian", 1), ("  rel a b A B;", "rel", 3)],
+        ids=["second-pair", "rel-after-pair"],
+    )
+    def test_peripheral_pair_ends_the_file(self, tail, token, col):
+        text = "gens a b; wirtinger; rel a b a B A B;\nmeridian a; longitude b a^2 b a^-4;\n"
+        with pytest.raises(ParseError, match=f"expected end of input, got '{token}'") as err:
+            parse_presentation(text + tail)
+        assert (err.value.line, err.value.col) == (3, col)
 
 
 class TestWordLength:

@@ -6,6 +6,7 @@ import pytest
 from torsionlab import LaurentPoly, UnitaryRep, Word, parse_presentation, twisted_alexander
 from torsionlab.freegroup import fox_derivative
 from torsionlab.laurent import LaurentMatrix
+from torsionlab.reps import UNITARITY_TOL
 from torsionlab.twisted import (
     MissingPeripheralError,
     NoPivotError,
@@ -40,36 +41,32 @@ TREFOIL = "gens x1 x2; wirtinger; rel x1 x2 x1 x2^-1 x1^-1 x2^-1;"
 
 class TestPhi:
     def test_generator_maps_to_xi_t(self):
-        pres = parse_presentation(TREFOIL)
         rep = UnitaryRep.character(2, 1j)
-        m = phi_apply(GroupRingElement.of_word(Word.generator(1)), pres, rep)
+        m = phi_apply(GroupRingElement.of_word(Word.generator(1)), rep)
         assert m.rows == m.cols == 1
         assert m[0, 0] == LaurentPoly(1, (1j,))
 
     def test_identity_element(self):
-        pres = parse_presentation(TREFOIL)
         rep = UnitaryRep.character(2, 1j)
-        m = phi_apply(GroupRingElement.of_word(Word()), pres, rep)
+        m = phi_apply(GroupRingElement.of_word(Word()), rep)
         assert m[0, 0] == ONE
 
     def test_linear_combination(self):
         # x1 x2 - 1 under rho = xi gives xi^2 t^2 - 1
-        pres = parse_presentation(TREFOIL)
         xi = np.exp(0.3j)
         rep = UnitaryRep.character(2, xi)
         elem = GroupRingElement.of_word(Word(((1, 1), (2, 1)))) - GroupRingElement.of_word(Word())
-        m = phi_apply(elem, pres, rep)
+        m = phi_apply(elem, rep)
         assert close_to(m[0, 0], LaurentPoly(0, [-1, 0, xi**2]), rtol=1e-12)
 
     def test_ring_homomorphism(self, rng):
-        pres = parse_presentation(TREFOIL)
         rep = random_abelian_rep(rng, 2, 2)
         u = GroupRingElement.of_word(Word(((1, 1), (2, -1)))) + GroupRingElement.of_word(
             Word.generator(2), 2.0
         )
         v = GroupRingElement.of_word(Word.generator(1), -1.5) + GroupRingElement.of_word(Word())
-        lhs = phi_apply(u * v, pres, rep)
-        rhs = matmul(phi_apply(u, pres, rep), phi_apply(v, pres, rep))
+        lhs = phi_apply(u * v, rep)
+        rhs = matmul(phi_apply(u, rep), phi_apply(v, rep))
         for i in range(2):
             for j in range(2):
                 assert close_to(lhs[i, j], rhs[i, j], rtol=1e-10)
@@ -128,7 +125,7 @@ def boundary2_reference(pres, rep, skip_generator=None):
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
     rows = []
     for rel in pres.relators:
-        blocks = [phi_apply(fox_derivative(rel, i), pres, rep) for i in cols]
+        blocks = [phi_apply(fox_derivative(rel, i), rep) for i in cols]
         for a in range(r):
             rows.append([blk[a, b] for blk in blocks for b in range(r)])
     return rows
@@ -189,7 +186,7 @@ class TestTracedWork:
         det = LaurentMatrix.det
         monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(m.rows) or det(m))
         res = twisted_alexander(pres, rep)
-        # the pivot test, whose determinant is delta0, and delta1
+        # delta0 of the pivot block, and delta1
         assert res.pivot_column == 1
         assert calls == [8, 16]
 
@@ -223,6 +220,42 @@ class TestPivot:
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
         rep = UnitaryRep([np.eye(2), np.diag([1j, -1j])])
         assert choose_pivot(pres, rep)[0] == 1
+
+
+class TestEveryGeneratorIsAPivot:
+    """det(rho(x_i) t - I) has leading and constant coefficients of modulus 1
+    for unitary rho, so the 8-point vanishing test of ``pivot_candidates``
+    accepts every generator; ``choose_pivot`` relies on this."""
+
+    PRESENTATIONS = KNOT_NAMES + ["synthetic_h1", (2, 15), (3, 16)]
+
+    @pytest.mark.parametrize("name", PRESENTATIONS,
+                             ids=lambda n: "T(%d,%d)" % n if isinstance(n, tuple) else n)
+    def test_random_unitary_images(self, rng, name):
+        pres = (torus_braid_closure(*name) if isinstance(name, tuple)
+                else load_corpus_presentation(name))
+        n = pres.n_generators
+        for r in range(1, 9):
+            for _ in range(4):
+                rep = UnitaryRep([random_unitary(rng, r) for _ in range(n)])
+                assert pivot_candidates(pres, rep) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_identity_and_minus_identity(self, r):
+        pres = torus_braid_closure(3, 16)
+        for u in (np.eye(r), -np.eye(r)):
+            assert pivot_candidates(pres, UnitaryRep([u] * 3)) == [1, 2, 3]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_images_just_inside_unitarity_tol(self, rng, sign):
+        pres = torus_braid_closure(3, 16)
+        for r in range(1, 9):
+            for u in (np.eye(r), -np.eye(r), random_unitary(rng, r)):
+                # a defect of |(1 + e)^2 - 1| sqrt(r), about 0.9 UNITARITY_TOL
+                images = [u * (1 + sign * 0.45 * UNITARITY_TOL / np.sqrt(r))] * 3
+                defect = np.linalg.norm(images[0].conj().T @ images[0] - np.eye(r))
+                assert 0.8 * UNITARITY_TOL < defect <= UNITARITY_TOL
+                assert pivot_candidates(pres, UnitaryRep(images)) == [1, 2, 3]
 
 
 class TestCuspidality:
