@@ -30,7 +30,7 @@ from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_re
 from .presentations import parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
-from .twisted import MissingPeripheralError, boundary2, twisted_alexander
+from .twisted import boundary2, twisted_alexander
 
 HYPERBOLICITY_NOTE = (
     "hyperbolicity of the knot complement is assumed, not verified; "
@@ -270,7 +270,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, EigensolverError, MissingPeripheralError) as exc:
+    except (OSError, ValueError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

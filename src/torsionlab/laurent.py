@@ -23,6 +23,13 @@ TRIM_TOL = 1e-12
 DET_BLOCK_ELEMENTS = 1 << 12
 
 
+def trim_mask(c):
+    """Where |c| > TRIM_TOL * max|c| along the last axis: the one rule for a nonzero
+    coefficient, |c| rounded by np.hypot as abs(complex) (max_abs_coeff) rounds it."""
+    mags = np.hypot(c.real, c.imag)
+    return mags > TRIM_TOL * mags.max(axis=-1, keepdims=True, initial=0.0)
+
+
 class LaurentPoly:
     """An element of C[t, t^-1] in normalized dense form: the type of a determinant.
 
@@ -34,22 +41,14 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low, coeffs):
-        coeffs = [complex(c) for c in coeffs]
-        mags = [abs(c) for c in coeffs]
-        top = max(mags, default=0.0)
-        if top > 0.0:
-            coeffs = [c if abs(c) > TRIM_TOL * top else 0j for c in coeffs]
-        # trim zeros at both ends
-        i = 0
-        while i < len(coeffs) and coeffs[i] == 0:
-            i += 1
-        j = len(coeffs)
-        while j > i and coeffs[j - 1] == 0:
-            j -= 1
-        if i == j:
-            self.low, self.coeffs = 0, ()
+        coeffs = np.asarray(coeffs, dtype=complex)
+        keep = trim_mask(coeffs)
+        support = np.flatnonzero(keep)
+        if support.size:
+            i, j = support[0], support[-1] + 1
+            self.low, self.coeffs = low + int(i), tuple(np.where(keep, coeffs, 0j)[i:j].tolist())
         else:
-            self.low, self.coeffs = low + i, tuple(coeffs[i:j])
+            self.low, self.coeffs = 0, ()
 
     @property
     def is_zero(self):
@@ -61,7 +60,7 @@ class LaurentPoly:
         return self.low + len(self.coeffs) - 1
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     def __call__(self, z):
         """Evaluate at a nonzero complex number (Horner on the shifted part)."""
@@ -111,16 +110,16 @@ class LaurentMatrix:
 
     def __getitem__(self, idx):
         i, j = idx
-        return LaurentPoly(int(self.low[i]), self.coef[i, j].tolist())
+        return LaurentPoly(int(self.low[i]), self.coef[i, j])
 
     def det(self):
         """Determinant by evaluation at roots of unity and FFT interpolation.
 
-        Entries are trimmed by the LaurentPoly rule (|c| <= TRIM_TOL * max|c|
-        of the entry counts as zero).  Each row of det spans at most its
-        entries' exponent range, so det is sampled at the N-th roots w**k,
-        N the least power of two above the sum of the row spreads, and its
-        coefficients are one ``np.fft.fft`` of the samples.
+        Entries are trimmed by ``trim_mask``, bitwise as LaurentPoly trims
+        them.  Each row of det spans at most its entries' exponent range, so
+        det is sampled at the N-th roots w**k, N the least power of two above
+        the sum of the row spreads, and its coefficients are one
+        ``np.fft.fft`` of the samples.
 
         The roots are taken in N/B cosets {w**(s + q N/B) : q < B}.  For
         coset s the tensor is twisted by w**(s*m) (m the exponent), folded
@@ -144,8 +143,7 @@ class LaurentMatrix:
             return LaurentPoly(0, (1,))
         if n == 1:
             return self[0, 0]
-        keep = np.abs(self.coef)
-        keep = keep > TRIM_TOL * keep.max(axis=2, keepdims=True)
+        keep = trim_mask(self.coef)
         live = keep.any(axis=2)
         if not live.any(axis=1).all():
             return LaurentPoly(0, ())

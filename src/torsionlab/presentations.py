@@ -23,9 +23,6 @@ Grammar of a presentation::
     file       := header ("wirtinger" ";")? relator* peripheral?
     relator    := "rel" word ";"
     peripheral := "meridian" word ";" "longitude" word ";"
-
-The canonical serialization uses the ``name^exponent`` form with lowercase
-names.
 """
 
 from __future__ import annotations
@@ -225,12 +222,3 @@ def parse_presentation(text):
         longitude=longitude,
     )
 
-
-def format_word(w, names):
-    """Canonical serialization of a word over the given generator names."""
-    if w.is_empty:
-        return "1"
-    parts = []
-    for i, s in w.letters:
-        parts.append(names[i - 1] if s > 0 else f"{names[i - 1]}^-1")
-    return " ".join(parts)

@@ -10,8 +10,8 @@ file format is::
 A ``mat`` body holds exactly r*r pairs with one comma between consecutive
 pairs; any other text in it is a ParseError.
 
-Unitarity is enforced to 1e-10; when validated against a presentation,
-relator images must equal the identity to 1e-8.
+Images, characters and holonomies are unitary to 1e-10 by ``unitarity_defects``;
+when validated against a presentation, relator images must equal the identity to 1e-8.
 """
 
 from __future__ import annotations
@@ -26,6 +26,15 @@ UNITARITY_TOL = 1e-10
 RELATOR_TOL = 1e-8
 
 
+def unitarity_defects(mats):
+    """``(||m^H m - I||_F, whether <= UNITARITY_TOL)`` for each m of a (k, r, r) stack.
+    A huge, inf or nan entry gives an inf or nan defect, which fails, and no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.conj(np.swapaxes(mats, 1, 2)) @ mats
+        defects = np.linalg.norm(gram - np.eye(mats.shape[1]), axis=(1, 2))
+    return defects, defects <= UNITARITY_TOL
+
+
 class UnitaryRep:
     """Unitary matrices assigned to the generators of a presentation.
 
@@ -38,17 +47,13 @@ class UnitaryRep:
         if not images:
             raise ValueError("a representation needs at least one generator image")
         r = images[0].shape[0]
-        # a huge, inf or nan entry gives an inf or nan defect and no warning;
-        # the tolerance checks here are written `not err <= tol` so nan fails
-        with np.errstate(all="ignore"):
-            for k, m in enumerate(images):
-                if m.shape != (r, r):
-                    raise ValueError(f"generator image {k + 1} is not {r}x{r}")
-                err = np.linalg.norm(m.conj().T @ m - np.eye(r))
-                if not err <= UNITARITY_TOL:
-                    raise ValueError(
-                        f"generator image {k + 1} is not unitary (defect {err:.2e})"
-                    )
+        for k, m in enumerate(images):
+            if m.shape != (r, r):
+                raise ValueError(f"generator image {k + 1} is not {r}x{r}")
+        defects, unitary = unitarity_defects(np.array(images))
+        if not unitary.all():
+            k = np.argmin(unitary)
+            raise ValueError(f"generator image {k + 1} is not unitary (defect {defects[k]:.2e})")
         self.rank = r
         self.images = images
         self.inverses = [m.conj().T for m in images]
@@ -57,7 +62,7 @@ class UnitaryRep:
     def character(n_generators, xi):
         """The rank-1 representation sending every generator to xi."""
         xi = complex(xi)
-        if not abs(abs(xi) - 1.0) <= UNITARITY_TOL:
+        if not unitarity_defects(np.array([[[xi]]]))[1][0]:
             raise ValueError(f"character value must have modulus 1, got |xi|={abs(xi)}")
         return UnitaryRep([np.array([[xi]])] * n_generators)
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .presentations import ParseError
-
-HOLONOMY_UNITARITY_TOL = 1e-10
+from .reps import unitarity_defects
 
 
 class SpectrumWarning(UserWarning):
@@ -32,15 +31,10 @@ class SpectrumWarning(UserWarning):
 
 def _first_invalid(lengths, holonomies):
     """(index, reason) of the first entry with a length that is not finite and
-    positive, or a holonomy h with ||h^H h - I||_F > HOLONOMY_UNITARITY_TOL,
-    else None."""
-    # a huge or infinite entry gives an inf or nan defect, which fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.conj(np.swapaxes(holonomies, 1, 2)) @ holonomies
-        defects = np.linalg.norm(gram - np.eye(holonomies.shape[1]), axis=(1, 2))
+    positive, or a holonomy that fails ``unitarity_defects``, else None."""
+    defects, unitary = unitarity_defects(holonomies)
     length_ok = np.isfinite(lengths) & (lengths > 0)
-    bad = np.flatnonzero(~length_ok | ~(defects <= HOLONOMY_UNITARITY_TOL))
-    if not bad.size:
+    if not (bad := np.flatnonzero(~length_ok | ~unitary)).size:
         return None
     i = bad[0]
     return i, (f"holonomy is not unitary (defect {defects[i]:.2e})" if length_ok[i]

@@ -110,6 +110,13 @@ def choose_pivot(pres, rep):
     return 1, _generator_block(rep, 1).det()
 
 
+def value_at_1(p):
+    """``(p(1), |p(1)| > H1_TOL * max|c|)``: the one test that delta1(1) is nonzero (h1
+    vanishes) and that delta0(1) is (rho fixes no vector of the pivot's image)."""
+    value = p(1.0)
+    return value, abs(value) > H1_TOL * p.max_abs_coeff()
+
+
 def cuspidality_check(rep, pres):
     """True iff only the zero vector is fixed by both peripheral images.
 
@@ -140,9 +147,9 @@ class TwistedAlexanderResult:
 def twisted_alexander(pres, rep, pivot=None):
     """Full pipeline: pivot choice, delta0/delta1, and special values.
 
-    When h1 vanishes (|delta1(1)| above threshold) the torsion at t=1 is
-    |delta1(1)/delta0(1)| and the Ruelle value at the origin its square;
-    otherwise the polynomials are returned with the special values withheld.
+    When delta1(1) and delta0(1) are nonzero (``value_at_1``) the torsion at
+    t=1 is |delta1(1)/delta0(1)| and the Ruelle value at the origin its
+    square; otherwise the polynomials are returned with the values withheld.
     """
     if not pres.wirtinger:
         raise ValueError("twisted_alexander requires a Wirtinger presentation")
@@ -155,18 +162,13 @@ def twisted_alexander(pres, rep, pivot=None):
         raise NoPivotError(f"generator {pivot} is not a valid pivot")
     delta1 = boundary2(pres, rep, skip_generator=pivot).det()
 
-    h1_vanishes = (
-        not delta1.is_zero
-        and abs(delta1(1.0)) > H1_TOL * delta1.max_abs_coeff()
-    )
+    value1, h1_vanishes = value_at_1(delta1)
+    value0, delta0_nonzero = value_at_1(delta0)
     cuspidal = cuspidality_check(rep, pres) if pres.has_peripheral else None
 
     torsion = ruelle = None
-    # delta0(1) = 0 happens exactly when rho fixes a vector of the pivot
-    # meridian image (e.g. the trivial rep); the special values are then
-    # outside the theorem's hypotheses and stay withheld.
-    if h1_vanishes and abs(delta0(1.0)) > H1_TOL * delta0.max_abs_coeff():
-        torsion = abs(delta1(1.0) / delta0(1.0))
+    if h1_vanishes and delta0_nonzero:
+        torsion = abs(value1 / value0)
         ruelle = torsion**2
     return TwistedAlexanderResult(
         delta0=delta0,

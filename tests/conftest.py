@@ -126,7 +126,7 @@ def up_to_unit_monomial(p, q, tol=1e-9):
     unit = p.coeffs[0] / q.coeffs[0]
     if abs(abs(unit) - 1.0) > tol:
         return False
-    shifted = scale(LaurentPoly(p.low - q.low, q.coeffs), unit)
+    shifted = scale(LaurentPoly(p.low, q.coeffs), unit)
     return close_to(p, shifted, rtol=tol)
 
 

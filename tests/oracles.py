@@ -13,7 +13,7 @@ import numpy as np
 
 from torsionlab.cwcomplex import Incidence, TwistedCWComplex, _laplacian, twisted_boundary
 from torsionlab.freegroup import Word, fox_derivative
-from torsionlab.laurent import LaurentMatrix, LaurentPoly
+from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
 from torsionlab.twisted import _generator_block, phi_apply
 
 ZERO = LaurentPoly(0, ())
@@ -21,6 +21,21 @@ ONE = LaurentPoly(0, (1,))
 
 
 # -- Laurent polynomials -----------------------------------------------------
+
+
+def normalized(low, coeffs):
+    """(low, coeffs) of LaurentPoly(low, coeffs) by its rule, one Python
+    complex at a time: drop |c| <= TRIM_TOL * max|c|, then the zeros at both ends."""
+    coeffs = [complex(c) for c in coeffs]
+    top = max(map(abs, coeffs), default=0.0)
+    if top > 0.0:
+        coeffs = [c if abs(c) > TRIM_TOL * top else 0j for c in coeffs]
+    i, j = 0, len(coeffs)
+    while i < j and coeffs[i] == 0:
+        i += 1
+    while j > i and coeffs[j - 1] == 0:
+        j -= 1
+    return (low + i, tuple(coeffs[i:j])) if i < j else (0, ())
 
 
 def add(p, q):

@@ -13,7 +13,8 @@ import pytest
 import torsionlab.cli as cli
 from torsionlab.cli import main
 from torsionlab import UnitaryRep, parse_presentation
-from torsionlab.twisted import MissingPeripheralError, twisted_alexander
+import torsionlab.twisted as twisted
+from torsionlab.twisted import twisted_alexander
 
 CIRCLE_CW = """\
 gens a ;
@@ -253,14 +254,22 @@ class TestTorsionCW:
 
 
 class TestLibraryErrors:
-    def test_missing_peripheral_exits_1(self, capsys, monkeypatch):
-        def fail(pres, rep):
-            raise MissingPeripheralError("presentation has no meridian/longitude words")
+    def test_no_peripheral_words_skip_cuspidality(self, capsys, tmp_path, monkeypatch):
+        # cuspidality_check, the one raiser of MissingPeripheralError, runs
+        # only when the presentation has peripheral words, so main need not
+        # catch that error: without them cuspidality is unknown
+        def fail(rep, pres):
+            raise AssertionError("cuspidality_check ran without peripheral words")
 
-        monkeypatch.setattr(cli, "twisted_alexander", fail)
-        code, out, err = run(capsys, "talex", "trefoil", "--xi=0,1")
-        assert (code, out) == (1, "")
-        assert err == "error: presentation has no meridian/longitude words\n"
+        monkeypatch.setattr(twisted, "cuspidality_check", fail)
+        pres = tmp_path / "bare.pres"
+        pres.write_text("gens a b; wirtinger; rel a b a B A B;\n")
+        code, out, err = run(capsys, "talex", str(pres), "--xi=0,1")
+        assert (code, err) == (2, "")
+        assert "cuspidal = unknown" in out
+        code, out, err = run(capsys, "verify-knot", str(pres), "--xi=0,1")
+        assert (code, err) == (0, "")
+        assert "agree = true" in out
 
 
 class TestMalformedFlags:
@@ -272,8 +281,11 @@ class TestMalformedFlags:
             (["talex", "trefoil", "--xi=1"], "--xi must be given as re,im, got '1'"),
             (["ruelle-eval", "SPEC", "--z=1"], "--z must be given as re,im, got '1'"),
             (["talex", "trefoil"], "one of --xi or --rep is required"),
+            # ||xi| - 1| is 7e-11, ||xi|^2 - 1| is 1.4e-10: off the unit circle
+            (["talex", "trefoil", "--xi=1.00000000007,0"],
+             "character value must have modulus 1, got |xi|=1.00000000007"),
         ],
-        ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep"],
+        ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep", "xi-off-circle"],
     )
     def test_exits_1(self, capsys, tmp_path, argv, message):
         spec = tmp_path / "one.spec"

@@ -11,7 +11,10 @@ import pytest
 from torsionlab import laurent
 from torsionlab.laurent import LaurentMatrix, LaurentPoly
 
-from oracles import ONE, ZERO, add, close_to, eval_at, matmul, matrix, mul, neg, sub
+from conftest import up_to_unit_monomial
+from oracles import (
+    ONE, ZERO, add, close_to, eval_at, matmul, matrix, mul, neg, normalized, sub,
+)
 
 
 def lp(low, *coeffs):
@@ -50,6 +53,39 @@ class TestArithmetic:
     def test_cancellation(self):
         p = lp(0, 1, 1)
         assert sub(p, p).is_zero
+
+
+class TestTrimAgainstPythonLoop:
+    def test_bitwise_equal(self, rng):
+        # magnitudes across the threshold, exact and signed zeros, and the
+        # float just above and below TRIM_TOL beside a coefficient of 1
+        edge = laurent.TRIM_TOL
+        special = [0.0, -0.0, complex(-0.0, -0.0), edge, np.nextafter(edge, 1),
+                   np.nextafter(edge, 0), TestDenseTrim.STRADDLING, 1.0]
+        for trial in range(400):
+            n = int(rng.integers(0, 12))
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            c *= 10.0 ** rng.uniform(-14, 0, n)
+            picks = rng.random(n) < 0.3
+            c[picks] = rng.choice(special, picks.sum())
+            low = int(rng.integers(-5, 6))
+            p = LaurentPoly(low, c)
+            want_low, want = normalized(low, c)
+            assert (p.low, repr(p.coeffs)) == (want_low, repr(want))
+            assert all(type(x) is complex for x in p.coeffs)
+
+
+class TestUpToUnitMonomial:
+    def test_shifted_and_scaled_match(self):
+        q = lp(-2, 1, -2, 3)
+        assert up_to_unit_monomial(lp(3, 1j, -2j, 3j), q)
+        assert up_to_unit_monomial(lp(-2, -1, 2, -3), q)
+
+    def test_mismatch(self):
+        q = lp(-2, 1, -2, 3)
+        assert not up_to_unit_monomial(lp(3, 1j, -2j, 4j), q)
+        assert not up_to_unit_monomial(lp(3, 2, -4, 6), q)
+        assert not up_to_unit_monomial(lp(3, 1, -2), q)
 
 
 class TestEvaluation:
@@ -321,11 +357,14 @@ class TestBatchedDeterminant:
 class TestDenseTrim:
     """The dense determinant path applies the LaurentPoly trimming rule per entry."""
 
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
-    @pytest.mark.parametrize("where", [0, 2, 4])  # low end, interior, high end
-    def test_edge_coefficients(self, monkeypatch, factor, where):
-        coeffs = [1.0, -1.0, 1.0, 1.0, 1.0]
-        coeffs[where] = factor * laurent.TRIM_TOL * 1.0
+    # beside a coefficient of 1 this sits at TRIM_TOL: abs() rounds its
+    # magnitude to exactly 1e-12, where np.abs can round to one ulp above
+    STRADDLING = 8.534781134132176e-13 - 5.211286884490384e-13j
+
+    @staticmethod
+    def check_trim(monkeypatch, coeffs, length):
+        """det of a 2 x 2 matrix with entry (0, 0) = coeffs trims that entry
+        to ``length`` coefficients, as LaurentPoly does."""
         # rows start at t^-1, and entry (0, 0) is padded by one zero on each side
         coef = np.zeros((2, 2, 7), dtype=complex)
         coef[0, 0, 1:6] = coeffs
@@ -333,17 +372,30 @@ class TestDenseTrim:
         coef[1, 1, 1] = 1.0  # the constant 1
         M = LaurentMatrix(np.array([-1, -1]), coef)
         assert M[0, 0] == LaurentPoly(0, coeffs)
-        kept = factor > 1
-        assert len(M[0, 0].coeffs) == (5 if kept or where == 2 else 4)
+        assert len(M[0, 0].coeffs) == length
         calls = []
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda x: calls.append(len(x)) or fft(x))
         d = M.det()
         lo, N = det_extent(M)
         assert calls == [N]
-        assert N == (8 if kept or where == 2 else 4)
+        assert N == (8 if length == 5 else 4)
         assert close_to(d, M[0, 0], rtol=1e-13)
         assert d.low == lo
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("where", [0, 2, 4])  # low end, interior, high end
+    def test_edge_coefficients(self, monkeypatch, factor, where):
+        coeffs = [1.0, -1.0, 1.0, 1.0, 1.0]
+        coeffs[where] = factor * laurent.TRIM_TOL * 1.0
+        self.check_trim(monkeypatch, coeffs, 5 if factor > 1 or where == 2 else 4)
+
+    @pytest.mark.parametrize("where", [0, 4])
+    def test_straddling_coefficient(self, monkeypatch, where):
+        coeffs = [1.0, -1.0, 1.0, 1.0, 1.0]
+        coeffs[where] = self.STRADDLING
+        assert abs(self.STRADDLING) == laurent.TRIM_TOL
+        self.check_trim(monkeypatch, coeffs, 4)
 
     def test_zero_row_gives_zero(self):
         coef = np.zeros((3, 3, 4), dtype=complex)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from torsionlab import ParseError, Word, knot_complex, parse_complex, parse_presentation
-from torsionlab.presentations import MAX_WORD_LETTERS, format_word
+from torsionlab.presentations import MAX_WORD_LETTERS
 
 from conftest import torus_braid_closure
 
@@ -109,6 +109,13 @@ class TestWordLength:
     def test_huge_negative_exponent_in_peripheral_word(self):
         with pytest.raises(ParseError, match="letters"):
             parse_presentation("gens a; meridian a; longitude A^1000000000;")
+
+
+def format_word(w, names):
+    """A word over the given generator names, one letter or inverse letter per token."""
+    if w.is_empty:
+        return "1"
+    return " ".join(names[i - 1] if s > 0 else f"{names[i - 1]}^-1" for i, s in w.letters)
 
 
 class TestSerialization:

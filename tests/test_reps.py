@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from torsionlab import ParseError, UnitaryRep, Word, parse_presentation
-from torsionlab.reps import parse_representation
+from torsionlab import ParseError, UnitaryRep, Word, parse_presentation, parse_spectrum
+from torsionlab.reps import UNITARITY_TOL, parse_representation, unitarity_defects
+from torsionlab.ruelle import GeodesicEntry
 
 from conftest import random_unitary
 
@@ -155,3 +156,70 @@ class TestRepFile:
             parse_representation(body + "char a = 1,0,0;\n", ("a",))
         assert err.value.line == n + 1
         assert str(err.value) == f"unrecognized statement 'char a = 1,0,0' (line {n + 1})"
+
+
+def sheared(phases, beta):
+    """diag(e^{i a}, e^{i c}) with beta e^{i b} above the diagonal.  Its
+    defect is sqrt(2) beta up to rounding, and beta's grid is fine enough
+    to put the defect within an ulp or two of any value."""
+    a, b, c = np.exp(1j * phases)
+    return np.array([[a, beta * b], [0, c]])
+
+
+def unitarity_edge(seed):
+    """A seeded rank-2 matrix whose defect is the largest at most
+    UNITARITY_TOL along its shear, and the one with the next larger beta."""
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, 3)
+    lo, hi = (np.float64(f * UNITARITY_TOL / np.sqrt(2)).view(np.int64) for f in (0.5, 1.5))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if unitarity_defects(sheared(phases, mid.view(np.float64))[None])[1][0]:
+            lo = mid
+        else:
+            hi = mid
+    return sheared(phases, lo.view(np.float64)), sheared(phases, hi.view(np.float64))
+
+
+class TestUnitarityEdge:
+    """One rule, ``unitarity_defects``, for generator images, characters and holonomies."""
+
+    @staticmethod
+    def verdicts(m):
+        """Whether m is accepted as a .rep image, a .spec holonomy and a GeodesicEntry."""
+        pairs = [f"{c.real!r},{c.imag!r}" for c in m.ravel().tolist()]
+        mat = ", ".join(f"[{p}]" for p in pairs)
+        out = []
+        for read in (
+            lambda: parse_representation(f"rank 2; mat a = [ {mat} ]; mat b = [ {mat} ];",
+                                         ("a", "b")),
+            lambda: parse_spectrum(f"rank 2;\ngeo 1.0 ; {' '.join(pairs)} ;\n"),
+            lambda: GeodesicEntry(1.0, m),
+        ):
+            try:
+                read()
+                out.append(True)
+            except ValueError as exc:
+                assert "not unitary" in str(exc)
+                out.append(False)
+        return out
+
+    # at seeds 2 and 9, np.linalg.norm of the 2-D matrix rounds the outside
+    # defect to exactly UNITARITY_TOL, one ulp below the batched norm: a
+    # second formula would split the verdicts here
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_same_verdict_on_both_sides(self, seed):
+        inside, outside = unitarity_edge(seed)
+        defects, unitary = unitarity_defects(np.array([inside, outside]))
+        assert unitary.tolist() == [True, False]
+        assert np.abs(defects - UNITARITY_TOL).max() <= 4 * np.spacing(UNITARITY_TOL)
+        assert self.verdicts(inside) == [True] * 3
+        assert self.verdicts(outside) == [False] * 3
+
+    @pytest.mark.parametrize("xi", [1.00000000007, 0.99999999993, 1j * 1.00000000006])
+    def test_character_held_to_the_matrix_rule(self, xi):
+        # ||xi| - 1| <= UNITARITY_TOL, but the defect ||xi|^2 - 1| is above it
+        unitary = unitarity_defects(np.array([[[xi]]]))[1][0]
+        assert abs(abs(xi) - 1) <= UNITARITY_TOL and not unitary
+        with pytest.raises(ValueError, match="modulus 1"):
+            UnitaryRep.character(2, xi)
+        assert UnitaryRep.character(2, 1.00000000004).rank == 1

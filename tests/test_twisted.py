@@ -7,13 +7,16 @@ from torsionlab import LaurentPoly, UnitaryRep, Word, parse_presentation, twiste
 from torsionlab.freegroup import fox_derivative
 from torsionlab.laurent import LaurentMatrix
 from torsionlab.reps import UNITARITY_TOL
+from torsionlab import twisted
 from torsionlab.twisted import (
+    H1_TOL,
     MissingPeripheralError,
     NoPivotError,
     boundary2,
     choose_pivot,
     cuspidality_check,
     phi_apply,
+    value_at_1,
 )
 
 from conftest import (
@@ -395,3 +398,59 @@ class TestTwistedAlexander:
         assert pres.n_generators == 2
         with pytest.raises(NoPivotError, match=f"generator {pivot} is not"):
             twisted_alexander(pres, UnitaryRep.character(2, 1j), pivot=pivot)
+
+
+def straddling_h1_tol():
+    """Polynomials (1 + e) - t with |p(1)| = e just at and just above
+    H1_TOL * max|c| = H1_TOL * (1 + e): for x = 1 + e in [1, 2], p(1) = x - 1
+    is exact, so the rule flips between two neighbouring floats x."""
+    x = 1.0 + H1_TOL * (1 - 1e-6)
+    while not (np.nextafter(x, 2.0) - 1.0) > H1_TOL * np.nextafter(x, 2.0):
+        x = np.nextafter(x, 2.0)
+    below, above = (LaurentPoly(0, [float(y), -1.0]) for y in (x, np.nextafter(x, 2.0)))
+    assert abs(below(1.0)) <= H1_TOL * below.max_abs_coeff()
+    assert abs(above(1.0)) > H1_TOL * above.max_abs_coeff()
+    return below, above
+
+
+class TestH1Edge:
+    """One rule, ``value_at_1``, decides both h1 and the delta0 guard."""
+
+    def test_value_at_1(self):
+        below, above = straddling_h1_tol()
+        assert value_at_1(below) == (below(1.0), False)
+        assert value_at_1(above) == (above(1.0), True)
+        assert value_at_1(LaurentPoly(0, ())) == (0j, False)
+
+    @staticmethod
+    def as_matrix(p):
+        return LaurentMatrix([p.low], np.array(p.coeffs).reshape(1, 1, -1))
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_h1_flips_at_the_edge(self, monkeypatch, side):
+        p = dict(zip(("below", "above"), straddling_h1_tol()))[side]
+        monkeypatch.setattr(twisted, "boundary2", lambda *args, **kwargs: self.as_matrix(p))
+        res = twisted_alexander(load_corpus_presentation("trefoil"), UnitaryRep.character(2, 1j))
+        assert res.delta1 == p
+        assert res.h1_vanishes == (side == "above")
+        assert (res.torsion_at_1 is None) == (side == "below")
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_delta0_guard_flips_at_the_edge(self, monkeypatch, side):
+        p = dict(zip(("below", "above"), straddling_h1_tol()))[side]
+        monkeypatch.setattr(twisted, "_generator_block", lambda rep, i: self.as_matrix(p))
+        res = twisted_alexander(load_corpus_presentation("trefoil"), UnitaryRep.character(2, 1j))
+        assert res.delta0 == p and res.h1_vanishes
+        if side == "below":
+            assert res.torsion_at_1 is None and res.ruelle_at_0 is None
+        else:
+            assert res.torsion_at_1 == abs(res.delta1(1.0) / p(1.0))
+
+    def test_each_special_value_evaluated_once(self, monkeypatch):
+        calls = []
+        call = LaurentPoly.__call__
+        monkeypatch.setattr(LaurentPoly, "__call__", lambda p, z: calls.append(z) or call(p, z))
+        res = twisted_alexander(load_corpus_presentation("figure_eight"),
+                                UnitaryRep.character(2, 1j))
+        assert res.torsion_at_1 is not None
+        assert calls == [1.0, 1.0]
