@@ -224,13 +224,11 @@ def twisted_boundary(cx, rep, p):
     transposed in each block; composites then multiply in word order and
     the chain condition holds for non-abelian representations too.
 
-    rho(word) is computed base word by base word: the incidences sharing a
-    base are taken in order of prefix length, and each extends the running
-    product of the one before it (every word of a Fox 2-cell is a prefix of
-    its relator, so a relator is walked once).  Each product runs the
-    matmuls of ``rep.of_word`` in the same order, and the blocks are added
-    in incidence order, so the matrix is bitwise equal to one built from
-    ``rep.of_word`` per incidence.
+    The incidences sharing a base word take rho(word) from one
+    ``rep.prefix_products`` walk (a Fox 2-cell's words are prefixes of its
+    relator, so a relator is walked once).  One ``np.add.at`` on the flat
+    matrix adds the blocks, sign times transposed product, unbuffered and in
+    incidence order: bitwise the matrix of a matmul walk per incidence.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")
@@ -239,21 +237,18 @@ def twisted_boundary(cx, rep, p):
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
     recs = [(i, rec) for i, cell in enumerate(cx.incidences[p - 1]) for rec in cell]
-    by_base = {}  # id(base) -> indices into recs
+    by_base = {}  # id(base) -> (prefix length, index into recs) of each incidence
     for k, (_, rec) in enumerate(recs):
-        by_base.setdefault(id(rec.base), []).append(k)
-    images = [None] * len(recs)
-    for ks in by_base.values():
-        ks.sort(key=lambda k: recs[k][1].length)
-        letters = recs[ks[0]][1].base.letters
-        done, mat = 0, np.eye(r, dtype=complex)
-        for k in ks:
-            length = recs[k][1].length
-            mat = rep.extend(mat, letters[done:length])
-            done = length
-            images[k] = mat
-    for (i, rec), image in zip(recs, images):
-        out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += rec.sign * image.T
+        by_base.setdefault(id(rec.base), []).append((rec.length, k))
+    images = np.empty((len(recs), r, r), dtype=complex)
+    for pairs in by_base.values():
+        lengths, ks = zip(*sorted(pairs))
+        images[list(ks)] = rep.prefix_products(recs[ks[0]][1].base.letters, lengths)
+    # block k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
+    blocks = [((rec.target * cols + i) * r, rec.sign) for i, rec in recs]
+    first, signs = np.array(blocks, dtype=int).reshape(-1, 2).T[:, :, None, None]
+    index = first + np.add.outer(np.arange(r) * cols, np.arange(r))
+    np.add.at(out.reshape(-1), index.ravel(), (signs * images.transpose(0, 2, 1)).ravel())
     return out
 
 
@@ -324,14 +319,9 @@ def knot_complex(pres):
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
     n = pres.n_generators
-    one_cells = []
-    for i in range(1, n + 1):
-        one_cells.append(
-            (
-                Incidence(0, 1, Word.generator(i)),
-                Incidence(0, -1, Word()),
-            )
-        )
+    empty = Word()  # one base for every 1-cell, so twisted_boundary walks it once
+    one_cells = [(Incidence(0, 1, Word.generator(i)), Incidence(0, -1, empty))
+                 for i in range(1, n + 1)]
     two_cells = []
     for rel in pres.relators:
         by_generator = [[] for _ in range(n)]

@@ -44,8 +44,8 @@ class UnitaryRep:
 
     def __init__(self, images):
         images = [np.asarray(m, dtype=complex) for m in images]
-        if not images:
-            raise ValueError("a representation needs at least one generator image")
+        if not images or not images[0].size:
+            raise ValueError("a representation needs at least one generator image, at least 1x1")
         r = images[0].shape[0]
         for k, m in enumerate(images):
             if m.shape != (r, r):
@@ -60,25 +60,47 @@ class UnitaryRep:
 
     @staticmethod
     def character(n_generators, xi):
-        """The rank-1 representation sending every generator to xi."""
+        """The rank-1 representation sending every generator to xi (one unitarity check)."""
         xi = complex(xi)
-        if not unitarity_defects(np.array([[[xi]]]))[1][0]:
-            raise ValueError(f"character value must have modulus 1, got |xi|={abs(xi)}")
-        return UnitaryRep([np.array([[xi]])] * n_generators)
+        try:
+            return UnitaryRep([np.array([[xi]])] * n_generators)
+        except ValueError:
+            if n_generators < 1:
+                raise
+            raise ValueError(f"character value must have modulus 1, got |xi|={abs(xi)}") from None
 
     def of_word(self, w):
-        """Ordered product of generator images along a word."""
-        return self.extend(np.eye(self.rank, dtype=complex), w.letters)
+        """rho(w), the last of ``prefix_products``: bitwise w's letter images
+        multiplied left to right from the identity, one matmul per letter."""
+        return self.prefix_products(w.letters, [len(w)])[0]
 
-    def extend(self, out, letters):
-        """``out`` multiplied on the right by each letter's image in turn, as
-        ``of_word`` does from the identity: extending ``of_word(u)`` by the
-        letters of v is bitwise equal to ``of_word`` of the letters u + v."""
-        for i, s in letters:
-            if i > len(self.images):
-                raise ValueError(f"word uses generator {i}, rep has {len(self.images)}")
-            out = out @ (self.images[i - 1] if s > 0 else self.inverses[i - 1])
-        return out
+    def prefix_products(self, letters, lengths):
+        """rho of the prefix of ``letters`` at each of the ascending ``lengths``
+        (repeats allowed), as a (len(lengths), r, r) array: one walk, reading
+        the images at the call, multiplies the identity on the right by each
+        letter's image in word order.  At rank 1 that is one cumulative product
+        of 1 and the letter scalars gathered by index, which runs the complex
+        multiplications of the 1x1 matmuls in their order, so bitwise theirs."""
+        table = {}
+        for i, (m, inv) in enumerate(zip(self.images, self.inverses), start=1):
+            table[i, 1], table[i, -1] = m, inv
+        try:
+            if self.rank == 1:
+                end = lengths[-1] if len(lengths) else 0
+                position = {letter: k for k, letter in enumerate(table, start=1)}
+                index = [0, *map(position.__getitem__, letters[:end])]
+                walk = np.array([1, *(m[0, 0] for m in table.values())])[index]
+                return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
+            out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
+            mat, done = np.eye(self.rank, dtype=complex), 0
+            for j, length in enumerate(lengths):
+                for letter in letters[done:length]:
+                    mat = mat @ table[letter]
+                out[j], done = mat, length
+            return out
+        except KeyError as exc:
+            raise ValueError(
+                f"word uses generator {exc.args[0][0]}, rep has {len(self.images)}") from None
 
     def validate_against(self, pres):
         """Check that every relator maps to the identity (well-definedness)."""

@@ -50,8 +50,8 @@ class GeodesicEntry:
 
     def __post_init__(self):
         h = np.asarray(self.holonomy, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("holonomy must be a square matrix")
+        if h.ndim != 2 or not 0 < h.shape[0] == h.shape[1]:
+            raise ValueError("holonomy must be a square matrix, at least 1x1")
         if bad := _first_invalid(np.array([self.length], dtype=float), h[None]):
             raise ValueError(bad[1])
         object.__setattr__(self, "holonomy", h)

@@ -61,39 +61,37 @@ def boundary2(pres, rep, skip_generator=None):
     Block (j, i) is Phi(d r_j / d x_i); with ``skip_generator`` the
     corresponding block column is deleted (pivot removal).
 
-    Each relator is walked once with a running prefix product, the same
-    left-to-right matmul sequence ``UnitaryRep.of_word`` runs.  The Fox
-    term of a letter x_i is +rho(prefix) t**deg(prefix) before it, and of
-    a letter x_i^-1 it is -rho(prefix) t**deg(prefix) after it.  The terms
-    are added in word order straight into the matrix's coefficient tensor,
-    whose rows of relator j all start at the lowest prefix degree of r_j;
-    no LaurentPoly is built.  ``phi_apply`` of ``fox_derivative`` runs the
-    same matmuls and additions per block, and is the reference this is
-    tested against.
+    The Fox term of a letter x_i is +rho(prefix) t**deg(prefix) with the
+    prefix before it, and of x_i^-1 it is -rho(prefix) t**deg(prefix) with
+    the prefix through it.  Each relator is walked once, by
+    ``rep.prefix_products``; one ``np.add.at`` adds all terms, the negative
+    ones negated exactly, into the flat coefficient tensor (relator j's rows
+    start at its lowest degree), unbuffered and in word order.  As a - b is
+    a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
     """
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
-    block = {i: c for c, i in enumerate(cols)}
     prefix_degs = [
         list(accumulate((s for _, s in rel.letters), initial=0)) for rel in pres.relators
     ]
     lows = [min(d) for d in prefix_degs]
     width = max((max(d) - low + 1 for d, low in zip(prefix_degs, lows)), default=1)
-    coef = np.zeros((len(lows), r, len(cols), r, width), dtype=complex)
-    for rel, deg, low, out in zip(pres.relators, prefix_degs, lows, coef):
-        # out[a, c, b, k] is entry (a, b) of block column c at t**(low + k)
-        prefix = np.eye(r, dtype=complex)
-        for k, (j, s) in enumerate(rel.letters):
-            c = block.get(j)
-            if s > 0:
-                if c is not None:
-                    out[:, c, :, deg[k] - low] += prefix
-                prefix = prefix @ rep.images[j - 1]
-            else:
-                prefix = prefix @ rep.inverses[j - 1]
-                if c is not None:
-                    out[:, c, :, deg[k + 1] - low] -= prefix
-    coef = coef.reshape(len(lows) * r, len(cols) * r, width)
+    coef = np.zeros((len(lows) * r, len(cols) * r, width), dtype=complex)
+    # offsets in the flat coef: block column c of generator i, entry (a, b) of a block
+    column = {i: c * r * width for c, i in enumerate(cols)}
+    entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
+    terms, prods = [], [np.empty((0, r, r))]
+    for j, (rel, deg, low) in enumerate(zip(pres.relators, prefix_degs, lows)):
+        row = j * r * coef.shape[1] * width - low
+        # letter k's term: its prefix length, its block's first entry, its sign
+        rel_terms = [(k + (s < 0), row + column[i] + d - (s < 0), s)
+                     for k, ((i, s), d) in enumerate(zip(rel.letters, deg)) if i in column]
+        prods.append(rep.prefix_products(rel.letters, [t[0] for t in rel_terms]))
+        terms += rel_terms
+    _, first, signs = np.array(terms, dtype=int).reshape(-1, 3).T
+    prods = np.concatenate(prods)
+    np.negative(prods, out=prods, where=(signs < 0)[:, None, None])
+    np.add.at(coef.reshape(-1), (first[:, None, None] + entry).ravel(), prods.ravel())
     return LaurentMatrix(np.repeat(lows, r), coef)
 
 

@@ -2,9 +2,10 @@
 
 None of this is on a command-line path: Laurent polynomial arithmetic and
 matrices packed from entries, group-ring arithmetic on {Word: coefficient}
-dicts, the first boundary matrix of a presentation, pivot candidates, the
-circle complex, the knot complex's 2-cells from Fox derivatives and the
-combinatorial Laplacian of a degree.
+dicts, rho of a word one matmul per letter, the first and second boundary
+matrices of a presentation by a letter-by-letter walk, pivot candidates,
+the circle complex, the knot complex's 2-cells from Fox derivatives and
+the combinatorial Laplacian of a degree.
 """
 
 import functools
@@ -158,6 +159,43 @@ def fundamental_identity_residual(w, n_generators=None):
 
 
 # -- the Fox route ---------------------------------------------------------------
+
+
+def of_word_sequential(rep, letters):
+    """rho of a word from the identity, one matmul per letter, left to right."""
+    out = np.eye(rep.rank, dtype=complex)
+    for i, s in letters:
+        if i > len(rep.images):
+            raise ValueError(f"word uses generator {i}, rep has {len(rep.images)}")
+        out = out @ (rep.images[i - 1] if s > 0 else rep.inverses[i - 1])
+    return out
+
+
+def boundary2_sequential(pres, rep, skip_generator=None):
+    """The coefficient tensor of ``boundary2``, one relator letter at a time:
+    a running product extended by one matmul per letter, and each Fox term
+    added to (or, for an inverse letter, subtracted from) its block on the
+    spot, in word order."""
+    r = rep.rank
+    cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
+    block = {i: c for c, i in enumerate(cols)}
+    degs = [[0] + list(np.cumsum([s for _, s in rel.letters])) for rel in pres.relators]
+    lows = [min(d) for d in degs]
+    width = max((max(d) - low + 1 for d, low in zip(degs, lows)), default=1)
+    coef = np.zeros((len(lows), r, len(cols), r, width), dtype=complex)
+    for rel, deg, low, out in zip(pres.relators, degs, lows, coef):
+        prefix = np.eye(r, dtype=complex)
+        for k, (j, s) in enumerate(rel.letters):
+            c = block.get(j)
+            if s > 0:
+                if c is not None:
+                    out[:, c, :, deg[k] - low] += prefix
+                prefix = prefix @ rep.images[j - 1]
+            else:
+                prefix = prefix @ rep.inverses[j - 1]
+                if c is not None:
+                    out[:, c, :, deg[k + 1] - low] -= prefix
+    return coef.reshape(len(lows) * r, len(cols) * r, width)
 
 
 def boundary1(pres, rep):

@@ -30,7 +30,14 @@ from conftest import (
     random_unitary,
     torus_braid_closure,
 )
-from oracles import boundary1, circle_complex, comb_laplacian, eval_at, fox_knot_incidences
+from oracles import (
+    boundary1,
+    circle_complex,
+    comb_laplacian,
+    eval_at,
+    fox_knot_incidences,
+    of_word_sequential,
+)
 
 TREFOIL_WITH_RELATOR = """
 gens a b ;
@@ -135,13 +142,13 @@ class TestTwistedBoundary:
 
 
 def twisted_boundary_reference(cx, rep, p):
-    """One ``rep.of_word`` per incidence, blocks added in incidence order."""
+    """One ``of_word_sequential`` walk per incidence, blocks added in incidence order."""
     r = rep.rank
     out = np.zeros((cx.cells_per_degree[p - 1] * r, cx.cells_per_degree[p] * r), dtype=complex)
     for i, cell in enumerate(cx.incidences[p - 1]):
         for rec in cell:
             out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += (
-                rec.sign * rep.of_word(rec.word).T
+                rec.sign * of_word_sequential(rep, rec.word.letters).T
             )
     return out
 
@@ -183,6 +190,20 @@ class TestTwistedBoundaryAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+        assert got.tobytes() == twisted_boundary_reference(cx, rep, 1).tobytes()
+
+    def test_long_word_rank1_walk_is_small(self, rng):
+        # the rank-1 walk holds an index and a product per letter: at most
+        # 40 bytes per letter of the 100000-letter incidence word
+        cx = parse_complex("gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a^100000, 0) (-, 1, 0);")
+        rep = UnitaryRep([random_unitary(rng, 1)])
+        tracemalloc.start()
+        try:
+            got = twisted_boundary(cx, rep, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 100_000
         assert got.tobytes() == twisted_boundary_reference(cx, rep, 1).tobytes()
 
 

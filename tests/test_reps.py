@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from torsionlab import ParseError, UnitaryRep, Word, parse_presentation, parse_spectrum
+import torsionlab.reps as reps
 from torsionlab.reps import UNITARITY_TOL, parse_representation, unitarity_defects
 from torsionlab.ruelle import GeodesicEntry
 
 from conftest import random_unitary
+from oracles import of_word_sequential
 
 
 class TestUnitaryRep:
@@ -49,6 +51,20 @@ class TestUnitaryRep:
         with pytest.raises(ValueError, match="modulus 1"):
             UnitaryRep.character(2, xi)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            UnitaryRep([np.zeros((0, 0))] * 2)
+
+    def test_character_checked_once(self, monkeypatch):
+        calls = []
+        check = reps.unitarity_defects
+        monkeypatch.setattr(reps, "unitarity_defects", lambda m: calls.append(m.shape) or check(m))
+        assert UnitaryRep.character(3, 0.6 + 0.8j).rank == 1
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match=r"^character value must have modulus 1, got \|xi\|=2.0$"):
+            UnitaryRep.character(3, 2.0)
+        assert len(calls) == 2
+
     def test_nan_relator_image_rejected(self):
         pres = parse_presentation("gens a b; wirtinger; rel a b a b^-1 a^-1 b^-1;")
         rep = UnitaryRep.character(2, 1j)
@@ -62,6 +78,33 @@ class TestUnitaryRep:
         bad = UnitaryRep([np.array([[1j]]), np.array([[-1j]])])
         with pytest.raises(ValueError, match="relator"):
             bad.validate_against(pres)
+
+
+class TestPrefixProducts:
+    """``prefix_products`` against a walk of one matmul per letter, bitwise."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_bitwise_equal_to_sequential_walk(self, rank, rng):
+        rep = UnitaryRep([random_unitary(rng, rank) for _ in range(3)])
+        letters = tuple((int(i), int(s)) for i, s in zip(rng.integers(1, 4, 60),
+                                                         rng.choice([-1, 1], 60)))
+        for lengths in ([0], [60], [0, 0, 7, 7, 7, 31, 60, 60], list(range(61)), []):
+            got = rep.prefix_products(letters, lengths)
+            assert got.shape == (len(lengths), rank, rank)
+            for length, mat in zip(lengths, got):
+                assert mat.tobytes() == of_word_sequential(rep, letters[:length]).tobytes()
+        word = Word(letters)
+        assert rep.of_word(word).tobytes() == of_word_sequential(rep, word.letters).tobytes()
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_unknown_generator(self, rank):
+        rep = UnitaryRep([np.eye(rank)] * 2)
+        with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
+            rep.prefix_products(((1, 1), (3, -1), (4, 1)), [3])
+        with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
+            rep.of_word(Word(((2, 1), (3, 1))))
+        # letters past the longest requested prefix are not read
+        assert rep.prefix_products(((1, 1), (3, -1)), [0, 1]).shape == (2, rank, rank)
 
 
 class TestRepFile:

@@ -116,6 +116,10 @@ class TestEntriesAndSpectrum:
         with pytest.raises(ValueError, match="unitary"):
             GeodesicEntry(length=1.0, holonomy=np.array([[2.0]]))
 
+    def test_empty_holonomy_rejected(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            GeodesicEntry(1.0, np.zeros((0, 0)))
+
     def test_entries_sorted_ascending(self):
         spec = spectrum_of([(3.0, [[1.0]]), (1.0, [[-1.0]]), (2.0, [[1j]])])
         assert [e.length for e in spec.entries] == [1.0, 2.0, 3.0]

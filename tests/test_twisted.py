@@ -33,6 +33,7 @@ from oracles import (
     ONE,
     GroupRingElement,
     boundary1,
+    boundary2_sequential,
     close_to,
     matmul,
     max_abs_coeff,
@@ -166,6 +167,34 @@ class TestBoundary2AgainstReference:
         pres = torus_braid_closure(3, 16)
         assert max(len(rel) for rel in pres.relators) > 30
         self.compare(pres, random_abelian_rep(rng, 3, 4), exact=False)
+
+    @pytest.mark.parametrize("p,q", [(2, 29), (2, 63), (3, 28), (3, 53)])
+    def test_rank1_long_relators_bitwise(self, p, q, rng):
+        # the rank-1 walk is a cumulative product; a 1x1 matmul that rounds
+        # differently (an FMA in the BLAS, say) shows up here bit for bit
+        pres = torus_braid_closure(p, q)
+        reps = [UnitaryRep.character(pres.n_generators, np.exp(1j * rng.uniform(-np.pi, np.pi)))
+                for _ in range(3)]
+        reps.append(UnitaryRep([np.exp(1j * rng.uniform(-np.pi, np.pi, (1, 1)))
+                                for _ in range(pres.n_generators)]))
+        for rep in reps:
+            for skip in (None, 1, pres.n_generators):
+                got = boundary2(pres, rep, skip_generator=skip).coef
+                assert got.tobytes() == boundary2_sequential(pres, rep, skip).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus_braid_closure(3, 16),
+        # a cubed commutator puts three terms on one block at one degree, so
+        # only the word order of the additions gives these sums bit for bit
+        lambda: parse_presentation("gens a b; rel " + "a b a^-1 b^-1 " * 3 + ";"),
+    ], ids=["T(3,16)", "commutator cubed"])
+    def test_ranks_1_to_3_bitwise(self, make, rng):
+        pres = make()
+        for r in (1, 2, 3):
+            rep = UnitaryRep([random_unitary(rng, r) for _ in range(pres.n_generators)])
+            for skip in (None, 2):
+                got = boundary2(pres, rep, skip_generator=skip).coef
+                assert got.tobytes() == boundary2_sequential(pres, rep, skip).tobytes()
 
 
 class TestTracedWork:
