@@ -26,7 +26,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .cwcomplex import EigensolverError, knot_complex, parse_complex, torsion_report
+from .laurent import TRIM_TOL
 from .presentations import parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
@@ -67,10 +70,13 @@ def fmt_complex(z):
 
 
 def fmt_poly(p):
-    """lowest exponent, then re,im coefficient pairs in increasing degree."""
+    """lowest exponent, then re,im coefficient pairs in increasing degree; a
+    part of magnitude at most TRIM_TOL * max|c| is rounding noise and prints 0."""
     if p.is_zero:
         return "0"
-    coeffs = " ".join(fmt_complex(c) for c in p.coeffs)
+    c, noise = np.array(p.coeffs), TRIM_TOL * p.max_abs_coeff()
+    re, im = (np.where(abs(x) <= noise, 0.0, x).tolist() for x in (c.real, c.imag))
+    coeffs = " ".join(f"{a:.12g},{b:.12g}" for a, b in zip(re, im))
     return f"low {p.low} coeffs {coeffs}"
 
 

@@ -5,9 +5,10 @@ A polynomial is the result type of a determinant.  It is stored densely as
 coefficients whose magnitude is below TRIM_TOL relative to the largest one
 are dropped, so degree bookkeeping stays exact.  The package does no
 arithmetic on polynomials.  A matrix of them is one coefficient tensor.
-Its determinant is sampled at the N-th roots of unity, one coset of B-th
-roots at a time (a twist, a fold mod B and one length-B FFT per coset),
-and interpolated by an FFT; its coefficient errors relative to the largest
+Its determinant, of S coefficients at most, is sampled at N = C*B roots of
+unity, S <= N < S + C, in C cosets of B points (a twist, a fold mod B and
+one length-B FFT per coset), and interpolated by one FFT of any length, not
+padded to a power of two; its coefficient errors relative to the largest
 coefficient are a small multiple of machine epsilon times the condition of
 the sample matrices.
 """
@@ -18,8 +19,8 @@ import numpy as np
 
 # relative threshold below which a coefficient counts as zero
 TRIM_TOL = 1e-12
-# matrix elements per coset of determinant sample points; bounds the scratch
-# arrays of LaurentMatrix.det beyond its trimmed tensor, whatever the spread
+# matrix elements per coset of det samples, B * n * n <= it unless n * n > it:
+# bounds the scratch arrays of LaurentMatrix.det beyond its tensor, whatever the spread
 DET_BLOCK_ELEMENTS = 1 << 12
 
 
@@ -117,24 +118,27 @@ class LaurentMatrix:
 
         Entries are trimmed by ``trim_mask``, bitwise as LaurentPoly trims
         them.  Each row of det spans at most its entries' exponent range, so
-        det is sampled at the N-th roots w**k, N the least power of two above
-        the sum of the row spreads, and its coefficients are one
-        ``np.fft.fft`` of the samples.
+        det has at most S coefficients, S the sum of the row spreads plus
+        one.  It is sampled at the N-th roots w**k, N = C * B, and its
+        coefficients are one ``np.fft.fft`` of the samples, of any length.
 
-        The roots are taken in N/B cosets {w**(s + q N/B) : q < B}.  For
-        coset s the tensor is twisted by w**(s*m) (m the exponent), folded
-        mod B, and one length-B ``np.fft.ifft`` along the exponents gives B
-        sample matrices for one batched ``np.linalg.det``.  The rows' lowest
-        exponents leave the determinant as one power of w per sample, read
-        from the table of roots.  B is the largest power of two with
-        B * rows * cols <= DET_BLOCK_ELEMENTS: beyond one copy of the trimmed
-        tensor and the N samples, scratch memory does not grow with N.
+        The roots are taken in C = ceil(S / max(1, DET_BLOCK_ELEMENTS // n**2))
+        cosets {w**(s + q C) : q < B}, B = ceil(S / C), so S <= N < S + C.
+        For coset s the tensor is twisted by w**(s*m) (m the exponent),
+        folded mod B (w**(q C k B) = 1 as N = C * B), and one length-B
+        ``np.fft.ifft`` along the exponents gives B sample matrices for one
+        batched ``np.linalg.det``.  The rows' lowest exponents leave the
+        determinant as one power of w per sample, read from the table of
+        roots.  B * n**2 <= DET_BLOCK_ELEMENTS: beyond one copy of the
+        trimmed tensor and the N samples, scratch memory does not grow with N.
 
-        Accuracy: LAPACK factors each sample matrix backward stably and both
-        transforms are stable, so coefficient errors relative to max|c| of
-        det are a small multiple of machine epsilon times the condition of
-        the sample matrices.  The tests measure them against a 200-bit
-        oracle on random matrices up to 8 x 8.
+        Accuracy: interpolation at the N-th roots is exact for any N >= S,
+        so the sample count does not enter the error.  LAPACK factors each
+        sample matrix backward stably and both transforms are stable at any
+        length, so coefficient errors relative to max|c| of det are a small
+        multiple of machine epsilon times the condition of the sample
+        matrices.  The tests measure them against a 200-bit oracle on random
+        matrices up to 12 x 12.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -152,11 +156,13 @@ class LaurentMatrix:
         first = np.where(live, keep.argmax(axis=2), width).min(axis=1)
         last = np.where(live, width - 1 - keep[:, :, ::-1].argmax(axis=2), -1).max(axis=1)
         lo = int((self.low + first).sum())
-        N = 1 << int((last - first).sum()).bit_length()
+        S = int((last - first).sum()) + 1
+        C = -(-S // max(1, DET_BLOCK_ELEMENTS // (n * n)))
+        B = -(-S // C)
+        N = C * B
         omega = np.exp(2j * np.pi * np.arange(N) / N)
 
         g, h = int(first.min()), int(last.max()) + 1
-        B = min(N, 1 << max(0, (DET_BLOCK_ELEMENTS // (n * n)).bit_length() - 1))
         K = -(-(h - g) // B)
         # fold[k, b] holds the n x n coefficients of t**(g + k*B + b)
         fold = np.zeros((K * B, n, n), dtype=complex)
@@ -164,7 +170,6 @@ class LaurentMatrix:
                   where=keep[:, :, g:h].transpose(2, 0, 1))
         fold = fold.reshape(K, B, n * n)
         exps = np.arange(K * B).reshape(K, B)
-        C = N // B
         samples = np.empty(N, dtype=complex)
         for s in range(C):
             mats = np.einsum("kb,kbx->bx", omega[s * exps % N], fold).reshape(B, n, n)

@@ -12,7 +12,8 @@ import pytest
 
 import torsionlab.cli as cli
 from torsionlab.cli import main
-from torsionlab import UnitaryRep, parse_presentation
+from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
+from torsionlab.laurent import TRIM_TOL
 import torsionlab.twisted as twisted
 from torsionlab.twisted import twisted_alexander
 
@@ -28,6 +29,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestFmtPoly:
+    def test_noise_parts_print_as_zero(self):
+        # max|c| = 2, so a real or imaginary part of magnitude <= 2 TRIM_TOL is noise
+        edge = 2 * TRIM_TOL
+        under, over = np.nextafter(edge, 0), np.nextafter(edge, 1)
+        coeffs = [2, complex(1, -under), complex(-edge, -1), complex(over, -over),
+                  complex(under, -under), complex(-0.0, -0.0), complex(-0.0, 1)]
+        p = LaurentPoly(-3, coeffs)
+        # both parts under the edge, |c| above TRIM_TOL max|c|: kept, printed 0,0
+        assert p.coeffs[4] == complex(under, -under)
+        assert cli.fmt_poly(p) == (
+            f"low -3 coeffs 2,0 1,0 0,-1 {over:.12g},{-over:.12g} 0,0 0,0 0,1"
+        )
 
 
 class TestTalex:

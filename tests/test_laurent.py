@@ -237,7 +237,8 @@ def oracle_det(M):
     Evaluation at the N-th roots of unity and interpolation, as in
     LaurentMatrix.det, but on fixed-point numbers held as Python integers in
     numpy object arrays: the float64 coefficients are exact there, the roots
-    of unity come from mpmath, the transforms are radix-2 DFTs, and the N
+    of unity come from mpmath, the transforms are radix-2 DFTs (N is the
+    least power of two above the sum of the row spreads), and the N
     sample determinants are Gaussian eliminations with partial pivoting, run
     at all points at once.
     """
@@ -293,11 +294,17 @@ def oracle_error(got, lo, exact):
 
 
 def det_extent(M):
-    """lo and the sample count N of det, from the trimmed LaurentPoly entries."""
+    """lo and the coefficient count S of det, from the trimmed LaurentPoly entries."""
     rows = [[M[i, j] for j in range(M.cols) if not M[i, j].is_zero] for i in range(M.rows)]
     lo = sum(min(e.low for e in row) for row in rows)
     hi = sum(max(e.high for e in row) for row in rows)
-    return lo, 1 << (hi - lo).bit_length()
+    return lo, hi - lo + 1
+
+
+def det_cosets(M):
+    """The coset count C of det's samples: the fewest cosets of at most
+    max(1, DET_BLOCK_ELEMENTS // n**2) points that hold S points."""
+    return -(-det_extent(M)[1] // max(1, laurent.DET_BLOCK_ELEMENTS // M.rows**2))
 
 
 # worst oracle_error of the Horner sampler this module used before the coset
@@ -326,20 +333,45 @@ class TestBatchedDeterminant:
                     low = int(rng.integers(-40, 41) if wide else rng.integers(-5, 6))
                     entries.append(LaurentPoly(low, c))
             M = matrix([entries[i * n : (i + 1) * n] for i in range(n)])
-            lo, N, exact = oracle_det(M)
+            lo, _, exact = oracle_det(M)
             worst = max(worst, oracle_error(M.det(), lo, exact))
-            # several cosets of B-th roots, B the largest power of two with B n^2 <= the block
-            multi_block += N > 1 << (laurent.DET_BLOCK_ELEMENTS // (n * n)).bit_length() - 1
+            multi_block += det_cosets(M) > 1
         assert worst <= HORNER_WORST_ERROR
         assert multi_block >= 3
 
+    @pytest.mark.parametrize("n, spread, cosets, block", [
+        (3, 100, 1, 101),  # S = 101, a prime: one coset of 101 points
+        (4, 256, 2, 129),  # S = 257 = 2**8 + 1: two cosets of 129
+        (12, 96, 4, 25),   # S = 97, at most 28 points a coset: four cosets of 25
+    ])
+    def test_sampled_at_coefficient_count(self, monkeypatch, rng, n, spread, cosets, block):
+        # random rows whose spreads sum to S - 1, each with nonzero end coefficients
+        widths = np.full(n, spread // n) + (np.arange(n) < spread % n) + 1
+        coef = np.zeros((n, n, widths.max()), dtype=complex)
+        for i, w in enumerate(widths):
+            coef[i, :, :w] = rng.standard_normal((n, w)) + 1j * rng.standard_normal((n, w))
+        M = LaurentMatrix(rng.integers(-5, 6, n), coef)
+        lo, S = det_extent(M)
+        assert S == spread + 1 and det_cosets(M) == cosets
+        batches, lengths = [], []
+        det, fft = np.linalg.det, np.fft.fft
+        monkeypatch.setattr(np.linalg, "det", lambda a: batches.append(len(a)) or det(a))
+        monkeypatch.setattr(np.fft, "fft", lambda x: lengths.append(len(x)) or fft(x))
+        d = M.det()
+        N = sum(batches)
+        assert batches == [block] * cosets and lengths == [N]
+        assert S <= N < S + cosets
+        exact_lo, _, exact = oracle_det(M)
+        assert exact_lo == lo
+        assert oracle_error(d, lo, exact) <= HORNER_WORST_ERROR
+
     def test_scratch_memory_bounded_by_block_size(self, rng):
-        # rows spread 128 apart, so det is sampled at N = 4096 points
+        # rows spread 128 apart, so det has S = 2049 coefficients
         n, width = 16, 129
         coef = rng.standard_normal((n, n, width)) + 1j * rng.standard_normal((n, n, width))
         M = LaurentMatrix(np.zeros(n, dtype=int), coef)
-        N = det_extent(M)[1]
-        assert N == 4096
+        S = det_extent(M)[1]
+        assert S == 2049
         tracemalloc.start()
         try:
             d = M.det()
@@ -347,11 +379,11 @@ class TestBatchedDeterminant:
         finally:
             tracemalloc.stop()
         assert not d.is_zero
-        # one trimmed copy of the tensor, O(N) for the samples, the roots and
+        # one trimmed copy of the tensor, O(S) for the samples, the roots and
         # the LaurentPoly result, and a few blocks of per-coset scratch; every
-        # sample matrix at once would take N n^2 complex numbers, over 4x more
-        bound = coef.nbytes + 200 * N + 16 * 16 * laurent.DET_BLOCK_ELEMENTS
-        assert peak < bound < N * n * n * 16 / 4
+        # sample matrix at once would take S n^2 complex numbers, over 4x more
+        bound = coef.nbytes + 200 * S + 16 * 16 * laurent.DET_BLOCK_ELEMENTS
+        assert peak < bound < S * n * n * 16 / 4
 
 
 class TestDenseTrim:
@@ -377,9 +409,9 @@ class TestDenseTrim:
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda x: calls.append(len(x)) or fft(x))
         d = M.det()
-        lo, N = det_extent(M)
-        assert calls == [N]
-        assert N == (8 if length == 5 else 4)
+        lo, S = det_extent(M)
+        assert calls == [S]
+        assert S == length
         assert close_to(d, M[0, 0], rtol=1e-13)
         assert d.low == lo
 

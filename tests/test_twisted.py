@@ -37,6 +37,7 @@ from oracles import (
     close_to,
     matmul,
     max_abs_coeff,
+    mul,
     pivot_candidates,
 )
 
@@ -409,6 +410,24 @@ class TestTwistedAlexander:
         assert res.torsion_at_1 == pytest.approx(
             r1.torsion_at_1 * r2.torsion_at_1, rel=1e-9
         )
+
+    @pytest.mark.parametrize("p, q, rank", [(2, 33, 8), (3, 32, 4)])
+    def test_abelian_delta1_is_product_over_eigenvalues(self, monkeypatch, rng, p, q, rank):
+        # U = V diag(xi) V*: conjugation block-diagonalises boundary2, so
+        # delta1 is the product of the rank-1 delta1 at U's eigenvalues.  The
+        # 8 x 8 boundary2 spans S = 257 exponents, sampled in 5 cosets of 52
+        # points, where a power-of-two sampler took 512
+        pres = torus_braid_closure(p, q)
+        rep = random_abelian_rep(rng, p, rank)
+        lengths = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda x: lengths.append(len(x)) or fft(x))
+        delta1 = twisted_alexander(pres, rep).delta1
+        assert lengths == [rank + 1, 260]
+        product = ONE
+        for xi in np.linalg.eigvals(rep.images[0]):
+            product = mul(product, twisted_alexander(pres, UnitaryRep.character(p, xi)).delta1)
+        assert up_to_unit_monomial(delta1, product, tol=1e-9)
 
     def test_requires_wirtinger(self):
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
