@@ -9,7 +9,6 @@ building blocks stay in their submodules.
 """
 
 from .cwcomplex import (
-    EigensolverError,
     Incidence,
     TorsionReport,
     TwistedCWComplex,
@@ -22,6 +21,6 @@ from .laurent import LaurentPoly
 from .presentations import ParseError, Presentation, parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import LengthSpectrum, SpectrumWarning, format_spectrum, parse_spectrum, ruelle_eval
-from .twisted import MissingPeripheralError, NoPivotError, TwistedAlexanderResult, twisted_alexander
+from .twisted import TwistedAlexanderResult, twisted_alexander
 
 __version__ = "0.1.0"

@@ -25,13 +25,9 @@ ZERO_EIG_REL_TOL = 1e-8
 
 # cells a complex file may declare in one degree; checked at the count, so a
 # huge count is a ParseError rather than a loop building empty cell tables.
-# Boundary matrices and Laplacians are dense: at the cap one of them holds
-# 4096^2 complex entries (268 MB) at rank 1.
+# Laplacians are dense, of side cells x rank: torsion_report rejects a degree
+# whose side exceeds the cap, where one holds 4096^2 complex entries (268 MB).
 MAX_CELLS = 4096
-
-
-class EigensolverError(RuntimeError):
-    """The dense Hermitian eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -274,6 +270,8 @@ class TorsionReport:
 
 def torsion_report(cx, rep):
     """Twisted Betti numbers and the zeta-regularized torsion of a complex."""
+    if (side := max(cx.cells_per_degree) * rep.rank) > MAX_CELLS:
+        raise ValueError(f"Laplacian side {side} (cells x rank) exceeds MAX_CELLS = {MAX_CELLS}")
     betti = []
     spectra = []
     log_torsion = 0.0
@@ -288,7 +286,7 @@ def torsion_report(cx, rep):
         try:
             eigs = np.linalg.eigvalsh(lap)
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver failed in degree {p}: {exc}") from exc
+            raise ValueError(f"eigensolver failed in degree {p}: {exc}") from exc
         eigs = np.sort(eigs.real)
         cutoff = ZERO_EIG_REL_TOL * (1.0 + float(eigs[-1]))
         kernel = int(np.sum(eigs < cutoff))

@@ -66,6 +66,10 @@ class Presentation:
                 f"wirtinger presentation needs {self.n_generators - 1} relators, "
                 f"got {len(self.relators)}"
             )
+        for k, r in enumerate(self.relators, start=1):
+            # every generator abelianizes to t only if each relator maps to 0 in Z
+            if self.wirtinger and (s := r.exponent_sum()):
+                raise ParseError(f"wirtinger relator {k} has exponent sum {s}, not 0")
 
     @property
     def n_generators(self):

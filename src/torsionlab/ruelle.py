@@ -114,18 +114,21 @@ def truncated_ruelle(spec, z, cutoff=None):
     length <= cutoff (all entries when cutoff is None); the tail bound sums
     r e^{-x l} / (1 - e^{-x l}) with x = Re z over the skipped entries, a
     report on the data beyond the cutoff, not a mathematical tail bound
-    beyond the file's horizon.  The tail is summed in order (np.sum is pairwise).
+    beyond the file's horizon.
     """
     z = complex(z)
     _warn_outside_region(spec, z)
-    if not len(spec.lengths):
-        return 1.0 + 0j, 0.0
     n = len(spec.lengths) if cutoff is None else np.searchsorted(spec.lengths, cutoff, "right")
+    return complex(np.exp(_log_prefix(spec, z, n)[-1])), _tail_bound(spec, z, n)
+
+
+def _tail_bound(spec, z, n):
+    """truncated_ruelle's tail bound over the entries after the n shortest,
+    summed in order (np.sum is pairwise)."""
     q = np.exp(-z.real * spec.lengths[n:])
     skipped = np.full(q.shape, np.inf)
     np.divide(spec.rank * q, 1.0 - q, out=skipped, where=q < 1.0)
-    tail = np.cumsum(skipped)[-1] if skipped.size else 0.0
-    return complex(np.exp(_log_prefix(spec, z, n)[-1])), float(tail)
+    return float(np.cumsum(skipped)[-1]) if skipped.size else 0.0
 
 
 def _report_rows(cutoffs, used, prefix):
@@ -148,14 +151,16 @@ def convergence_report(spec, z, cutoffs):
 
 
 def ruelle_eval(spec, z, cutoffs=()):
-    """``(convergence_report(spec, z, cutoffs), truncated_ruelle(spec, z))``, bit
-    for bit and with their warnings, read off one running sum over all entries."""
+    """``(convergence_report(spec, z, cutoffs), (value, tail))``, bit for bit and with their
+    warnings, read off one running sum over all entries: the value of ``truncated_ruelle(spec,
+    z)`` and the tail of ``truncated_ruelle(spec, z, max(cutoffs))``, 0 without cutoffs."""
     z = complex(z)
     _warn_outside_region(spec, z)
     cutoffs = sorted(cutoffs)
     used = np.searchsorted(spec.lengths, cutoffs, side="right").tolist()
     prefix = _log_prefix(spec, z, len(spec.lengths))
-    return _report_rows(cutoffs, used, prefix), (complex(np.exp(prefix[-1])), 0.0)
+    tail = _tail_bound(spec, z, used[-1] if used else len(spec.lengths))
+    return _report_rows(cutoffs, used, prefix), (complex(np.exp(prefix[-1])), tail)
 
 
 # \d, as [0-9\d] so that sre tests the ASCII range before the Unicode category

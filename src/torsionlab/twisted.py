@@ -21,14 +21,6 @@ H1_TOL = 1e-9
 CUSPIDAL_TOL = 1e-9
 
 
-class NoPivotError(RuntimeError):
-    """The requested pivot is not a generator."""
-
-
-class MissingPeripheralError(RuntimeError):
-    """The presentation carries no meridian/longitude words."""
-
-
 def phi_apply(elem, rep):
     """Apply Phi = (abelianization) tensor rho to a group-ring element.
 
@@ -116,13 +108,14 @@ def value_at_1(p):
 
 
 def cuspidality_check(rep, pres):
-    """True iff only the zero vector is fixed by both peripheral images.
+    """True iff only the zero vector is fixed by both peripheral images, None
+    (unknown) when the presentation has no meridian/longitude words.
 
     Computed as a full-rank test on the stacked matrix
     [rho(meridian) - I; rho(longitude) - I].
     """
     if not pres.has_peripheral:
-        raise MissingPeripheralError("presentation has no meridian/longitude words")
+        return None
     r = rep.rank
     stacked = np.vstack(
         [rep.of_word(pres.meridian) - np.eye(r), rep.of_word(pres.longitude) - np.eye(r)]
@@ -157,12 +150,12 @@ def twisted_alexander(pres, rep, pivot=None):
     elif 1 <= pivot <= pres.n_generators:
         delta0 = _generator_block(rep, pivot).det()
     else:
-        raise NoPivotError(f"generator {pivot} is not a valid pivot")
+        raise ValueError(f"generator {pivot} is not a valid pivot")
     delta1 = boundary2(pres, rep, skip_generator=pivot).det()
 
     value1, h1_vanishes = value_at_1(delta1)
     value0, delta0_nonzero = value_at_1(delta0)
-    cuspidal = cuspidality_check(rep, pres) if pres.has_peripheral else None
+    cuspidal = cuspidality_check(rep, pres)
 
     torsion = ruelle = None
     if h1_vanishes and delta0_nonzero:

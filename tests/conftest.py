@@ -95,6 +95,37 @@ def torus_braid_closure(p, q):
     )
 
 
+def two_bridge_signs(p, q):
+    """eps_i = (-1)^floor(i q / p) for i = 1 .. p-1, the signs of K(p/q)."""
+    return [(-1) ** (i * q // p) for i in range(1, p)]
+
+
+def two_bridge(p, q):
+    """Wirtinger presentation <a, b | a w = w b> of the two-bridge knot K(p/q),
+    p odd and q prime to p, with w = b^eps_1 a^eps_2 b^eps_3 ... a^eps_{p-1}.
+
+    K(p/q) is hyperbolic unless q = +-1 (mod p) (Menasco).  The presentation
+    has no peripheral words.
+    """
+    a, b = Word.generator(1), Word.generator(2)
+    w = Word(tuple((2 if i % 2 else 1, e) for i, e in enumerate(two_bridge_signs(p, q), 1)))
+    return Presentation(
+        generator_names=("a", "b"), relators=(a * w * b.inverse() * w.inverse(),), wirtinger=True
+    )
+
+
+def hartley_alexander(p, q):
+    """Alexander polynomial of K(p/q) by Hartley's formula, with no Fox calculus:
+    sum_{k=0}^{p-1} (-1)^k t^{sigma_k}, sigma_k = eps_1 + ... + eps_k."""
+    sigma = [0]
+    for e in two_bridge_signs(p, q):
+        sigma.append(sigma[-1] + e)
+    coeffs = np.zeros(max(sigma) - min(sigma) + 1)
+    for k, s in enumerate(sigma):
+        coeffs[s - min(sigma)] += (-1) ** k
+    return LaurentPoly(min(sigma), coeffs)
+
+
 def random_unitary(rng, r):
     """Haar-ish random unitary via QR of a complex Gaussian matrix."""
     z = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))

@@ -15,11 +15,10 @@ PUBLIC = {
     "ParseError", "Presentation", "Word", "parse_presentation",
     "UnitaryRep", "parse_representation",
     # the Fox route
-    "LaurentPoly", "MissingPeripheralError", "NoPivotError", "TwistedAlexanderResult",
-    "twisted_alexander",
+    "LaurentPoly", "TwistedAlexanderResult", "twisted_alexander",
     # the CW route
-    "EigensolverError", "Incidence", "TorsionReport", "TwistedCWComplex", "knot_complex",
-    "parse_complex", "torsion_report",
+    "Incidence", "TorsionReport", "TwistedCWComplex", "knot_complex", "parse_complex",
+    "torsion_report",
     # the Euler product
     "LengthSpectrum", "SpectrumWarning", "format_spectrum", "parse_spectrum", "ruelle_eval",
 }

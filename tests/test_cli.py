@@ -14,7 +14,7 @@ import torsionlab.cli as cli
 from torsionlab.cli import main
 from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
 from torsionlab.laurent import TRIM_TOL
-import torsionlab.twisted as twisted
+from torsionlab.ruelle import parse_spectrum, truncated_ruelle
 from torsionlab.twisted import twisted_alexander
 
 CIRCLE_CW = """\
@@ -260,6 +260,23 @@ class TestTorsionCW:
         assert code == 1
         assert "line 3, col 9" in err
 
+    def test_laplacian_side_past_cap_exits_1(self, capsys, tmp_path):
+        # 2049 cells at rank 2: a 4098-square Laplacian (268 MB) is refused
+        # before any boundary is built
+        cw = tmp_path / "wide.cw"
+        cw.write_text("gens a;\ncells 0 1;\ncells 1 2049;\n")
+        rep = tmp_path / "diag.rep"
+        rep.write_text("rank 2;\nmat a = [ [0,1], [0,0], [0,0], [0,-1] ];\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "torsion-cw", str(cw), "--rep", str(rep))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: Laplacian side 4098 (cells x rank) exceeds MAX_CELLS = 4096\n"
+        assert peak < 2e6, f"{peak / 1e6:.1f} MB"
+
     def test_out_of_range_bd_exits_1(self, capsys, tmp_path):
         # once loaded as the circle, with both out-of-range statements dropped
         cw = tmp_path / "dropped.cw"
@@ -270,14 +287,9 @@ class TestTorsionCW:
 
 
 class TestLibraryErrors:
-    def test_no_peripheral_words_skip_cuspidality(self, capsys, tmp_path, monkeypatch):
-        # cuspidality_check, the one raiser of MissingPeripheralError, runs
-        # only when the presentation has peripheral words, so main need not
-        # catch that error: without them cuspidality is unknown
-        def fail(rep, pres):
-            raise AssertionError("cuspidality_check ran without peripheral words")
-
-        monkeypatch.setattr(twisted, "cuspidality_check", fail)
+    def test_no_peripheral_words_skip_cuspidality(self, capsys, tmp_path):
+        # without peripheral words cuspidality is unknown: talex withholds
+        # the values, verify-knot goes ahead
         pres = tmp_path / "bare.pres"
         pres.write_text("gens a b; wirtinger; rel a b a B A B;\n")
         code, out, err = run(capsys, "talex", str(pres), "--xi=0,1")
@@ -335,6 +347,20 @@ class TestRuelleEval:
         code, out, _ = run(capsys, "ruelle-eval", str(sp), "--z=3,0", "--cutoffs=1,2,4")
         assert code == 0
         assert "used=2" in out and "used=4" in out and "used=8" in out
+
+    @pytest.mark.parametrize("out_format", ["text", "json-lines"])
+    def test_tail_bound_beyond_largest_cutoff(self, capsys, tmp_path, out_format):
+        sp = tmp_path / "many.spec"
+        lines = ["rank 1;"] + [f"geo {0.5 * k} ; 1,0 ;" for k in range(1, 9)]
+        sp.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "ruelle-eval", str(sp), "--z=3,0", "--cutoffs=2,1",
+                           f"--format={out_format}")
+        assert code == 0
+        fields = (json.loads(out) if out_format == "json-lines" else
+                  dict(line.split(" = ", 1) for line in out.splitlines()[1:]))
+        tail = truncated_ruelle(parse_spectrum(sp.read_text()), 3, 2.0)[1]
+        assert tail > 0
+        assert fields["tail_bound"] == cli.fmt(tail)
 
     def test_empty_spectrum_of_huge_rank(self, capsys, tmp_path):
         sp = tmp_path / "huge.spec"

@@ -574,6 +574,31 @@ class TestComplexFile:
         cx = parse_complex(f"gens a; cells 0 1; cells 1 {cwcomplex.MAX_CELLS};")
         assert cx.cells_per_degree == (1, cwcomplex.MAX_CELLS)
 
+    @pytest.mark.parametrize(
+        "cells,rank,admitted",
+        [(cwcomplex.MAX_CELLS, 1, True), (cwcomplex.MAX_CELLS // 2, 2, True),
+         (cwcomplex.MAX_CELLS // 2 + 1, 2, False), (cwcomplex.MAX_CELLS // 8 + 1, 8, False)],
+    )
+    def test_laplacian_side_cap(self, monkeypatch, cells, rank, admitted):
+        # a Laplacian's side is cells x rank, and at the cap one holds 268 MB:
+        # an admitted complex stops here at its first boundary, a rejected one
+        # builds none
+        class Admitted(Exception):
+            pass
+
+        def stop(cx, rep, p):
+            raise Admitted
+
+        monkeypatch.setattr(cwcomplex, "twisted_boundary", stop)
+        cx = parse_complex(f"gens a; cells 0 1; cells 1 {cells};")
+        rep = UnitaryRep([np.eye(rank)])
+        if admitted:
+            with pytest.raises(Admitted):
+                torsion_report(cx, rep)
+        else:
+            with pytest.raises(ValueError, match=f"side {cells * rank} .* MAX_CELLS = 4096$"):
+                torsion_report(cx, rep)
+
     @pytest.mark.parametrize("count", [cwcomplex.MAX_CELLS + 1, 10**9, 10**30, -1])
     def test_cell_count_past_cap_rejected(self, count):
         with pytest.raises(ParseError, match="cell count") as err:

@@ -5,9 +5,10 @@ import itertools
 import pytest
 
 from torsionlab import ParseError, Word, knot_complex, parse_complex, parse_presentation
+from torsionlab.cli import corpus_dir
 from torsionlab.presentations import MAX_WORD_LETTERS
 
-from conftest import torus_braid_closure
+from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
 
 CW_TAIL = "cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 0);"
 
@@ -36,6 +37,28 @@ class TestParsing:
     def test_relator_count_enforced(self):
         with pytest.raises(ParseError, match="relators"):
             parse_presentation("gens a b; wirtinger; rel a b a^-1 b^-1; rel a b;")
+
+    @pytest.mark.parametrize(
+        "header,relators,k,s",
+        [("gens a b;", "rel a a b;", 1, 3),
+         ("gens a b;", "rel A B A;", 1, -3),
+         ("gens a b;", "rel a b A b A;", 1, 1),
+         ("gens a b c;", "rel a b A B; rel c A C A c;", 2, -1)],
+    )
+    def test_wirtinger_relator_exponent_sum_must_be_0(self, header, relators, k, s):
+        # otherwise a generator does not abelianize to t and Phi is no homomorphism
+        with pytest.raises(ParseError, match=f"wirtinger relator {k} has exponent sum {s}, not 0"):
+            parse_presentation(f"{header} wirtinger; {relators}")
+        assert parse_presentation(f"{header} {relators}").relators
+
+    def test_knot_families_have_exponent_sum_0(self):
+        for name in KNOT_NAMES + ["synthetic_h1"]:
+            assert parse_presentation((corpus_dir() / f"{name}.pres").read_text()).wirtinger
+        # the constructor runs the same check as the parser
+        for p, q in [(2, 3), (3, 4), (2, 63), (5, 11)]:
+            assert torus_braid_closure(p, q).wirtinger
+        for p, q in [(5, 3), (7, 3), (31, 13)]:
+            assert two_bridge(p, q).wirtinger
 
     def test_capital_means_inverse(self):
         p1 = parse_presentation("gens a b; rel a B;")

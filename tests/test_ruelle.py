@@ -641,6 +641,19 @@ class TestRuelleEval:
                     assert [bits(x) for x in value] == \
                         [bits(x) for x in truncated_ruelle(spec, z)]
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_tail_bound_beyond_largest_cutoff(self, rng, rank):
+        lengths = rng.uniform(0.3, 6.0, 300)
+        spec = LengthSpectrum(rank, tuple(GeodesicEntry(float(l), random_unitary(rng, rank))
+                                          for l in lengths))
+        for cuts in ([4.5, 1.2], [float(np.sort(lengths)[-2]), 0.5]):
+            for z in (3.0, 2.5 + 0.3j, 0.5j):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    tail = ruelle.ruelle_eval(spec, z, cuts)[1][1]
+                    want = truncated_ruelle(spec, z, max(cuts))[1]
+                assert tail > 0 and bits(tail) == bits(want)
+
     def test_empty_spectrum_and_warnings(self):
         empty = LengthSpectrum(3, ())
         with pytest.warns(SpectrumWarning, match="empty"):
