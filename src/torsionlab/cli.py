@@ -13,7 +13,9 @@ TORSIONLAB_CORPUS environment variable).  Output is plain text or
 json-lines (--format), numbers printed to 12 significant digits.
 
 Exit codes: 0 success, 1 parse or I/O error, 2 the theorem's hypotheses
-fail (special values withheld), 3 verification deviation breach.
+fail (special values withheld), 3 verification deviation breach.  Each
+subcommand returns its exit code and its report's (key, value) fields, and
+``main`` prints the report, named after the subcommand, with ``emit``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -30,15 +34,14 @@ import numpy as np
 
 from .cwcomplex import knot_complex, parse_complex, torsion_report
 from .laurent import TRIM_TOL
-from .presentations import parse_presentation
+from .presentations import NUM, parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
 from .twisted import boundary2, twisted_alexander
 
-HYPERBOLICITY_NOTE = (
-    "hyperbolicity of the knot complement is assumed, not verified; "
-    "the geometric meaning of R(0) requires it"
-)
+NOTE = ("note", "hyperbolicity of the knot complement is assumed, not verified; "
+                "the geometric meaning of R(0) requires it")
+WITHHELD = ("values", "withheld (hypotheses fail)")
 
 
 def corpus_dir():
@@ -75,40 +78,40 @@ def fmt_poly(p):
     if p.is_zero:
         return "0"
     c, noise = np.array(p.coeffs), TRIM_TOL * p.max_abs_coeff()
-    re, im = (np.where(abs(x) <= noise, 0.0, x).tolist() for x in (c.real, c.imag))
-    coeffs = " ".join(f"{a:.12g},{b:.12g}" for a, b in zip(re, im))
+    real, imag = (np.where(abs(x) <= noise, 0.0, x).tolist() for x in (c.real, c.imag))
+    coeffs = " ".join(f"{a:.12g},{b:.12g}" for a, b in zip(real, imag))
     return f"low {p.low} coeffs {coeffs}"
 
 
-def parse_complex_flag(s, what):
-    try:
-        re_s, im_s = s.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError:
-        raise ValueError(f"{what} must be given as re,im, got {s!r}") from None
+_FLAG_NUMBER = re.compile(NUM)
 
 
-class Report:
-    """Ordered key/value report, rendered as text lines or one json object."""
+def flag_numbers(s, what, form):
+    """The comma-separated numbers of a flag, each a full match of the
+    files' number grammar ``NUM`` and finite."""
+    parts = s.split(",")
+    if not all(map(_FLAG_NUMBER.fullmatch, parts)) or (form == "re,im" and len(parts) != 2):
+        raise ValueError(f"{what} must be given as {form}, got {s!r}")
+    values = [float(x) for x in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {s!r}")
+    return values
 
-    def __init__(self, kind):
-        self.kind = kind
-        self.fields = []
 
-    def add(self, key, value):
-        self.fields.append((key, value))
+def fmt_bool(b):
+    """``true``, ``false``, or ``unknown`` for None."""
+    return "unknown" if b is None else str(b).lower()
 
-    def emit(self, out_format, file=None):
-        if file is None:
-            file = sys.stdout
-        if out_format == "json-lines":
-            obj = {"report": self.kind}
-            obj.update({k: v for k, v in self.fields})
-            print(json.dumps(obj, separators=(",", ":")), file=file)
-        else:
-            print(f"[{self.kind}]", file=file)
-            for k, v in self.fields:
-                print(f"{k} = {v}", file=file)
+
+def emit(kind, fields, out_format):
+    """Print a report, ``[kind]`` then one ``key = value`` line per field, or
+    one json object."""
+    if out_format == "json-lines":
+        print(json.dumps({"report": kind, **dict(fields)}, separators=(",", ":")))
+    else:
+        print(f"[{kind}]")
+        for k, v in fields:
+            print(f"{k} = {v}")
 
 
 def load_rep(args, names):
@@ -118,37 +121,32 @@ def load_rep(args, names):
         return parse_representation(Path(args.rep).read_text(), names)
     if args.xi is None:
         raise ValueError("one of --xi or --rep is required")
-    return UnitaryRep.character(len(names), parse_complex_flag(args.xi, "--xi"))
+    return UnitaryRep.character(len(names), complex(*flag_numbers(args.xi, "--xi", "re,im")))
+
+
+def load_knot(args):
+    """The presentation of ``args.presentation`` and the representation on it."""
+    pres = parse_presentation(resolve_input(args.presentation, ".pres").read_text())
+    return pres, load_rep(args, pres.generator_names)
 
 
 def cmd_talex(args):
-    pres = parse_presentation(resolve_input(args.presentation, ".pres").read_text())
-    rep = load_rep(args, pres.generator_names)
+    pres, rep = load_knot(args)
     result = twisted_alexander(pres, rep)
-
-    rpt = Report("talex")
-    rpt.add("presentation", args.presentation)
-    rpt.add("rank", rep.rank)
-    rpt.add("pivot", result.pivot_column)
-    rpt.add("delta0", fmt_poly(result.delta0))
-    rpt.add("delta1", fmt_poly(result.delta1))
-    cusp = result.cuspidal
-    rpt.add("cuspidal", "unknown" if cusp is None else str(cusp).lower())
-    rpt.add("h1_vanishes", str(result.h1_vanishes).lower())
-    hypotheses_ok = result.h1_vanishes and cusp is True and result.torsion_at_1 is not None
-    if hypotheses_ok:
-        rpt.add("torsion_at_1", fmt(result.torsion_at_1))
-        rpt.add("ruelle_at_0", fmt(result.ruelle_at_0))
-    else:
-        rpt.add("values", "withheld (hypotheses fail)")
-    rpt.add("note", HYPERBOLICITY_NOTE)
-    rpt.emit(args.format)
-    return 0 if hypotheses_ok else 2
+    fields = [("presentation", args.presentation), ("rank", rep.rank),
+              ("pivot", result.pivot_column), ("delta0", fmt_poly(result.delta0)),
+              ("delta1", fmt_poly(result.delta1)), ("cuspidal", fmt_bool(result.cuspidal)),
+              ("h1_vanishes", fmt_bool(result.h1_vanishes))]
+    if result.cuspidal is not True or result.torsion_at_1 is None:
+        return 2, fields + [WITHHELD, NOTE]
+    return 0, fields + [("torsion_at_1", fmt(result.torsion_at_1)),
+                        ("ruelle_at_0", fmt(result.ruelle_at_0)), NOTE]
 
 
 def cmd_verify_knot(args):
-    pres = parse_presentation(resolve_input(args.presentation, ".pres").read_text())
-    rep = load_rep(args, pres.generator_names)
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    pres, rep = load_knot(args)
     xi = complex(rep.images[0][0, 0])  # the --xi value, bit for bit
 
     result = twisted_alexander(pres, rep)
@@ -156,22 +154,13 @@ def cmd_verify_knot(args):
     trivial = UnitaryRep.character(pres.n_generators, 1.0)
     trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column).det()
 
-    rpt = Report("verify-knot")
-    rpt.add("presentation", args.presentation)
-    rpt.add("xi", fmt_complex(xi))
-    hypotheses_ok = (
-        result.h1_vanishes and result.cuspidal is not False and result.ruelle_at_0 is not None
-    )
-    if not hypotheses_ok:
-        rpt.add("h1_vanishes", str(result.h1_vanishes).lower())
-        rpt.add("cuspidal", "unknown" if result.cuspidal is None else str(result.cuspidal).lower())
-        rpt.add("values", "withheld (hypotheses fail)")
-        rpt.emit(args.format)
-        return 2
+    fields = [("presentation", args.presentation), ("xi", fmt_complex(xi))]
+    if result.cuspidal is False or result.ruelle_at_0 is None:
+        return 2, fields + [("h1_vanishes", fmt_bool(result.h1_vanishes)),
+                            ("cuspidal", fmt_bool(result.cuspidal)), WITHHELD]
 
     fox_value = result.ruelle_at_0
-    cw = torsion_report(knot_complex(pres), rep)
-    cw_value = cw.torsion**2
+    cw_value = torsion_report(knot_complex(pres), rep).torsion**2
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of
     # modulus 1 on |t| = 1
     closed_form = (abs(trivial_delta1(xi)) / abs(1.0 - xi)) ** 2
@@ -180,52 +169,40 @@ def cmd_verify_knot(args):
     deviation = max(
         abs(a - b) / max(abs(a), abs(b)) for a in values for b in values if a is not b
     )
-    rpt.add("fox_route", fmt(fox_value))
-    rpt.add("cw_route", fmt(cw_value))
-    rpt.add("closed_form", fmt(closed_form))
-    rpt.add("max_rel_deviation", fmt(deviation))
-    rpt.add("tolerance", fmt(args.tol))
-    rpt.add("agree", str(deviation <= args.tol).lower())
-    rpt.add("note", HYPERBOLICITY_NOTE)
-    rpt.emit(args.format)
-    return 0 if deviation <= args.tol else 3
+    agree = deviation <= args.tol
+    return 0 if agree else 3, fields + [
+        ("fox_route", fmt(fox_value)), ("cw_route", fmt(cw_value)),
+        ("closed_form", fmt(closed_form)), ("max_rel_deviation", fmt(deviation)),
+        ("tolerance", fmt(args.tol)), ("agree", fmt_bool(agree)), NOTE]
 
 
 def cmd_torsion_cw(args):
     cx = parse_complex(resolve_input(args.complex, ".cw").read_text())
-    rep = load_rep(args, cx.generator_names)
-    report = torsion_report(cx, rep)
-    rpt = Report("torsion-cw")
-    rpt.add("complex", args.complex)
-    rpt.add("betti", " ".join(str(b) for b in report.betti))
-    rpt.add("log_torsion", fmt(report.log_torsion))
-    rpt.add("torsion", fmt(report.torsion))
-    for p, spectrum in enumerate(report.spectra):
-        rpt.add(f"spectrum_{p}", " ".join(fmt(x) for x in spectrum))
-    rpt.emit(args.format)
-    return 0
+    report = torsion_report(cx, load_rep(args, cx.generator_names))
+    return 0, [
+        ("complex", args.complex),
+        ("betti", " ".join(str(b) for b in report.betti)),
+        ("log_torsion", fmt(report.log_torsion)),
+        ("torsion", fmt(report.torsion)),
+        *((f"spectrum_{p}", " ".join(map(fmt, s))) for p, s in enumerate(report.spectra)),
+    ]
 
 
 def cmd_ruelle(args):
     spec = parse_spectrum(resolve_input(args.spectrum, ".spec").read_text())
-    z = parse_complex_flag(args.z, "--z")
-    cutoffs = [float(s) for s in args.cutoffs.split(",")] if args.cutoffs else []
-    rpt = Report("ruelle-eval")
-    rpt.add("spectrum", args.spectrum)
-    rpt.add("z", fmt_complex(z))
-    rpt.add("entries", len(spec.lengths))
+    z = complex(*flag_numbers(args.z, "--z", "re,im"))
+    cutoffs = (flag_numbers(args.cutoffs, "--cutoffs", "comma-separated numbers")
+               if args.cutoffs else [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectrumWarning)
         rows, (value, tail) = ruelle_eval(spec, z, cutoffs)
+    fields = [("spectrum", args.spectrum), ("z", fmt_complex(z)), ("entries", len(spec.lengths))]
     for L, logv, used, delta in rows:
         row = f"L={fmt(L)} log_value={fmt_complex(logv)} used={used}"
         if delta is not None:
             row += f" delta={fmt(delta)}"
-        rpt.add(f"cutoff_{fmt(L)}", row)
-    rpt.add("value", fmt_complex(value))
-    rpt.add("tail_bound", fmt(tail))
-    rpt.emit(args.format)
-    return 0
+        fields.append((f"cutoff_{fmt(L)}", row))
+    return 0, fields + [("value", fmt_complex(value)), ("tail_bound", fmt(tail))]
 
 
 @functools.cache
@@ -275,7 +252,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, fields = args.func(args)
+        emit(args.command, fields, args.format)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

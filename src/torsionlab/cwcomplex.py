@@ -27,6 +27,7 @@ ZERO_EIG_REL_TOL = 1e-8
 # huge count is a ParseError rather than a loop building empty cell tables.
 # Laplacians are dense, of side cells x rank: torsion_report rejects a degree
 # whose side exceeds the cap, where one holds 4096^2 complex entries (268 MB).
+# twisted.boundary2 holds the Fox Jacobian's coefficient tensor to that budget.
 MAX_CELLS = 4096
 
 
@@ -287,7 +288,6 @@ def torsion_report(cx, rep):
             eigs = np.linalg.eigvalsh(lap)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"eigensolver failed in degree {p}: {exc}") from exc
-        eigs = np.sort(eigs.real)
         cutoff = ZERO_EIG_REL_TOL * (1.0 + float(eigs[-1]))
         kernel = int(np.sum(eigs < cutoff))
         positive = eigs[eigs >= cutoff]

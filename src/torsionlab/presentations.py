@@ -84,6 +84,10 @@ class Presentation:
 # expanding, so a huge exponent is a ParseError rather than a memory blow-up
 MAX_WORD_LETTERS = 100_000
 
+# a number of the .rep and .spec files and of the CLI's numeric flags; \d as
+# [0-9\d], so that sre tests the ASCII range before the Unicode category
+NUM = r"[-+]?(?:[0-9\d]+\.?[0-9\d]*|\.[0-9\d]+)(?:[eE][-+]?[0-9\d]+)?"
+
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^|-?\d+|;|\S")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

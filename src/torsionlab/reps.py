@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .presentations import ParseError
+from .presentations import NUM, ParseError
 
 UNITARITY_TOL = 1e-10
 RELATOR_TOL = 1e-8
@@ -117,8 +117,7 @@ class UnitaryRep:
                 )
 
 
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_PAIR = re.compile(rf"\[\s*({_NUM})\s*,\s*({_NUM})\s*\]")
+_PAIR = re.compile(rf"\[\s*({NUM})\s*,\s*({NUM})\s*\]")
 
 
 def parse_representation(text, generator_names):
@@ -141,7 +140,7 @@ def parse_representation(text, generator_names):
             rank = int(m.group(1))
             if rank < 1:
                 raise ParseError("rank must be positive", lineno)
-        elif m := re.fullmatch(r"char\s+([a-z_][A-Za-z0-9_]*)\s*=\s*(" + _NUM + r")\s*,\s*(" + _NUM + ")", stmt):
+        elif m := re.fullmatch(rf"char\s+([a-z_][A-Za-z0-9_]*)\s*=\s*({NUM})\s*,\s*({NUM})", stmt):
             name, re_s, im_s = m.groups()
             if rank is None or rank != 1:
                 raise ParseError("'char' requires 'rank 1;' first", lineno)

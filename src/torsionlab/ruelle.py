@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .presentations import ParseError
+from .presentations import NUM, ParseError
 from .reps import unitarity_defects
 
 
@@ -163,10 +163,7 @@ def ruelle_eval(spec, z, cutoffs=()):
     return _report_rows(cutoffs, used, prefix), (complex(np.exp(prefix[-1])), tail)
 
 
-# \d, as [0-9\d] so that sre tests the ASCII range before the Unicode category
-_DIGIT = r"[0-9\d]"
-_NUM = rf"[-+]?(?:{_DIGIT}+\.?{_DIGIT}*|\.{_DIGIT}+)(?:[eE][-+]?{_DIGIT}+)?"
-_GEO = re.compile(rf"geo\s+{_NUM}\s*;(\s*(?:{_NUM},{_NUM}(?:\s+{_NUM},{_NUM})*)?\s*);")
+_GEO = re.compile(rf"geo\s+{NUM}\s*;(\s*(?:{NUM},{NUM}(?:\s+{NUM},{NUM})*)?\s*);")
 
 # str.splitlines() ends a line at \r\n or at any of _BREAKS; _BLANK is the rest of \s
 _BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
@@ -187,8 +184,8 @@ def _block(pairs):
     many lines as hold BLOCK_NUMBERS numbers, and at least one."""
     line = f"{_BLANK}*"
     if pairs:
-        pair = f"{_NUM},{_NUM}"
-        line += (rf"(?:geo{_BLANK}+{_NUM}{_BLANK}*;{_BLANK}*{pair}"
+        pair = f"{NUM},{NUM}"
+        line += (rf"(?:geo{_BLANK}+{NUM}{_BLANK}*;{_BLANK}*{pair}"
                  rf"(?:{_BLANK}+{pair}){{{pairs - 1}}}{_BLANK}*;)?")
     lines = max(1, BLOCK_NUMBERS // (1 + 2 * pairs))
     return re.compile(rf"(?:{line}{_LINE_END}){{1,{lines}}}")
@@ -213,7 +210,7 @@ def _raise_first_error(text, invalid=None):
                 if rank < 1:
                     raise ParseError("rank must be positive", lineno)
                 continue
-            if m := re.fullmatch(rf"geo\s+{_NUM}\s*;(.*);", line):
+            if m := re.fullmatch(rf"geo\s+{NUM}\s*;(.*);", line):
                 raise ParseError(f"malformed holonomy {m.group(1).strip()!r}", lineno)
             raise ParseError(f"malformed spectrum line: {line!r}", lineno)
         if rank is None:

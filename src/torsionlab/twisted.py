@@ -10,11 +10,13 @@ the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
+from .cwcomplex import MAX_CELLS
 from .laurent import LaurentMatrix, LaurentPoly
 
 H1_TOL = 1e-9
@@ -60,6 +62,9 @@ def boundary2(pres, rep, skip_generator=None):
     ones negated exactly, into the flat coefficient tensor (relator j's rows
     start at its lowest degree), unbuffered and in word order.  As a - b is
     a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
+
+    A tensor of more than MAX_CELLS^2 coefficients, the budget of one capped
+    Laplacian, is a ValueError before it is allocated.
     """
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
@@ -68,7 +73,11 @@ def boundary2(pres, rep, skip_generator=None):
     ]
     lows = [min(d) for d in prefix_degs]
     width = max((max(d) - low + 1 for d, low in zip(prefix_degs, lows)), default=1)
-    coef = np.zeros((len(lows) * r, len(cols) * r, width), dtype=complex)
+    shape = (len(lows) * r, len(cols) * r, width)
+    if math.prod(shape) > MAX_CELLS**2:
+        raise ValueError(f"Fox Jacobian of {' x '.join(map(str, shape))} coefficients (rows x "
+                         f"columns x degrees) exceeds MAX_CELLS^2 = {MAX_CELLS**2}")
+    coef = np.zeros(shape, dtype=complex)
     # offsets in the flat coef: block column c of generator i, entry (a, b) of a block
     column = {i: c * r * width for c, i in enumerate(cols)}
     entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
@@ -87,9 +96,9 @@ def boundary2(pres, rep, skip_generator=None):
     return LaurentMatrix(np.repeat(lows, r), coef)
 
 
-def choose_pivot(pres, rep):
-    """The Wada pivot, generator 1, and the determinant of its
-    Phi(x_1 - 1) block (delta0).
+def choose_pivot(pres, rep, pivot=1):
+    """The Wada pivot, generator 1 unless given, and the determinant of its
+    Phi(x_pivot - 1) block (delta0).
 
     Every generator of a Wirtinger presentation has exponent sum 1, so its
     block is rho(x_i) t - I, whose determinant has leading coefficient
@@ -97,7 +106,9 @@ def choose_pivot(pres, rep):
     when rho is unitary, so the determinant never vanishes and every
     generator is a pivot.
     """
-    return 1, _generator_block(rep, 1).det()
+    if not 1 <= pivot <= pres.n_generators:
+        raise ValueError(f"generator {pivot} is not a valid pivot")
+    return pivot, _generator_block(rep, pivot).det()
 
 
 def value_at_1(p):
@@ -135,7 +146,7 @@ class TwistedAlexanderResult:
     ruelle_at_0: float | None
 
 
-def twisted_alexander(pres, rep, pivot=None):
+def twisted_alexander(pres, rep, pivot=1):
     """Full pipeline: pivot choice, delta0/delta1, and special values.
 
     When delta1(1) and delta0(1) are nonzero (``value_at_1``) the torsion at
@@ -145,12 +156,7 @@ def twisted_alexander(pres, rep, pivot=None):
     if not pres.wirtinger:
         raise ValueError("twisted_alexander requires a Wirtinger presentation")
     rep.validate_against(pres)
-    if pivot is None:
-        pivot, delta0 = choose_pivot(pres, rep)
-    elif 1 <= pivot <= pres.n_generators:
-        delta0 = _generator_block(rep, pivot).det()
-    else:
-        raise ValueError(f"generator {pivot} is not a valid pivot")
+    pivot, delta0 = choose_pivot(pres, rep, pivot)
     delta1 = boundary2(pres, rep, skip_generator=pivot).det()
 
     value1, h1_vanishes = value_at_1(delta1)

@@ -94,6 +94,28 @@ class TestTalex:
         assert code == 1
         assert "line 2, col 5" in err
 
+    def test_fox_jacobian_past_cap_exits_1(self, capsys, tmp_path):
+        # 64 relators a_i^k a_(i+1) A_i^k A_(i+1) of prefix degrees 0..k+1: a
+        # 64 x 64 x 4097 Fox Jacobian, one column of 4096^2 past MAX_CELLS^2,
+        # is refused before its 268 MB are allocated; the presentation itself
+        # holds about 34 MB of letters
+        k, n = 4095, 65
+        pres = tmp_path / "wide.pres"
+        pres.write_text("gens " + " ".join(f"a_{i}" for i in range(1, n + 1)) + ";\nwirtinger;\n"
+                        + "".join(f"rel a_{i}^{k} a_{i + 1} A_{i}^{k} A_{i + 1};\n"
+                                  for i in range(1, n)))
+        assert pres.stat().st_size < 3000
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "talex", str(pres), "--xi=0,1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == ("error: Fox Jacobian of 64 x 64 x 4097 coefficients (rows x columns x "
+                       "degrees) exceeds MAX_CELLS^2 = 16777216\n")
+        assert peak < 128e6, f"{peak / 1e6:.1f} MB"
+
     def test_rep_file(self, capsys, tmp_path):
         rep = tmp_path / "rep.rep"
         rep.write_text("rank 1;\nchar a = 0,1;\nchar b = 0,1;\n")
@@ -117,7 +139,8 @@ class TestTalex:
             warnings.simplefilter("always")
             code, out, err = run(capsys, command, str(target), "--xi=nan,0")
         assert (code, out, caught) == (1, "", [])
-        assert err == "error: character value must have modulus 1, got |xi|=nan\n"
+        # nan is not a number of the file grammar
+        assert err == "error: --xi must be given as re,im, got 'nan,0'\n"
 
     @pytest.mark.parametrize(
         "char,message",
@@ -312,14 +335,57 @@ class TestMalformedFlags:
             # ||xi| - 1| is 7e-11, ||xi|^2 - 1| is 1.4e-10: off the unit circle
             (["talex", "trefoil", "--xi=1.00000000007,0"],
              "character value must have modulus 1, got |xi|=1.00000000007"),
+            # a flag's numbers are full matches of the files' number grammar, and finite
+            (["talex", "trefoil", "--xi=1e999,0"], "--xi must be finite, got '1e999,0'"),
+            (["talex", "trefoil", "--xi=0,1_0"], "--xi must be given as re,im, got '0,1_0'"),
+            (["talex", "trefoil", "--xi=0, 1"], "--xi must be given as re,im, got '0, 1'"),
+            (["ruelle-eval", "SPEC", "--z=nan,0"], "--z must be given as re,im, got 'nan,0'"),
+            (["ruelle-eval", "SPEC", "--z=inf,0"], "--z must be given as re,im, got 'inf,0'"),
+            (["ruelle-eval", "SPEC", "--z=3,-1e999"], "--z must be finite, got '3,-1e999'"),
+            (["ruelle-eval", "SPEC", "--z=1_0,0"], "--z must be given as re,im, got '1_0,0'"),
+            (["ruelle-eval", "SPEC", "--z=3,0", "--cutoffs=nan"],
+             "--cutoffs must be given as comma-separated numbers, got 'nan'"),
+            (["ruelle-eval", "SPEC", "--z=3,0", "--cutoffs=1,1e999"],
+             "--cutoffs must be finite, got '1,1e999'"),
+            (["ruelle-eval", "SPEC", "--z=3,0", "--cutoffs=1, 2"],
+             "--cutoffs must be given as comma-separated numbers, got '1, 2'"),
+            (["ruelle-eval", "SPEC", "--z=3,0", "--cutoffs=1,"],
+             "--cutoffs must be given as comma-separated numbers, got '1,'"),
+            (["verify-knot", "trefoil", "--xi=0,1", "--tol=nan"],
+             "--tol must be finite and >= 0, got nan"),
+            (["verify-knot", "trefoil", "--xi=0,1", "--tol=-1"],
+             "--tol must be finite and >= 0, got -1.0"),
+            (["verify-knot", "trefoil", "--xi=0,1", "--tol=inf"],
+             "--tol must be finite and >= 0, got inf"),
         ],
-        ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep", "xi-off-circle"],
+        ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep", "xi-off-circle",
+             "xi-overflow", "xi-underscore", "xi-space", "z-nan", "z-inf", "z-overflow",
+             "z-underscore", "cutoffs-nan", "cutoffs-overflow", "cutoffs-space",
+             "cutoffs-empty-item", "tol-nan", "tol-negative", "tol-inf"],
     )
     def test_exits_1(self, capsys, tmp_path, argv, message):
         spec = tmp_path / "one.spec"
         spec.write_text("rank 1;\ngeo 1 ; 1,0 ;\n")
         code, out, err = run(capsys, *(str(spec) if a == "SPEC" else a for a in argv))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["talex", "ruelle-eval"])
+    def test_number_grammar_forms(self, capsys, tmp_path, command):
+        # signs, a trailing point, either exponent letter: the same two numbers
+        spec = tmp_path / "one.spec"
+        spec.write_text("rank 1;\ngeo 1 ; 1,0 ;\n")
+        target, flag, a = ("trefoil", "--xi", 0) if command == "talex" else (str(spec), "--z", 3)
+        forms = (f"{a},1", f"+{a},+1", f"{a}.,1.", f"{a}e0,1E0", f"{a}0e-1,10E-1", f"{a},.1e1")
+        outputs = {run(capsys, command, target, f"{flag}={v}") for v in forms}
+        assert len(outputs) == 1
+        assert outputs.pop()[::2] == (0, "")
+
+    @pytest.mark.parametrize("tol", ["0", "-0", "1e300"])
+    def test_tol_edges_accepted(self, capsys, tol):
+        code, out, err = run(capsys, "verify-knot", "trefoil", "--xi=0,1", f"--tol={tol}")
+        assert err == ""
+        assert code == (0 if tol == "1e300" else 3)
+        assert f"tolerance = {cli.fmt(float(tol))}\n" in out
 
     def test_second_peripheral_pair_exits_1(self, capsys, tmp_path):
         pres = tmp_path / "two_pairs.pres"

@@ -667,14 +667,18 @@ class TestRuelleEval:
 
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
     def test_cli_computes_one_prefix(self, rng, tmp_path, monkeypatch, capsys, fmt):
+        # 40 entries beyond the largest cutoff make the tail nonzero
         lines = random_geo_lines(rng, 2, 500)
+        lines += [geo_line(float(l), random_unitary(rng, 2)) for l in rng.uniform(7.5, 9.0, 40)]
         path = tmp_path / "s.spec"
         path.write_text("rank 2;\n" + "\n".join(lines) + "\n")
         spec = parse_spectrum(path.read_text())
         cutoffs = [2.0, 0.5, 4.25, 7.0]
         z = 2.75 - 0.5j
         rows = convergence_report(spec, z, cutoffs)
-        value, tail = truncated_ruelle(spec, z)
+        value = truncated_ruelle(spec, z)[0]
+        tail = truncated_ruelle(spec, z, max(cutoffs))[1]
+        assert tail > 0
 
         calls = []
         log_prefix = ruelle._log_prefix
@@ -687,7 +691,7 @@ class TestRuelleEval:
         argv = ["ruelle-eval", str(path), "--z=2.75,-0.5", "--cutoffs=2,0.5,4.25,7",
                 f"--format={fmt}"]
         assert cli.main(argv) == 0
-        assert calls == [500]
+        assert calls == [540]
         out = capsys.readouterr().out
         fields = (json.loads(out) if fmt == "json-lines" else
                   dict(line.split(" = ", 1) for line in out.splitlines()[1:]))

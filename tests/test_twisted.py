@@ -222,6 +222,23 @@ class TestTracedWork:
         assert calls == [8, 16]
 
 
+class TestFoxCap:
+    """boundary2 refuses a tensor of more than MAX_CELLS^2 coefficients; the
+    edge is tested at a cap of 4, 16 coefficients."""
+
+    @pytest.mark.parametrize("power,rank,ok", [(2, 2, True), (3, 2, False), (3, 1, True)])
+    def test_edge(self, monkeypatch, power, rank, ok):
+        # prefix degrees 0..power+1: a rank x rank x (power + 2) tensor
+        pres = parse_presentation(f"gens a b; wirtinger; rel a^{power} b A^{power} B;")
+        rep = UnitaryRep([np.eye(rank)] * 2)
+        monkeypatch.setattr(twisted, "MAX_CELLS", 4)
+        if ok:
+            assert boundary2(pres, rep, skip_generator=1).coef.shape == (rank, rank, power + 2)
+        else:
+            with pytest.raises(ValueError, match=r"2 x 2 x 5 coefficients .* MAX_CELLS\^2 = 16$"):
+                boundary2(pres, rep, skip_generator=1)
+
+
 class TestPivot:
     def test_rank1_character(self):
         pres = parse_presentation(TREFOIL)
@@ -251,6 +268,15 @@ class TestPivot:
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
         rep = UnitaryRep([np.eye(2), np.diag([1j, -1j])])
         assert choose_pivot(pres, rep)[0] == 1
+
+    def test_twisted_alexander_calls_choose_pivot_once(self, monkeypatch):
+        pres = load_corpus_presentation("trefoil")
+        calls = []
+        choose = twisted.choose_pivot
+        monkeypatch.setattr(twisted, "choose_pivot", lambda *a: calls.append(a[2]) or choose(*a))
+        twisted_alexander(pres, UnitaryRep.character(2, 1j))
+        twisted_alexander(pres, UnitaryRep.character(2, 1j), pivot=2)
+        assert calls == [1, 2]
 
 
 class TestEveryGeneratorIsAPivot:
