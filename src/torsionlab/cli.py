@@ -150,15 +150,14 @@ def cmd_verify_knot(args):
     xi = complex(rep.images[0][0, 0])  # the --xi value, bit for bit
 
     result = twisted_alexander(pres, rep)
-    # delta1 of the trivial rep, computed as twisted_alexander computes it
-    trivial = UnitaryRep.character(pres.n_generators, 1.0)
-    trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column).det()
-
     fields = [("presentation", args.presentation), ("xi", fmt_complex(xi))]
     if result.cuspidal is False or result.ruelle_at_0 is None:
         return 2, fields + [("h1_vanishes", fmt_bool(result.h1_vanishes)),
                             ("cuspidal", fmt_bool(result.cuspidal)), WITHHELD]
 
+    # delta1 of the trivial rep, computed as twisted_alexander computes it
+    trivial = UnitaryRep.character(pres.n_generators, 1.0)
+    trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column).det()
     fox_value = result.ruelle_at_0
     cw_value = torsion_report(knot_complex(pres), rep).torsion**2
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of

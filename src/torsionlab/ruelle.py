@@ -7,8 +7,14 @@ reports a crude bound on the entries beyond the cutoff.  No extrapolation
 toward z = 0 is performed: the special value at the origin comes from the
 torsion routes, not from truncation.  A spectrum is held as arrays
 sorted by length, with the z-independent holonomy eigenvalues from one
-batched eigensolve; an evaluation is one array expression over the factors
-plus a running sum in length order, which equals a per-entry loop bit for bit.
+batched eigensolve (at rank 1 the holonomies themselves, which is what
+LAPACK returns for a 1 x 1 matrix); an evaluation is one array expression
+over the factors plus a running sum in length order, which equals a
+per-entry loop bit for bit.  A z at which some factor is not finite (a
+pole, or an overflow of e^{-z l}) is refused with ValueError.  The file
+reader's regex checks only where the numbers stand; the float conversion
+checks the numbers, since over their characters it accepts exactly what
+``NUM`` full-matches.
 """
 
 from __future__ import annotations
@@ -59,8 +65,9 @@ class GeodesicEntry:
 
 class LengthSpectrum:
     """Prime geodesics of rank r: ``lengths`` (E,), ``holonomies`` (E, r, r) and
-    ``eigenvalues`` (E, r, one batched eigensolve), stably sorted by length.
-    An empty spectrum holds (0, 0, 0) and (0, 0) arrays whatever its rank."""
+    ``eigenvalues`` (E, r, one batched eigensolve; at rank 1 a view of the
+    holonomies, bit for bit what the eigensolve returns), stably sorted by
+    length.  An empty spectrum holds (0, 0, 0) and (0, 0) arrays whatever its rank."""
 
     def __init__(self, rank, entries):
         if any(e.holonomy.shape != (rank, rank) for e in entries):
@@ -69,13 +76,14 @@ class LengthSpectrum:
                     np.array([e.holonomy for e in entries], dtype=complex))
 
     def _store(self, rank, lengths, holonomies):
-        """Sort unchecked arrays (holonomies flat or stacked) and solve for eigenvalues."""
+        """Sort unchecked arrays (holonomies flat or stacked) and take their eigenvalues."""
         order = np.argsort(lengths, kind="stable")
         self.rank = rank
         self.lengths = lengths[order]
         self.holonomies = (holonomies.reshape(len(order), rank, rank)[order] if len(order)
                            else np.empty((0, 0, 0), dtype=complex))
-        self.eigenvalues = np.linalg.eigvals(self.holonomies)
+        self.eigenvalues = (self.holonomies.reshape(-1, 1) if rank == 1 and len(order)
+                            else np.linalg.eigvals(self.holonomies))
         return self
 
     @property
@@ -87,15 +95,22 @@ class LengthSpectrum:
 def _log_prefix(spec, z, n):
     """(n + 1,) running sums of -log det(I - rho(gamma) e^{-z l}) over the n
     shortest entries, in length order from 0j as a per-entry loop adds them
-    (principal log of 1 - mu per eigenvalue mu).  Warns at most once, if any
-    of these factors has spectral radius >= 1."""
-    mus = spec.eigenvalues[:n] * np.exp(-z * spec.lengths[:n])[:, None]
-    divergent = np.flatnonzero(np.abs(mus).max(axis=1, initial=0.0) >= 1.0)
+    (principal log of 1 - mu per eigenvalue mu).  Raises ValueError naming the
+    first length whose term is not finite: z is a pole there (mu = 1) or
+    e^{-z l} overflows.  Warns at most once, if any of these factors has
+    spectral radius >= 1."""
+    with np.errstate(all="ignore"):
+        mus = spec.eigenvalues[:n] * np.exp(-z * spec.lengths[:n])[:, None]
+        terms = -np.sum(np.log(1.0 - mus), axis=1)
+        divergent = np.flatnonzero(np.abs(mus).max(axis=1, initial=0.0) >= 1.0)
+    if (bad := np.flatnonzero(~np.isfinite(terms))).size:
+        raise ValueError(f"the Euler factor at length {spec.lengths[bad[0]]} is not finite "
+                         f"at z = {z.real!r},{z.imag!r}")
     if divergent.size:
         warnings.warn(f"{divergent.size} factor(s), the first at length "
                       f"{spec.lengths[divergent[0]]}, have spectral radius >= 1; the Euler "
                       "product diverges there", SpectrumWarning, stacklevel=3)
-    return np.concatenate(([0j], 0j + np.cumsum(-np.sum(np.log(1.0 - mus), axis=1))))
+    return np.concatenate(([0j], 0j + np.cumsum(terms)))
 
 
 def _warn_outside_region(spec, z):
@@ -125,7 +140,8 @@ def truncated_ruelle(spec, z, cutoff=None):
 def _tail_bound(spec, z, n):
     """truncated_ruelle's tail bound over the entries after the n shortest,
     summed in order (np.sum is pairwise)."""
-    q = np.exp(-z.real * spec.lengths[n:])
+    with np.errstate(over="ignore"):  # q = inf at Re z < 0: the entry adds inf
+        q = np.exp(-z.real * spec.lengths[n:])
     skipped = np.full(q.shape, np.inf)
     np.divide(spec.rank * q, 1.0 - q, out=skipped, where=q < 1.0)
     return float(np.cumsum(skipped)[-1]) if skipped.size else 0.0
@@ -172,6 +188,10 @@ _COMMENT = re.compile(rf"#[^{_BREAKS}]*")
 # trailing blanks, an optional comment and the line's end
 _LINE_END = rf"{_BLANK}*(?:{_COMMENT.pattern})?(?:\r\n|[{_BREAKS}]|\Z)"
 _RANK = re.compile(rf"{_BLANK}*rank{_BLANK}+(\d+){_BLANK}*;{_LINE_END}")
+# a number of the block reader: any run of NUM's characters, which the float
+# conversion accepts exactly when it full-matches NUM; sre keeps about a
+# quarter of NUM's state per holonomy pair for it
+_TOKEN = r"[-+.eE0-9\d]+"
 # sre keeps backtracking state for every number of a match until the match
 # ends, so a block is sized by the numbers it holds, not by its lines
 BLOCK_NUMBERS = 1024
@@ -180,12 +200,13 @@ BLOCK_NUMBERS = 1024
 @functools.lru_cache(maxsize=8)
 def _block(pairs):
     """Blank, comment or geo lines as the line reader accepts them, with
-    ``pairs`` holonomy pairs per geo line (no geo line when pairs is 0): as
-    many lines as hold BLOCK_NUMBERS numbers, and at least one."""
+    ``pairs`` holonomy pairs per geo line (no geo line when pairs is 0) and
+    any _TOKEN where the line reader has a NUM: as many lines as hold
+    BLOCK_NUMBERS numbers, and at least one."""
     line = f"{_BLANK}*"
     if pairs:
-        pair = f"{NUM},{NUM}"
-        line += (rf"(?:geo{_BLANK}+{NUM}{_BLANK}*;{_BLANK}*{pair}"
+        pair = f"{_TOKEN},{_TOKEN}"
+        line += (rf"(?:geo{_BLANK}+{_TOKEN}{_BLANK}*;{_BLANK}*{pair}"
                  rf"(?:{_BLANK}+{pair}){{{pairs - 1}}}{_BLANK}*;)?")
     lines = max(1, BLOCK_NUMBERS // (1 + 2 * pairs))
     return re.compile(rf"(?:{line}{_LINE_END}){{1,{lines}}}")
@@ -233,8 +254,10 @@ def parse_spectrum(text):
     prime geodesic: the holonomy row major as r*r pairs ``re,im`` separated
     by whitespace; ``#`` starts a comment.  Lengths and unitarity are checked
     after the last line; the error names the line of the first entry that
-    fails.  Blocks of lines that all parse are converted with one float()
-    pass each; any failure is reported by the line reader."""
+    fails.  A block regex checks where the numbers stand, each a run of NUM's
+    characters (_TOKEN), and one numpy conversion per block checks and reads
+    them; a failure of either is reported by the line reader.  At rank 1 the
+    holonomies are their own eigenvalues, so no eigensolve runs."""
     pos = 0
     while pos < len(text) and (m := _block(0).match(text, pos)):
         pos = m.end()
@@ -250,7 +273,12 @@ def parse_spectrum(text):
         lines = m[0]
         if "#" in lines:
             lines = _COMMENT.sub("", lines)
-        nums.extend(map(float, lines.replace("geo", " ").replace(";", " ").replace(",", " ").split()))
+        try:
+            block_nums = np.array(lines.replace("geo", " ").replace(";", " ").replace(",", " ")
+                                  .split(), dtype=float)
+        except ValueError:
+            _raise_first_error(text)
+        nums.frombytes(block_nums.tobytes())
         pos = m.end()
     if not nums:
         return LengthSpectrum(rank, ())

@@ -13,7 +13,7 @@ import pytest
 import torsionlab.cli as cli
 from torsionlab.cli import main
 from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
-from torsionlab.laurent import TRIM_TOL
+from torsionlab.laurent import TRIM_TOL, LaurentMatrix
 from torsionlab.ruelle import parse_spectrum, truncated_ruelle
 from torsionlab.twisted import twisted_alexander
 
@@ -231,6 +231,17 @@ class TestVerifyKnot:
         code, out, _ = run(capsys, "verify-knot", "trefoil", "--xi=1,0")
         assert code == 2
         assert "withheld" in out
+
+    def test_withheld_run_skips_the_trivial_determinant(self, capsys, monkeypatch):
+        # delta0 and delta1 of the --xi rep; the trivial rep's delta1 feeds only
+        # the closed form, which a withheld run does not print
+        calls = []
+        det = LaurentMatrix.det
+        monkeypatch.setattr(LaurentMatrix, "det", lambda m: calls.append(m.rows) or det(m))
+        code, out, err = run(capsys, "verify-knot", "trefoil", "--xi=1,0")
+        assert (code, err, len(calls)) == (2, "", 2)
+        assert out == ("[verify-knot]\npresentation = trefoil\nxi = 1,0\nh1_vanishes = true\n"
+                       "cuspidal = false\nvalues = withheld (hypotheses fail)\n")
 
     def test_deviation_breach_exits_3(self, capsys):
         # the trefoil routes differ by a few ulps, far above this tolerance
@@ -460,6 +471,22 @@ class TestRuelleEval:
             warnings.simplefilter("always")
             code, out, err = run(capsys, "ruelle-eval", str(sp), "--z=3,0")
         assert (code, out, err, caught) == (1, "", f"error: {message} (line 3)\n", [])
+
+    @pytest.mark.parametrize(
+        "z,shown",
+        [
+            ("--z=-800,0", "-800.0,0.0"),  # e^{-z l} overflows: the factor reads nan
+            ("--z=0,0", "0.0,0.0"),  # a pole: 1 - mu = 0 for the trivial holonomy
+        ],
+    )
+    def test_non_finite_factor_exits_1_without_warnings(self, capsys, tmp_path, z, shown):
+        sp = tmp_path / "one.spec"
+        sp.write_text("rank 1;\ngeo 1 ; 1,0 ;\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "ruelle-eval", str(sp), z, "--cutoffs=2,7")
+        assert (code, out, caught) == (1, "", [])
+        assert err == f"error: the Euler factor at length 1.0 is not finite at z = {shown}\n"
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         sp = tmp_path / "bad.spec"

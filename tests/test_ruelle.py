@@ -1,5 +1,6 @@
 """Length spectra and truncated Euler products."""
 
+import itertools
 import json
 import re
 import tracemalloc
@@ -8,6 +9,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab.cli as cli
 import torsionlab.ruelle as ruelle
@@ -99,6 +102,19 @@ def loop_report(entries, z, cutoffs):
     return rows
 
 
+def count_eigensolves(monkeypatch):
+    """The list to which each np.linalg.eigvals call appends its matrix count."""
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return solved
+
+
 def spectrum_of(pairs, rank=1):
     entries = tuple(
         GeodesicEntry(length=l, holonomy=np.atleast_2d(np.asarray(h, dtype=complex)))
@@ -142,20 +158,31 @@ class TestEntriesAndSpectrum:
             np.testing.assert_array_equal(eig, np.linalg.eigvals(e.holonomy))
 
     def test_one_eigensolve_per_entry(self, monkeypatch):
-        solved = []
-        eigvals = np.linalg.eigvals
-
-        def counting(a):
-            solved.append(int(np.prod(np.shape(a)[:-2])))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        solved = count_eigensolves(monkeypatch)
         lines = ["rank 2;"] + [f"geo {1 + 0.1 * k} ; 1,0 0,0 0,0 0,1 ;" for k in range(30)]
         spec = parse_spectrum("\n".join(lines))
         convergence_report(spec, 3.0, [1.5, 2.5, 9.0])
         truncated_ruelle(spec, 3.0)
         truncated_ruelle(spec, 3.0, cutoff=2.0)
         assert solved == [30]
+
+    def test_rank1_eigenvalues_are_the_holonomies(self, monkeypatch):
+        # every signed zero next to a unit part, then random phases
+        signed = [(a, b) for a in (0.0, -0.0) for b in (1.0, -1.0)]
+        parts = signed + [(b, a) for a, b in signed]
+        phases = np.random.default_rng(11).uniform(-np.pi, np.pi, 2000)
+        parts += [(float(np.cos(t)), float(np.sin(t))) for t in phases]
+        text = "rank 1;\n" + "".join(f"geo {1 + k} ; {a!r},{b!r} ;\n"
+                                      for k, (a, b) in enumerate(parts))
+        solved = count_eigensolves(monkeypatch)
+        spec = parse_spectrum(text)
+        ruelle.ruelle_eval(spec, 3.0, [2.0, 9.0])
+        assert solved == []
+        monkeypatch.undo()
+        want = np.linalg.eigvals(spec.holonomies)
+        got = spec.eigenvalues
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        assert got.shape == (len(parts), 1)
 
 
 class TestTruncatedRuelle:
@@ -267,14 +294,40 @@ class TestTruncatedRuelle:
     def test_one_spectral_radius_warning_per_call(self):
         # at Re z <= 2 many factors diverge; each call warns about them once
         spec = spectrum_of([(0.1 * k, [[1.0]]) for k in range(1, 40)])
+        # |mu| = 1 exactly, away from the pole mu = 1
+        edge = spectrum_of([(0.1 * k, [[-1.0]]) for k in range(1, 40)])
         for call in (lambda: truncated_ruelle(spec, -0.5 + 0j),
-                     lambda: truncated_ruelle(spec, 0.0, cutoff=2.0),
+                     lambda: truncated_ruelle(edge, 0.0, cutoff=2.0),
                      lambda: convergence_report(spec, -1.0, [1.0, 2.0, 4.0])):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 call()
             radius = [w for w in record if "spectral radius" in str(w.message)]
             assert len(radius) == 1
+
+    @pytest.mark.parametrize("z, h", [(0.0, 1.0), (-800.0, 1.0), (-800.0, -1.0), (-800.0, 1j)])
+    def test_non_finite_factor_raises(self, z, h):
+        # z = 0 at mu = 1 is a pole; at Re z = -800, e^{-z l} overflows from
+        # l = 1 on and mu is inf or nan; no numpy warning escapes either way
+        spec = spectrum_of([(0.5, [[1j]]), (1.0, [[h]]), (2.0, [[h]])])
+        message = rf"the Euler factor at length 1.0 is not finite at z = {z!r},0.0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectrumWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (lambda: truncated_ruelle(spec, z),
+                         lambda: convergence_report(spec, z, [1.5, 0.7]),
+                         lambda: ruelle.ruelle_eval(spec, z, [3.0])):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            # the factors up to a cutoff below the fault are finite
+            assert truncated_ruelle(spec, z, cutoff=0.7)[0] != 0
+
+    def test_overflowing_tail_reads_inf_without_warnings(self):
+        spec = spectrum_of([(1.0, [[1.0]]), (2.0, [[1.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectrumWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert truncated_ruelle(spec, -800.0, cutoff=0.5) == (1.0, np.inf)
 
     def test_no_spectral_radius_warning_beyond_the_cutoff(self):
         # a divergent factor past the cutoff is never evaluated
@@ -509,6 +562,45 @@ DECORATIONS = {
 }
 
 
+NOT_NUMBERS = ["1e5e5", "1-2", "+-1", "1.2.3", ".", "e5", "1e", "1e+", "-"]
+
+
+def converts(s):
+    """(float(s), np.array([s], dtype=float)) as bytes, None where one raises."""
+    out = []
+    for conv in (lambda: np.float64(float(s)), lambda: np.array([s], dtype=float)[0]):
+        try:
+            out.append(conv().tobytes())
+        except ValueError:
+            out.append(None)
+    return tuple(out)
+
+
+class TestNumberTokens:
+    """Over the block reader's token class, float() and numpy's str -> float64
+    accept a string exactly when NUM full-matches it, with the same bits."""
+
+    NUM = re.compile(ruelle.NUM)
+
+    def check(self, s):
+        assert re.fullmatch(ruelle._TOKEN, s)
+        by_float, by_numpy = converts(s)
+        assert by_float == by_numpy, s
+        assert (by_float is not None) == bool(self.NUM.fullmatch(s)), s
+
+    def test_exhaustive_short_strings(self):
+        alphabet = "-+.eE01١"
+        for n in range(1, 6):
+            for chars in itertools.product(alphabet, repeat=n):
+                self.check("".join(chars))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.text(st.sampled_from("-+.eE0123456789") | st.characters(categories=["Nd"]),
+                   min_size=1, max_size=16))
+    def test_property(self, s):
+        self.check(s)
+
+
 class TestBlockReader:
     """parse_spectrum equals the line-by-line reader it replaced, bit for bit."""
 
@@ -574,6 +666,10 @@ class TestBlockReader:
         "geo -1 ; 1,0 ;",
         "geo 1e999 ; 1,0 ;",
         "geo 1 ; 1e200,0 ;",
+        # strings of NUM's characters that are no number: the block regex
+        # takes them, the conversion refuses them
+        *(f"geo 1 ; 0,{t} ;" for t in NOT_NUMBERS),
+        *(f"geo {t} ; 1,0 ;" for t in NOT_NUMBERS),
     ]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -618,6 +714,22 @@ class TestBlockReader:
             tracemalloc.stop()
         assert len(spec.lengths) == 20000
         assert peak < 12e6, f"{peak / 1e6:.1f} MB"
+
+    def test_peak_memory_of_a_long_line(self):
+        # one rank-100 geo line of 10 000 pairs: sre's state for the line
+        # (about 0.28 KB a pair) and the number arrays; with NUM spelled out
+        # per number the state is about 1.1 KB a pair, 11 MB in all
+        rank = 100
+        pairs = ["1,0" if i == j else "0,0" for i in range(rank) for j in range(rank)]
+        text = f"rank {rank};\ngeo 1 ; " + " ".join(pairs) + " ;\n"
+        tracemalloc.start()
+        try:
+            spec = parse_spectrum(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(spec.holonomies[0], np.eye(rank))
+        assert peak < 5e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestRuelleEval:
