@@ -157,7 +157,7 @@ def cmd_verify_knot(args):
 
     # delta1 of the trivial rep, computed as twisted_alexander computes it
     trivial = UnitaryRep.character(pres.n_generators, 1.0)
-    trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column).det()
+    trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column)[0].det()
     fox_value = result.ruelle_at_0
     cw_value = torsion_report(knot_complex(pres), rep).torsion**2
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of

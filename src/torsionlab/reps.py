@@ -102,15 +102,16 @@ class UnitaryRep:
             raise ValueError(
                 f"word uses generator {exc.args[0][0]}, rep has {len(self.images)}") from None
 
-    def validate_against(self, pres):
-        """Check that every relator maps to the identity (well-definedness)."""
+    def validate_against(self, pres, relator_images=None):
+        """Check that each relator's image, walked or from ``relator_images``, is I."""
         if pres.n_generators != len(self.images):
             raise ValueError(
                 f"presentation has {pres.n_generators} generators, "
                 f"rep has {len(self.images)} images"
             )
-        for k, r in enumerate(pres.relators):
-            err = np.linalg.norm(self.of_word(r) - np.eye(self.rank))
+        images = map(self.of_word, pres.relators) if relator_images is None else relator_images
+        for k, image in enumerate(images):
+            err = np.linalg.norm(image - np.eye(self.rank))
             if not err <= RELATOR_TOL:
                 raise ValueError(
                     f"relator {k + 1} maps to a non-identity matrix (defect {err:.2e})"

@@ -50,7 +50,7 @@ def _generator_block(rep, i):
 
 
 def boundary2(pres, rep, skip_generator=None):
-    """The (n-1)r x nr Fox Jacobian under Phi.
+    """The (n-1)r x nr Fox Jacobian under Phi, and the list of relator images.
 
     Block (j, i) is Phi(d r_j / d x_i); with ``skip_generator`` the
     corresponding block column is deleted (pivot removal).
@@ -58,10 +58,11 @@ def boundary2(pres, rep, skip_generator=None):
     The Fox term of a letter x_i is +rho(prefix) t**deg(prefix) with the
     prefix before it, and of x_i^-1 it is -rho(prefix) t**deg(prefix) with
     the prefix through it.  Each relator is walked once, by
-    ``rep.prefix_products``; one ``np.add.at`` adds all terms, the negative
-    ones negated exactly, into the flat coefficient tensor (relator j's rows
-    start at its lowest degree), unbuffered and in word order.  As a - b is
-    a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
+    ``rep.prefix_products``, to its last letter: that prefix is the relator's
+    image, bitwise ``rep.of_word``'s.  One ``np.add.at`` adds all terms, the
+    negative ones negated exactly, into the flat coefficient tensor (relator
+    j's rows start at its lowest degree), unbuffered and in word order.  As
+    a - b is a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
 
     A tensor of more than MAX_CELLS^2 coefficients, the budget of one capped
     Laplacian, is a ValueError before it is allocated.
@@ -81,19 +82,21 @@ def boundary2(pres, rep, skip_generator=None):
     # offsets in the flat coef: block column c of generator i, entry (a, b) of a block
     column = {i: c * r * width for c, i in enumerate(cols)}
     entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
-    terms, prods = [], [np.empty((0, r, r))]
+    terms, prods, images = [], [np.empty((0, r, r))], []
     for j, (rel, deg, low) in enumerate(zip(pres.relators, prefix_degs, lows)):
         row = j * r * coef.shape[1] * width - low
         # letter k's term: its prefix length, its block's first entry, its sign
         rel_terms = [(k + (s < 0), row + column[i] + d - (s < 0), s)
                      for k, ((i, s), d) in enumerate(zip(rel.letters, deg)) if i in column]
-        prods.append(rep.prefix_products(rel.letters, [t[0] for t in rel_terms]))
+        walk = rep.prefix_products(rel.letters, [t[0] for t in rel_terms] + [len(rel)])
+        prods.append(walk[:-1])
+        images.append(walk[-1])
         terms += rel_terms
     _, first, signs = np.array(terms, dtype=int).reshape(-1, 3).T
     prods = np.concatenate(prods)
     np.negative(prods, out=prods, where=(signs < 0)[:, None, None])
     np.add.at(coef.reshape(-1), (first[:, None, None] + entry).ravel(), prods.ravel())
-    return LaurentMatrix(np.repeat(lows, r), coef)
+    return LaurentMatrix(np.repeat(lows, r), coef), images
 
 
 def choose_pivot(pres, rep, pivot=1):
@@ -122,17 +125,18 @@ def cuspidality_check(rep, pres):
     """True iff only the zero vector is fixed by both peripheral images, None
     (unknown) when the presentation has no meridian/longitude words.
 
-    Computed as a full-rank test on the stacked matrix
-    [rho(meridian) - I; rho(longitude) - I].
+    Full rank of [rho(meridian) - I; rho(longitude) - I]: singular values
+    above CUSPIDAL_TOL.  Rows lower no singular value, so the meridian alone
+    decides when those of rho(meridian) - I are above 2 CUSPIDAL_TOL.
     """
     if not pres.has_peripheral:
         return None
-    r = rep.rank
-    stacked = np.vstack(
-        [rep.of_word(pres.meridian) - np.eye(r), rep.of_word(pres.longitude) - np.eye(r)]
-    )
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv > CUSPIDAL_TOL)) == r
+    eye = np.eye(rep.rank)
+    stacked = rep.of_word(pres.meridian) - eye
+    if np.linalg.svd(stacked, compute_uv=False).min() > 2 * CUSPIDAL_TOL:
+        return True
+    sv = np.linalg.svd(np.vstack([stacked, rep.of_word(pres.longitude) - eye]), compute_uv=False)
+    return int(np.sum(sv > CUSPIDAL_TOL)) == rep.rank
 
 
 @dataclass(frozen=True)
@@ -155,9 +159,10 @@ def twisted_alexander(pres, rep, pivot=1):
     """
     if not pres.wirtinger:
         raise ValueError("twisted_alexander requires a Wirtinger presentation")
-    rep.validate_against(pres)
+    b2, relator_images = boundary2(pres, rep, skip_generator=pivot)
+    rep.validate_against(pres, relator_images)
     pivot, delta0 = choose_pivot(pres, rep, pivot)
-    delta1 = boundary2(pres, rep, skip_generator=pivot).det()
+    delta1 = b2.det()
 
     value1, h1_vanishes = value_at_1(delta1)
     value0, delta0_nonzero = value_at_1(delta0)
@@ -167,12 +172,6 @@ def twisted_alexander(pres, rep, pivot=1):
     if h1_vanishes and delta0_nonzero:
         torsion = abs(value1 / value0)
         ruelle = torsion**2
-    return TwistedAlexanderResult(
-        delta0=delta0,
-        delta1=delta1,
-        pivot_column=pivot,
-        h1_vanishes=h1_vanishes,
-        cuspidal=cuspidal,
-        torsion_at_1=torsion,
-        ruelle_at_0=ruelle,
-    )
+    return TwistedAlexanderResult(delta0=delta0, delta1=delta1, pivot_column=pivot,
+                                  h1_vanishes=h1_vanishes, cuspidal=cuspidal,
+                                  torsion_at_1=torsion, ruelle_at_0=ruelle)

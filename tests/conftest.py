@@ -161,6 +161,22 @@ def up_to_unit_monomial(p, q, tol=1e-9):
     return close_to(p, shifted, rtol=tol)
 
 
+def float_edge(pred, lo, hi):
+    """Adjacent positive floats (a, b) between lo and hi with pred(a) == pred(lo)
+    and pred(b) == pred(hi) != pred(lo), by bisection on the float64 bit
+    patterns, which order positive floats as their values."""
+    assert pred(lo) != pred(hi)
+    a, b = (np.float64(x).view(np.int64) for x in (lo, hi))
+    want = pred(lo)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if pred(mid.view(np.float64)) == want:
+            a = mid
+        else:
+            b = mid
+    return float(a.view(np.float64)), float(b.view(np.float64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -3,9 +3,10 @@
 None of this is on a command-line path: Laurent polynomial arithmetic and
 matrices packed from entries, group-ring arithmetic on {Word: coefficient}
 dicts, rho of a word one matmul per letter, the first and second boundary
-matrices of a presentation by a letter-by-letter walk, pivot candidates,
-the circle complex, the knot complex's 2-cells from Fox derivatives and
-the combinatorial Laplacian of a degree.
+matrices of a presentation by a letter-by-letter walk, the cuspidality rule
+on both peripheral words, pivot candidates, the circle complex, the knot
+complex's 2-cells from Fox derivatives and the combinatorial Laplacian of a
+degree.
 """
 
 import functools
@@ -15,7 +16,7 @@ import numpy as np
 from torsionlab.cwcomplex import Incidence, TwistedCWComplex, _laplacian, twisted_boundary
 from torsionlab.freegroup import Word, fox_derivative
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
-from torsionlab.twisted import _generator_block, phi_apply
+from torsionlab.twisted import CUSPIDAL_TOL, _generator_block, phi_apply
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
@@ -196,6 +197,14 @@ def boundary2_sequential(pres, rep, skip_generator=None):
                 if c is not None:
                     out[:, c, :, deg[k + 1] - low] -= prefix
     return coef.reshape(len(lows) * r, len(cols) * r, width)
+
+
+def cuspidal_stacked(rep, pres):
+    """The cuspidality rule on the stacked matrix alone: every singular value of
+    [rho(meridian) - I; rho(longitude) - I] above CUSPIDAL_TOL, both words walked."""
+    eye = np.eye(rep.rank)
+    stacked = np.vstack([rep.of_word(pres.meridian) - eye, rep.of_word(pres.longitude) - eye])
+    return int(np.sum(np.linalg.svd(stacked, compute_uv=False) > CUSPIDAL_TOL)) == rep.rank
 
 
 def boundary1(pres, rep):

@@ -129,7 +129,7 @@ def test_criterion_05_chain_condition(rng):
         pres = load_corpus_presentation(name)
         for k in range(20):
             rep = random_abelian_rep(rng, pres.n_generators, k % 3 + 1)
-            prod = matmul(boundary2(pres, rep), boundary1(pres, rep))
+            prod = matmul(boundary2(pres, rep)[0], boundary1(pres, rep))
             worst = max(worst, max_abs_coeff(prod))
     report(
         5,

@@ -18,13 +18,14 @@ from torsionlab import (
     torsion_report,
     twisted_alexander,
 )
-from torsionlab.cwcomplex import twisted_boundary
+from torsionlab.cwcomplex import ZERO_EIG_REL_TOL, twisted_boundary
 from torsionlab.freegroup import fox_derivative
 from torsionlab.presentations import MAX_WORD_LETTERS
 from torsionlab.twisted import boundary2
 
 from conftest import (
     KNOT_NAMES,
+    float_edge,
     load_corpus_presentation,
     random_abelian_rep,
     random_unitary,
@@ -136,7 +137,7 @@ class TestTwistedBoundary:
             )
             np.testing.assert_allclose(
                 twisted_boundary(cx, rep, 2).T,
-                eval_at(boundary2(pres, rep), 1.0),
+                eval_at(boundary2(pres, rep)[0], 1.0),
                 atol=1e-10,
             )
 
@@ -318,6 +319,37 @@ class TestTorsionReport:
         assert sorted(calls) == [1, 2]
         monkeypatch.setattr(cwcomplex, "twisted_boundary", original)
         assert rpt == torsion_report(cx, UnitaryRep.character(2, 1j))
+
+
+class TestZeroEigenvalueEdge:
+    """ZERO_EIG_REL_TOL at its edge, on the circle with xi = e^{i theta}.
+
+    Scale: ``eigvalsh`` is backward stable, so each computed eigenvalue of a
+    Hermitian Laplacian is within a small multiple of eps * lambda_max of
+    the true one, and a true zero comes out below about 1e-16 lambda_max
+    times a factor of the side.  The cutoff ZERO_EIG_REL_TOL (1 + lambda_max)
+    = 1e-8 (1 + lambda_max) leaves orders of magnitude of room for that at
+    every side up to MAX_CELLS; the 1 keeps it at least 1e-8 when every
+    eigenvalue is small.
+
+    Both Laplacians of the circle are [|1 - xi|^2], so lambda_max = lambda
+    and lambda is in the kernel when lambda < 1e-8 (1 + lambda), at theta
+    near 1e-4: bisecting theta over floats puts lambda on both sides."""
+
+    @staticmethod
+    def report(theta):
+        return torsion_report(circle_complex(), UnitaryRep.character(1, np.exp(1j * theta)))
+
+    def test_betti_flips(self):
+        kernel, no_kernel = float_edge(lambda theta: self.report(theta).betti, 1e-5, 1e-3)
+        for theta, betti in ((kernel, (1, 1)), (no_kernel, (0, 0))):
+            rpt = self.report(theta)
+            assert rpt.betti == betti
+            (lam,), (lam1,) = rpt.spectra
+            assert lam == lam1
+            assert (lam < ZERO_EIG_REL_TOL * (1 + lam)) == (betti == (1, 1))
+            assert lam == pytest.approx(theta**2, rel=1e-6)
+        assert abs(kernel - 1e-4) <= 1e-12
 
 
 class TestKnotComplex:

@@ -7,12 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
-from torsionlab import ParseError, UnitaryRep, Word, parse_presentation, parse_spectrum
+from torsionlab import (
+    ParseError,
+    UnitaryRep,
+    Word,
+    parse_presentation,
+    parse_spectrum,
+    twisted_alexander,
+)
 import torsionlab.reps as reps
-from torsionlab.reps import UNITARITY_TOL, parse_representation, unitarity_defects
+from torsionlab.reps import RELATOR_TOL, UNITARITY_TOL, parse_representation, unitarity_defects
 from torsionlab.ruelle import GeodesicEntry
 
-from conftest import random_unitary
+from conftest import float_edge, random_unitary
 from oracles import of_word_sequential
 
 
@@ -78,6 +85,70 @@ class TestUnitaryRep:
         bad = UnitaryRep([np.array([[1j]]), np.array([[-1j]])])
         with pytest.raises(ValueError, match="relator"):
             bad.validate_against(pres)
+
+
+class TestRelatorEdge:
+    """One rule, in ``validate_against``, for a walk of each relator and for
+    the relator images ``twisted_alexander`` reads off the Fox walk.
+
+    rho(a) = R_phi, a rotation, and rho(b) = diag(1, -1) send the
+    commutator to R_{2 phi}, of defect 2 sqrt 2 sin(phi); bisecting phi over
+    floats puts the defect on both sides of RELATOR_TOL."""
+
+    PRES = "gens a b; wirtinger; rel a b A B;"
+
+    @staticmethod
+    def rep(phi):
+        c, s = np.cos(phi), np.sin(phi)
+        return UnitaryRep([np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])])
+
+    def verdicts(self, phi):
+        """Whether validate_against (walking, and on given images) and
+        twisted_alexander accept the rep."""
+        pres, rep = parse_presentation(self.PRES), self.rep(phi)
+        out = []
+        for check in (lambda: rep.validate_against(pres),
+                      lambda: rep.validate_against(pres, [rep.of_word(pres.relators[0])]),
+                      lambda: twisted_alexander(pres, rep)):
+            try:
+                check()
+                out.append(True)
+            except ValueError as exc:
+                assert str(exc).startswith("relator 1 maps to a non-identity matrix (defect ")
+                out.append(False)
+        return out
+
+    def test_same_verdict_on_both_sides(self):
+        pres = parse_presentation(self.PRES)
+
+        def defect(phi):
+            return np.linalg.norm(self.rep(phi).of_word(pres.relators[0]) - np.eye(2))
+
+        inside, outside = float_edge(lambda phi: defect(phi) <= RELATOR_TOL,
+                                     0.1 * RELATOR_TOL, RELATOR_TOL)
+        assert defect(inside) <= RELATOR_TOL < defect(outside)
+        assert defect(outside) - defect(inside) <= 8 * np.spacing(RELATOR_TOL)
+        assert self.verdicts(inside) == [True] * 3
+        assert self.verdicts(outside) == [False] * 3
+
+    def test_given_images_are_checked_in_order(self):
+        pres = parse_presentation("gens a b c; wirtinger; rel a b A B; rel b c B C;")
+        rep = UnitaryRep.character(3, 1j)
+        rep.validate_against(pres, [np.eye(1)] * 2)
+        for images, k in (([np.eye(1), [[np.nan]]], 2), ([[[1j]], [[np.nan]]], 1)):
+            with pytest.raises(ValueError, match=rf"^relator {k} maps to a non-identity matrix"):
+                rep.validate_against(pres, np.array(images, dtype=complex))
+
+    def test_twisted_alexander_validates_on_the_fox_walk(self, monkeypatch):
+        pres, rep = parse_presentation(self.PRES), self.rep(0.3)
+        seen = []
+        validate = UnitaryRep.validate_against
+        monkeypatch.setattr(UnitaryRep, "validate_against",
+                            lambda r, p, images=None: seen.append(images) or validate(r, p, images))
+        with pytest.raises(ValueError, match=r"^relator 1 maps to a non-identity matrix"):
+            twisted_alexander(pres, rep)
+        [images] = seen
+        assert images[0].tobytes() == rep.of_word(pres.relators[0]).tobytes()
 
 
 class TestPrefixProducts:
@@ -213,14 +284,9 @@ def unitarity_edge(seed):
     """A seeded rank-2 matrix whose defect is the largest at most
     UNITARITY_TOL along its shear, and the one with the next larger beta."""
     phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, 3)
-    lo, hi = (np.float64(f * UNITARITY_TOL / np.sqrt(2)).view(np.int64) for f in (0.5, 1.5))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if unitarity_defects(sheared(phases, mid.view(np.float64))[None])[1][0]:
-            lo = mid
-        else:
-            hi = mid
-    return sheared(phases, lo.view(np.float64)), sheared(phases, hi.view(np.float64))
+    inside, outside = float_edge(lambda beta: unitarity_defects(sheared(phases, beta)[None])[1][0],
+                                 *(f * UNITARITY_TOL / np.sqrt(2) for f in (0.5, 1.5)))
+    return sheared(phases, inside), sheared(phases, outside)
 
 
 class TestUnitarityEdge:

@@ -9,6 +9,7 @@ from torsionlab.laurent import LaurentMatrix
 from torsionlab.reps import UNITARITY_TOL
 from torsionlab import twisted
 from torsionlab.twisted import (
+    CUSPIDAL_TOL,
     H1_TOL,
     boundary2,
     choose_pivot,
@@ -20,6 +21,7 @@ from torsionlab.twisted import (
 from conftest import (
     KNOT_NAMES,
     SEIFERT,
+    float_edge,
     load_corpus_presentation,
     random_abelian_rep,
     random_unitary,
@@ -33,6 +35,7 @@ from oracles import (
     boundary1,
     boundary2_sequential,
     close_to,
+    cuspidal_stacked,
     matmul,
     max_abs_coeff,
     mul,
@@ -102,13 +105,13 @@ class TestBoundaries:
 
     def test_boundary2_unknot_is_empty(self):
         pres = parse_presentation("gens a; wirtinger;")
-        b2 = boundary2(pres, UnitaryRep.character(1, 1j))
+        b2, _ = boundary2(pres, UnitaryRep.character(1, 1j))
         assert b2.rows == 0
 
     def test_boundary2_trefoil_trivial_rep(self):
         # first entry is the abelianized Fox derivative 1 - t + t^2... times t^0
         pres = parse_presentation(TREFOIL)
-        b2 = boundary2(pres, UnitaryRep.character(2, 1.0))
+        b2, _ = boundary2(pres, UnitaryRep.character(2, 1.0))
         assert (b2.rows, b2.cols) == (1, 2)
         assert close_to(b2[0, 0], LaurentPoly(0, [1, -1, 1]), rtol=1e-12)
 
@@ -118,7 +121,7 @@ class TestBoundaries:
         for k in range(6):
             rank = k % 3 + 1
             rep = random_abelian_rep(rng, pres.n_generators, rank)
-            prod = matmul(boundary2(pres, rep), boundary1(pres, rep))
+            prod = matmul(boundary2(pres, rep)[0], boundary1(pres, rep))
             assert max_abs_coeff(prod) <= 1e-10
 
 
@@ -137,7 +140,7 @@ def boundary2_reference(pres, rep, skip_generator=None):
 class TestBoundary2AgainstReference:
     def compare(self, pres, rep, exact):
         for skip in [None] + list(range(1, pres.n_generators + 1)):
-            got = boundary2(pres, rep, skip_generator=skip)
+            got, _ = boundary2(pres, rep, skip_generator=skip)
             ref = boundary2_reference(pres, rep, skip_generator=skip)
             n_cols = (pres.n_generators - (skip is not None)) * rep.rank
             assert (got.rows, got.cols) == (len(ref), n_cols)
@@ -178,7 +181,7 @@ class TestBoundary2AgainstReference:
                                 for _ in range(pres.n_generators)]))
         for rep in reps:
             for skip in (None, 1, pres.n_generators):
-                got = boundary2(pres, rep, skip_generator=skip).coef
+                got = boundary2(pres, rep, skip_generator=skip)[0].coef
                 assert got.tobytes() == boundary2_sequential(pres, rep, skip).tobytes()
 
     @pytest.mark.parametrize("make", [
@@ -192,8 +195,25 @@ class TestBoundary2AgainstReference:
         for r in (1, 2, 3):
             rep = UnitaryRep([random_unitary(rng, r) for _ in range(pres.n_generators)])
             for skip in (None, 2):
-                got = boundary2(pres, rep, skip_generator=skip).coef
+                got = boundary2(pres, rep, skip_generator=skip)[0].coef
                 assert got.tobytes() == boundary2_sequential(pres, rep, skip).tobytes()
+
+
+    @pytest.mark.parametrize("make,ranks", [
+        (lambda: torus_braid_closure(2, 63), (1,)),
+        (lambda: torus_braid_closure(3, 16), (1, 2, 3)),
+        (lambda: parse_presentation("gens a b; rel " + "a b a^-1 b^-1 " * 3 + ";"), (1, 2, 3)),
+    ], ids=["T(2,63)", "T(3,16)", "commutator cubed"])
+    def test_relator_images_are_of_word_bitwise(self, make, ranks, rng):
+        # the relator images that validate the rep are the walk's last prefixes
+        pres = make()
+        for r in ranks:
+            rep = UnitaryRep([random_unitary(rng, r) for _ in range(pres.n_generators)])
+            for skip in (None, 1, 2):
+                _, images = boundary2(pres, rep, skip_generator=skip)
+                assert len(images) == len(pres.relators)
+                for image, rel in zip(images, pres.relators):
+                    assert image.tobytes() == rep.of_word(rel).tobytes()
 
 
 class TestTracedWork:
@@ -205,7 +225,7 @@ class TestTracedWork:
         built = []
         init = LaurentPoly.__init__
         monkeypatch.setattr(LaurentPoly, "__init__", lambda p, *a: built.append(1) or init(p, *a))
-        b2 = boundary2(pres, rep, skip_generator=1)
+        b2, _ = boundary2(pres, rep, skip_generator=1)
         assert type(b2) is LaurentMatrix
         assert b2.coef.shape[:2] == (16, 16)
         assert not built
@@ -233,7 +253,7 @@ class TestFoxCap:
         rep = UnitaryRep([np.eye(rank)] * 2)
         monkeypatch.setattr(twisted, "MAX_CELLS", 4)
         if ok:
-            assert boundary2(pres, rep, skip_generator=1).coef.shape == (rank, rank, power + 2)
+            assert boundary2(pres, rep, skip_generator=1)[0].coef.shape == (rank, rank, power + 2)
         else:
             with pytest.raises(ValueError, match=r"2 x 2 x 5 coefficients .* MAX_CELLS\^2 = 16$"):
                 boundary2(pres, rep, skip_generator=1)
@@ -336,6 +356,173 @@ class TestCuspidality:
         # without meridian/longitude words cuspidality is unknown
         pres = parse_presentation(TREFOIL)
         assert cuspidality_check(UnitaryRep.character(2, 1j), pres) is None
+
+
+PERIPHERAL = "gens a b; rel a b a^-1 b^-1; meridian a; longitude b;"
+
+
+class TestCuspidalEdge:
+    """``cuspidality_check`` decides as the stacked rule, kept as
+    ``oracles.cuspidal_stacked``, on both sides of each of its edges.
+
+    Scale: rho is unitary, so rho(w) - I has 2-norm at most 2 and the
+    stacked matrix [rho(meridian) - I; rho(longitude) - I] at most 2 sqrt 2.
+    LAPACK's singular values are within about eps times that norm, 6e-16,
+    of the true ones, so CUSPIDAL_TOL = 1e-9 can be absolute: it sits six
+    orders of magnitude above the rounding at every rank.
+
+    Interlacing: with A = rho(meridian) - I and B = rho(longitude) - I the
+    stacked matrix has Gram matrix A^H A + B^H B >= A^H A, so by Weyl's
+    monotonicity each of its singular values is at least A's of the same
+    index.  When A's computed smallest singular value is above
+    2 CUSPIDAL_TOL, its true one is above 2 CUSPIDAL_TOL - 6e-16, so is the
+    stacked matrix's true one, and its computed one is above CUSPIDAL_TOL by
+    nearly 1e-9: the stacked rule says True whatever B, and the meridian
+    alone decides.
+
+    diag(e^{i theta}, ...) - I has the singular value |e^{i theta} - 1|,
+    theta to rounding at these angles, so each edge is found by bisecting
+    theta over floats."""
+
+    @staticmethod
+    def rep(meridian, longitude):
+        return UnitaryRep([np.diag(meridian), np.diag(longitude)])
+
+    @staticmethod
+    def walked(monkeypatch, rep, pres):
+        """cuspidality_check's verdict and the words it walked."""
+        words = []
+        of_word = UnitaryRep.of_word
+        with monkeypatch.context() as m:
+            m.setattr(UnitaryRep, "of_word", lambda r, w: words.append(w) or of_word(r, w))
+            verdict = cuspidality_check(rep, pres)
+        return verdict, words
+
+    def test_stacked_rule_edge(self, monkeypatch):
+        # rho(meridian) = diag(1, i) fixes e1, which rho(longitude) =
+        # diag(e^{i theta}, 1) moves by |e^{i theta} - 1|
+        pres = parse_presentation(PERIPHERAL)
+        reps = {}
+
+        def rule(theta):
+            reps[theta] = self.rep([1, 1j], [np.exp(1j * theta), 1])
+            return cuspidality_check(reps[theta], pres)
+
+        below, above = float_edge(rule, 0.5 * CUSPIDAL_TOL, 2 * CUSPIDAL_TOL)
+        assert abs(below - CUSPIDAL_TOL) <= 4 * np.spacing(CUSPIDAL_TOL)
+        for theta, want in ((below, False), (above, True)):
+            rep = reps[theta]
+            stacked = np.vstack([rep.images[0] - np.eye(2), rep.images[1] - np.eye(2)])
+            assert (np.linalg.svd(stacked, compute_uv=False).min() > CUSPIDAL_TOL) == want
+            assert self.walked(monkeypatch, rep, pres) == (want, [pres.meridian, pres.longitude])
+            assert cuspidal_stacked(rep, pres) == want
+
+    @pytest.mark.parametrize("longitude", [[1, 1], [1, -1j], [np.exp(0.3j), 1j]])
+    def test_meridian_shortcut_edge(self, monkeypatch, longitude):
+        # rho(meridian) = diag(e^{i theta}, i): the longitude is walked only
+        # while theta <= 2 CUSPIDAL_TOL, and both sides say True, as the
+        # stacked rule does
+        pres = parse_presentation(PERIPHERAL)
+
+        def shortcut(theta):
+            rep = self.rep([np.exp(1j * theta), 1j], longitude)
+            return self.walked(monkeypatch, rep, pres)[1] == [pres.meridian]
+
+        below, above = float_edge(shortcut, CUSPIDAL_TOL, 4 * CUSPIDAL_TOL)
+        assert abs(below - 2 * CUSPIDAL_TOL) <= 4 * np.spacing(2 * CUSPIDAL_TOL)
+        for theta, skips in ((below, False), (above, True)):
+            rep = self.rep([np.exp(1j * theta), 1j], longitude)
+            sv = np.linalg.svd(rep.images[0] - np.eye(2), compute_uv=False)
+            assert (sv.min() > 2 * CUSPIDAL_TOL) == skips
+            verdict, words = self.walked(monkeypatch, rep, pres)
+            assert verdict is True and cuspidal_stacked(rep, pres) is True
+            assert words == [pres.meridian] + [pres.longitude] * (not skips)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_random_reps_agree_with_the_stacked_rule(self, r, rng):
+        # a meridian eigenvalue e^{i theta} from 0 to 1e-6 rad, the others at
+        # least 0.1 rad from 1, against longitudes that commute with it or not
+        pres = parse_presentation(PERIPHERAL)
+        for theta in [0.0, *np.logspace(-12, -6, 13)]:
+            u = random_unitary(rng, r)
+            phases = np.append(theta, rng.uniform(0.1, 2 * np.pi - 0.1, r - 1))
+            meridian = u @ np.diag(np.exp(1j * phases)) @ u.conj().T
+            commuting = u @ np.diag(np.exp(1j * rng.uniform(0, 1e-8, r))) @ u.conj().T
+            for longitude in (np.eye(r), commuting, random_unitary(rng, r)):
+                rep = UnitaryRep([meridian, longitude])
+                assert cuspidality_check(rep, pres) == cuspidal_stacked(rep, pres)
+
+
+class TestWalkCounts:
+    """``twisted_alexander`` walks each relator once, in ``boundary2``, then
+    the meridian, and the longitude only when rho(meridian) fixes a vector."""
+
+    @staticmethod
+    def walks(monkeypatch, pres, rep):
+        walked = []
+        walk = UnitaryRep.prefix_products
+        with monkeypatch.context() as m:
+            m.setattr(UnitaryRep, "prefix_products",
+                      lambda r, letters, lengths: walked.append(letters) or walk(r, letters, lengths))
+            twisted_alexander(pres, rep)
+        return walked
+
+    @pytest.mark.parametrize("name", KNOT_NAMES)
+    def test_relators_then_the_meridian(self, monkeypatch, name, rng):
+        pres = load_corpus_presentation(name)
+        n, once = pres.n_generators, [r.letters for r in pres.relators] + [pres.meridian.letters]
+        for rep in (UnitaryRep.character(n, 1j), UnitaryRep.character(n, -1.0),
+                    random_abelian_rep(rng, n, 4, avoid_eigenvalue_one=True)):
+            assert self.walks(monkeypatch, pres, rep) == once
+        # the trivial character fixes every vector, so the longitude decides
+        trivial = UnitaryRep.character(n, 1.0)
+        assert self.walks(monkeypatch, pres, trivial) == once + [pres.longitude.letters]
+
+
+class TestErrorOrder:
+    """Which of two faults in one input ``twisted_alexander`` reports.
+
+    ``boundary2`` checks the Fox cap before it walks the relators, and the
+    relator images of that walk are checked before the pivot, so the order
+    is: cap, a generator the rep lacks, generator count, relators, pivot."""
+
+    PRES = "gens a b; wirtinger; rel a^3 b A^3 B;"
+
+    @staticmethod
+    def ill_defined():
+        # D^3 is not scalar, so a^3 b a^-3 b^-1 maps to a non-identity matrix
+        c, s = np.cos(0.7), np.sin(0.7)
+        return UnitaryRep([np.diag(np.exp([0.3j, -0.3j])), np.array([[c, -s], [s, c]])])
+
+    def test_relator_fault_past_the_fox_cap(self, monkeypatch):
+        pres = parse_presentation(self.PRES)
+        with pytest.raises(ValueError, match=r"^relator 1 maps to a non-identity matrix"):
+            twisted_alexander(pres, self.ill_defined())
+        # a rank-2 Jacobian of 2 x 2 x 5 coefficients, past a cap of 4
+        monkeypatch.setattr(twisted, "MAX_CELLS", 4)
+        with pytest.raises(ValueError, match=r"^Fox Jacobian of 2 x 2 x 5 coefficients"):
+            twisted_alexander(pres, self.ill_defined())
+
+    @pytest.mark.parametrize("pivot", [0, 3])
+    def test_relator_fault_and_bad_pivot(self, pivot):
+        pres = parse_presentation(self.PRES)
+        with pytest.raises(ValueError, match=r"^relator 1 maps to a non-identity matrix"):
+            twisted_alexander(pres, self.ill_defined(), pivot=pivot)
+        with pytest.raises(ValueError, match=rf"^generator {pivot} is not a valid pivot$"):
+            twisted_alexander(pres, UnitaryRep([np.eye(2)] * 2), pivot=pivot)
+
+    def test_bad_pivot_past_the_fox_cap(self, monkeypatch):
+        monkeypatch.setattr(twisted, "MAX_CELLS", 4)
+        with pytest.raises(ValueError, match=r"^Fox Jacobian of 2 x 4 x 5 coefficients"):
+            twisted_alexander(parse_presentation(self.PRES), UnitaryRep([np.eye(2)] * 2), pivot=3)
+
+    def test_generator_count(self):
+        pres = parse_presentation(self.PRES)
+        with pytest.raises(ValueError, match=r"^presentation has 2 generators, rep has 3 images$"):
+            twisted_alexander(pres, UnitaryRep([np.eye(2)] * 3))
+        # one image short: the Fox walk meets the missing generator first
+        with pytest.raises(ValueError, match=r"^word uses generator 2, rep has 1$"):
+            twisted_alexander(pres, UnitaryRep([np.eye(2)]))
 
 
 class TestTwistedAlexander:
@@ -501,7 +688,9 @@ class TestH1Edge:
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_h1_flips_at_the_edge(self, monkeypatch, side):
         p = dict(zip(("below", "above"), straddling_h1_tol()))[side]
-        monkeypatch.setattr(twisted, "boundary2", lambda *args, **kwargs: self.as_matrix(p))
+        b2 = twisted.boundary2
+        monkeypatch.setattr(twisted, "boundary2",
+                            lambda *args, **kwargs: (self.as_matrix(p), b2(*args, **kwargs)[1]))
         res = twisted_alexander(load_corpus_presentation("trefoil"), UnitaryRep.character(2, 1j))
         assert res.delta1 == p
         assert res.h1_vanishes == (side == "above")
