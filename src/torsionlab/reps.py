@@ -102,15 +102,14 @@ class UnitaryRep:
             raise ValueError(
                 f"word uses generator {exc.args[0][0]}, rep has {len(self.images)}") from None
 
-    def validate_against(self, pres, relator_images=None):
-        """Check that each relator's image, walked or from ``relator_images``, is I."""
+    def validate_against(self, pres, relator_images):
+        """Check that each relator image, in ``pres``'s relator order, is I (well-definedness)."""
         if pres.n_generators != len(self.images):
             raise ValueError(
                 f"presentation has {pres.n_generators} generators, "
                 f"rep has {len(self.images)} images"
             )
-        images = map(self.of_word, pres.relators) if relator_images is None else relator_images
-        for k, image in enumerate(images):
+        for k, image in enumerate(relator_images):
             err = np.linalg.norm(image - np.eye(self.rank))
             if not err <= RELATOR_TOL:
                 raise ValueError(

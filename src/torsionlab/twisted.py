@@ -58,11 +58,12 @@ def boundary2(pres, rep, skip_generator=None):
     The Fox term of a letter x_i is +rho(prefix) t**deg(prefix) with the
     prefix before it, and of x_i^-1 it is -rho(prefix) t**deg(prefix) with
     the prefix through it.  Each relator is walked once, by
-    ``rep.prefix_products``, to its last letter: that prefix is the relator's
-    image, bitwise ``rep.of_word``'s.  One ``np.add.at`` adds all terms, the
-    negative ones negated exactly, into the flat coefficient tensor (relator
-    j's rows start at its lowest degree), unbuffered and in word order.  As
-    a - b is a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
+    ``rep.prefix_products``; one ``np.add.at`` adds all terms, the negative
+    ones negated exactly, into the flat coefficient tensor (relator j's rows
+    start at its lowest degree), unbuffered and in word order.  As a - b is
+    a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
+    The walk runs to the relator's last letter: that prefix is its image,
+    bitwise ``rep.of_word``'s.
 
     A tensor of more than MAX_CELLS^2 coefficients, the budget of one capped
     Laplacian, is a ValueError before it is allocated.
@@ -132,10 +133,11 @@ def cuspidality_check(rep, pres):
     if not pres.has_peripheral:
         return None
     eye = np.eye(rep.rank)
-    stacked = rep.of_word(pres.meridian) - eye
-    if np.linalg.svd(stacked, compute_uv=False).min() > 2 * CUSPIDAL_TOL:
+    meridian_minus_i = rep.of_word(pres.meridian) - eye
+    if np.linalg.svd(meridian_minus_i, compute_uv=False).min() > 2 * CUSPIDAL_TOL:
         return True
-    sv = np.linalg.svd(np.vstack([stacked, rep.of_word(pres.longitude) - eye]), compute_uv=False)
+    stacked = np.vstack([meridian_minus_i, rep.of_word(pres.longitude) - eye])
+    sv = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(sv > CUSPIDAL_TOL)) == rep.rank
 
 
@@ -172,6 +174,12 @@ def twisted_alexander(pres, rep, pivot=1):
     if h1_vanishes and delta0_nonzero:
         torsion = abs(value1 / value0)
         ruelle = torsion**2
-    return TwistedAlexanderResult(delta0=delta0, delta1=delta1, pivot_column=pivot,
-                                  h1_vanishes=h1_vanishes, cuspidal=cuspidal,
-                                  torsion_at_1=torsion, ruelle_at_0=ruelle)
+    return TwistedAlexanderResult(
+        delta0=delta0,
+        delta1=delta1,
+        pivot_column=pivot,
+        h1_vanishes=h1_vanishes,
+        cuspidal=cuspidal,
+        torsion_at_1=torsion,
+        ruelle_at_0=ruelle,
+    )

@@ -116,6 +116,42 @@ class TestTalex:
                        "degrees) exceeds MAX_CELLS^2 = 16777216\n")
         assert peak < 128e6, f"{peak / 1e6:.1f} MB"
 
+    def test_ill_defined_rep_past_cap_reports_the_cap(self, capsys, tmp_path):
+        # the presentation above under a rank-2 rep that sends relator 1 to a
+        # non-identity matrix: rho(a_1)^k is diagonal, not scalar, and rho(a_2)
+        # a rotation.  The Fox cap is checked before any relator is walked,
+        # so the cap is reported, and nothing of the Jacobian is allocated.
+        # (verify-knot takes only --xi, a character, which every Wirtinger
+        # relator sends to 1.)
+        k, n = 4095, 65
+        pres = tmp_path / "wide.pres"
+        pres.write_text("gens " + " ".join(f"a_{i}" for i in range(1, n + 1)) + ";\nwirtinger;\n"
+                        + "".join(f"rel a_{i}^{k} a_{i + 1} A_{i}^{k} A_{i + 1};\n"
+                                  for i in range(1, n)))
+        c, s = float(np.cos(0.3)), float(np.sin(0.3))
+        diagonal = f"[ [{c!r},{s!r}], [0,0], [0,0], [{c!r},{-s!r}] ]"
+        c, s = float(np.cos(0.7)), float(np.sin(0.7))
+        rotation = f"[ [{c!r},0], [{-s!r},0], [{s!r},0], [{c!r},0] ]"
+        rep = tmp_path / "ill.rep"
+        rep.write_text("rank 2;\n" + "".join(f"mat a_{i} = {diagonal if i % 2 else rotation};\n"
+                                             for i in range(1, n + 1)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "talex", str(pres), "--rep", str(rep))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == ("error: Fox Jacobian of 128 x 128 x 4097 coefficients (rows x columns x "
+                       "degrees) exceeds MAX_CELLS^2 = 16777216\n")
+        assert peak < 128e6, f"{peak / 1e6:.1f} MB"
+        # under the cap the same rep is refused for its relator
+        pres.write_text("gens a_1 a_2;\nwirtinger;\nrel a_1^3 a_2 A_1^3 A_2;\n")
+        rep.write_text(f"rank 2;\nmat a_1 = {diagonal};\nmat a_2 = {rotation};\n")
+        code, out, err = run(capsys, "talex", str(pres), "--rep", str(rep))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: relator 1 maps to a non-identity matrix (defect ")
+
     def test_rep_file(self, capsys, tmp_path):
         rep = tmp_path / "rep.rep"
         rep.write_text("rank 1;\nchar a = 0,1;\nchar b = 0,1;\n")

@@ -34,7 +34,8 @@ def test_presentation_examples(text):
 @pytest.mark.parametrize("text", examples("rep"))
 def test_representation_examples_are_reps_of_the_presentation_example(text):
     pres = parse_presentation(examples("pres")[0])
-    parse_representation(text, pres.generator_names).validate_against(pres)
+    rep = parse_representation(text, pres.generator_names)
+    rep.validate_against(pres, [rep.of_word(r) for r in pres.relators])
 
 
 @pytest.mark.parametrize("text", examples("cw"))

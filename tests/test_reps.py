@@ -77,19 +77,20 @@ class TestUnitaryRep:
         rep = UnitaryRep.character(2, 1j)
         rep.images[0][0, 0] = np.nan  # set after the unitarity check
         with pytest.raises(ValueError, match=r"relator 1 maps to a non-identity matrix"):
-            rep.validate_against(pres)
+            rep.validate_against(pres, [rep.of_word(r) for r in pres.relators])
 
     def test_validate_against(self):
         pres = parse_presentation("gens a b; wirtinger; rel a b a b^-1 a^-1 b^-1;")
-        UnitaryRep.character(2, 1j).validate_against(pres)
+        good = UnitaryRep.character(2, 1j)
+        good.validate_against(pres, [good.of_word(r) for r in pres.relators])
         bad = UnitaryRep([np.array([[1j]]), np.array([[-1j]])])
         with pytest.raises(ValueError, match="relator"):
-            bad.validate_against(pres)
+            bad.validate_against(pres, [bad.of_word(r) for r in pres.relators])
 
 
 class TestRelatorEdge:
-    """One rule, in ``validate_against``, for a walk of each relator and for
-    the relator images ``twisted_alexander`` reads off the Fox walk.
+    """One rule, in ``validate_against``, for relator images from ``of_word``
+    and for those ``twisted_alexander`` reads off the Fox walk.
 
     rho(a) = R_phi, a rotation, and rho(b) = diag(1, -1) send the
     commutator to R_{2 phi}, of defect 2 sqrt 2 sin(phi); bisecting phi over
@@ -103,12 +104,11 @@ class TestRelatorEdge:
         return UnitaryRep([np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])])
 
     def verdicts(self, phi):
-        """Whether validate_against (walking, and on given images) and
+        """Whether validate_against, on the images of ``of_word``, and
         twisted_alexander accept the rep."""
         pres, rep = parse_presentation(self.PRES), self.rep(phi)
         out = []
-        for check in (lambda: rep.validate_against(pres),
-                      lambda: rep.validate_against(pres, [rep.of_word(pres.relators[0])]),
+        for check in (lambda: rep.validate_against(pres, [rep.of_word(pres.relators[0])]),
                       lambda: twisted_alexander(pres, rep)):
             try:
                 check()
@@ -128,8 +128,8 @@ class TestRelatorEdge:
                                      0.1 * RELATOR_TOL, RELATOR_TOL)
         assert defect(inside) <= RELATOR_TOL < defect(outside)
         assert defect(outside) - defect(inside) <= 8 * np.spacing(RELATOR_TOL)
-        assert self.verdicts(inside) == [True] * 3
-        assert self.verdicts(outside) == [False] * 3
+        assert self.verdicts(inside) == [True] * 2
+        assert self.verdicts(outside) == [False] * 2
 
     def test_given_images_are_checked_in_order(self):
         pres = parse_presentation("gens a b c; wirtinger; rel a b A B; rel b c B C;")
@@ -144,7 +144,7 @@ class TestRelatorEdge:
         seen = []
         validate = UnitaryRep.validate_against
         monkeypatch.setattr(UnitaryRep, "validate_against",
-                            lambda r, p, images=None: seen.append(images) or validate(r, p, images))
+                            lambda r, p, images: seen.append(images) or validate(r, p, images))
         with pytest.raises(ValueError, match=r"^relator 1 maps to a non-identity matrix"):
             twisted_alexander(pres, rep)
         [images] = seen
