@@ -14,6 +14,8 @@ exp( (1/2) * sum_p (-1)^p p sum_{lambda>0} log lambda ).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +33,16 @@ ZERO_EIG_REL_TOL = 1e-8
 MAX_CELLS = 4096
 
 
-@dataclass(frozen=True)
-class Incidence:
+class _IncidenceFields(NamedTuple):
+    target: int
+    sign: int
+    base: Word
+    length: int
+
+
+class Incidence(_IncidenceFields):
     """``sign`` times the deck-group word ``word`` on cell ``target`` of the
-    degree below.
+    degree below: an immutable named tuple ``(target, sign, base, length)``.
 
     ``Incidence(target, sign, word)`` holds the word itself.  With a length
     the word is the prefix of that many letters of ``base``: the Fox terms
@@ -42,14 +50,10 @@ class Incidence:
     copy.  ``word`` builds the prefix only when read.
     """
 
-    target: int
-    sign: int
-    base: Word
-    length: int | None = None  # None: all of base
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length is None:
-            object.__setattr__(self, "length", len(self.base))
+    def __new__(cls, target, sign, base, length=None):
+        return tuple.__new__(cls, (target, sign, base, len(base) if length is None else length))
 
     @property
     def word(self):
@@ -83,14 +87,14 @@ class TwistedCWComplex:
             if len(table) != dims[p]:
                 raise ValueError(f"degree {p}: expected {dims[p]} cells, got {len(table)}")
             for recs in table:
-                for rec in recs:
-                    if not (0 <= rec.target < dims[p - 1]):
-                        raise ValueError(f"degree {p}: target {rec.target} out of range")
-                    if rec.sign not in (1, -1):
+                for target, sign, base, length in recs:
+                    if not (0 <= target < dims[p - 1]):
+                        raise ValueError(f"degree {p}: target {target} out of range")
+                    if sign not in (1, -1):
                         raise ValueError("incidence signs must be +1 or -1")
-                    if not (0 <= rec.length <= len(rec.base)):
+                    if not (0 <= length <= len(base.letters)):
                         raise ValueError(
-                            f"degree {p}: prefix length {rec.length} outside 0..{len(rec.base)}"
+                            f"degree {p}: prefix length {length} outside 0..{len(base)}"
                         )
         self.validate_boundary()
 
@@ -115,22 +119,25 @@ class TwistedCWComplex:
         """
         bases = tuple(ls for r in self.relations for ls in (r.letters, r.inverse().letters))
         tree = _CayleyTree()
+        step = tree.step
         for p in range(2, self.top_degree + 1):
             lower = [
-                [(rec.target, rec.sign, rec.word.letters) for rec in cell]
+                [(target, sign, base.letters[:length]) for target, sign, base, length in cell]
                 for cell in self.incidences[p - 2]
             ]
             for i, recs in enumerate(self.incidences[p - 1]):
                 # (target, node) -> integer coefficient of the composite boundary
                 residual = {}
                 paths = {}  # id(base) -> the node of each prefix of base
-                for rec in recs:
-                    if id(rec.base) not in paths:
-                        paths[id(rec.base)] = tree.prefixes(rec.base.letters)
-                    node = paths[id(rec.base)][rec.length]
-                    for target, sign, letters in lower[rec.target]:
-                        key = (target, tree.walk(node, letters))
-                        residual[key] = residual.get(key, 0) + rec.sign * sign
+                for target, sign, base, length in recs:
+                    if (nodes := paths.get(id(base))) is None:
+                        nodes = paths[id(base)] = tree.prefixes(base.letters)
+                    for low_target, low_sign, letters in lower[target]:
+                        node = nodes[length]
+                        for letter in letters:
+                            node = step(node, letter)
+                        key = low_target, node
+                        residual[key] = residual.get(key, 0) + sign * low_sign
                 collapsed = {}
                 for (target, node), c in residual.items():
                     if c:
@@ -173,9 +180,9 @@ class _CayleyTree:
 
     def prefixes(self, letters):
         """The nodes of the prefixes of a word, from one walk along it."""
-        nodes = [0]
+        nodes, node, step = [0], 0, self.step
         for letter in letters:
-            nodes.append(self.step(nodes[-1], letter))
+            nodes.append(node := step(node, letter))
         return nodes
 
     def word(self, node):
@@ -233,18 +240,27 @@ def twisted_boundary(cx, rep, p):
     rows = cx.cells_per_degree[p - 1] * r
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
-    recs = [(i, rec) for i, cell in enumerate(cx.incidences[p - 1]) for rec in cell]
-    by_base = {}  # id(base) -> (prefix length, index into recs) of each incidence
-    for k, (_, rec) in enumerate(recs):
-        by_base.setdefault(id(rec.base), []).append((rec.length, k))
+    table = cx.incidences[p - 1]
+    recs = [rec for cell in table for rec in cell]
+    if not recs:
+        return out
+    targets, signs, bases, lengths = zip(*recs)
+    lengths = np.array(lengths, dtype=int)
+    # the records by base word (each keyed by its first record), then by
+    # prefix length: one walk along each base
+    first_of = {}
+    group = np.array([first_of.setdefault(id(base), k) for k, base in enumerate(bases)])
+    order = np.lexsort((lengths, group))
+    ends = [*(np.flatnonzero(np.diff(group[order])) + 1).tolist(), len(order)]
     images = np.empty((len(recs), r, r), dtype=complex)
-    for pairs in by_base.values():
-        lengths, ks = zip(*sorted(pairs))
-        images[list(ks)] = rep.prefix_products(recs[ks[0]][1].base.letters, lengths)
+    for start, end in zip([0, *ends], ends):
+        ks = order[start:end]
+        images[ks] = rep.prefix_products(bases[ks[0]].letters, lengths[ks])
     # block k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
-    blocks = [((rec.target * cols + i) * r, rec.sign) for i, rec in recs]
-    first, signs = np.array(blocks, dtype=int).reshape(-1, 2).T[:, :, None, None]
+    cells = np.repeat(np.arange(len(table)), [len(cell) for cell in table])
+    first = (np.array(targets, dtype=int) * cols + cells)[:, None, None] * r
     index = first + np.add.outer(np.arange(r) * cols, np.arange(r))
+    signs = np.array(signs, dtype=int)[:, None, None]
     np.add.at(out.reshape(-1), index.ravel(), (signs * images.transpose(0, 2, 1)).ravel())
     return out
 
@@ -312,7 +328,7 @@ def knot_complex(pres):
     term's coefficient (+1 or -1) as its sign, in letter order.  The term
     of a letter x_i is the prefix of the relator before it, of x_i^-1 the
     prefix through it; each incidence holds the relator and that prefix
-    length, so a relator is walked once and no prefix word is built.
+    length, read from ``pres.fox_terms``, so no prefix word is built.
     """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
@@ -321,11 +337,11 @@ def knot_complex(pres):
     one_cells = [(Incidence(0, 1, Word.generator(i)), Incidence(0, -1, empty))
                  for i in range(1, n + 1)]
     two_cells = []
-    for rel in pres.relators:
-        by_generator = [[] for _ in range(n)]
-        for k, (j, s) in enumerate(rel.letters):
-            by_generator[j - 1].append(Incidence(j - 1, s, rel, k if s > 0 else k + 1))
-        two_cells.append(tuple(rec for recs in by_generator for rec in recs))
+    for rel, t in zip(pres.relators, pres.fox_terms):
+        by_generator = np.argsort(t.generator, kind="stable")
+        columns = (t.generator[by_generator] - 1, t.sign[by_generator], t.length[by_generator])
+        target, sign, length = (c.tolist() for c in columns)
+        two_cells.append(tuple(map(Incidence._make, zip(target, sign, repeat(rel), length))))
     if pres.relators:
         return TwistedCWComplex(
             cells_per_degree=(1, n, len(pres.relators)),
@@ -360,44 +376,46 @@ def parse_complex(text):
 
     relations = []
     cells = {}
-    bd_statements = []  # (p, i, line, col, [(Incidence, target line, target col)])
+    # (p, i, token of 'bd', [(Incidence, token of its target)])
+    bd_statements = []
     while stream.peek() is not None:
-        tok, line, col = stream.next()
+        tok = stream.next()
         if tok == "rel":
             relations.append(stream.word(letters))
             stream.expect(";")
         elif tok == "cells":
-            p, pl, pc = stream.integer("degree")
-            count, cl, cc = stream.integer("cell count")
+            p = stream.integer("degree")
+            count = stream.integer("cell count")
             if p < 0:
-                raise ParseError(f"cell degree must be >= 0, got {p}", pl, pc)
+                raise stream.error(f"cell degree must be >= 0, got {p}", stream.pos - 2)
             if p in cells:
-                raise ParseError(f"duplicate 'cells {p}'", pl, pc)
+                raise stream.error(f"duplicate 'cells {p}'", stream.pos - 2)
             if not 0 <= count <= MAX_CELLS:
-                raise ParseError(f"cell count must lie in 0..{MAX_CELLS}, got {count}", cl, cc)
+                raise stream.error(f"cell count must lie in 0..{MAX_CELLS}, got {count}")
             cells[p] = count
             stream.expect(";")
         elif tok == "bd":
-            p = stream.integer("degree")[0]
-            i = stream.integer("cell index")[0]
+            at = stream.pos - 1
+            p = stream.integer("degree")
+            i = stream.integer("cell index")
             stream.expect("-")
             stream.expect(">")
             recs = []
-            while stream.peek() and stream.peek()[0] == "(":
+            while stream.peek() == "(":
                 stream.next()
-                stok, sl, sc = stream.next(expect="a sign")
-                if stok not in ("+", "-"):
-                    raise ParseError(f"expected '+' or '-', got {stok!r}", sl, sc)
+                sign = stream.next(expect="a sign")
+                if sign not in ("+", "-"):
+                    raise stream.error(f"expected '+' or '-', got {sign!r}")
                 stream.expect(",")
                 word = stream.word(letters, stop=",")
                 stream.expect(",")
-                target, tl, tc = stream.integer("target index")
+                target = stream.integer("target index")
+                recs.append((Incidence(target, 1 if sign == "+" else -1, word), stream.pos - 1))
                 stream.expect(")")
-                recs.append((Incidence(target, 1 if stok == "+" else -1, word), tl, tc))
             stream.expect(";")
-            bd_statements.append((p, i, line, col, recs))
+            bd_statements.append((p, i, at, recs))
         else:
-            raise ParseError(f"expected 'rel', 'cells' or 'bd', got {tok!r}", line, col)
+            raise stream.error(f"expected 'rel', 'cells' or 'bd', got {tok!r}")
 
     if not cells:
         raise ParseError("no 'cells' statements")
@@ -408,15 +426,15 @@ def parse_complex(text):
             raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
         dims.append(cells[p])
     bd = {}
-    for p, i, line, col, recs in bd_statements:
+    for p, i, at, recs in bd_statements:
         if not 1 <= p <= top:
-            raise ParseError(f"'bd' degree {p} is outside 1..{top}", line, col)
+            raise stream.error(f"'bd' degree {p} is outside 1..{top}", at)
         if not 0 <= i < dims[p]:
-            raise ParseError(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", line, col)
-        for rec, tl, tc in recs:
+            raise stream.error(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", at)
+        for rec, target_at in recs:
             if not 0 <= rec.target < dims[p - 1]:
-                raise ParseError(
-                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", tl, tc
+                raise stream.error(
+                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", target_at
                 )
             bd.setdefault((p, i), []).append(rec)
     incidences = [

@@ -50,7 +50,7 @@ class Word:
         return Word._of_reduced(a[: n - k] + b[k:])
 
     def inverse(self):
-        return Word(tuple((i, -s) for i, s in reversed(self.letters)))
+        return Word._of_reduced(tuple((i, -s) for i, s in reversed(self.letters)))
 
     def exponent_sum(self):
         """The sum of the letters' exponents: the word's image in Z."""
@@ -77,13 +77,16 @@ class Word:
 def _reduce(letters):
     """Free reduction by stack cancellation; confluent by construction."""
     stack = []
-    for i, s in letters:
+    for letter in letters:
+        i, s = letter
         if s not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {s}")
         if stack and stack[-1][0] == i and stack[-1][1] == -s:
             stack.pop()
         else:
-            stack.append((i, s))
+            # the given tuple, not a copy: a parsed word's letters share the
+            # two tuples of each generator, 8 bytes a letter
+            stack.append(letter if type(letter) is tuple else (i, s))
     return tuple(stack)
 
 
@@ -100,9 +103,9 @@ def fox_derivative(w, i):
     w, so every coefficient is +1 or -1 and none cancels.
 
     The command line does not call this: ``knot_complex`` and ``boundary2``
-    each find the terms in one walk along the relator.  It stays as the
-    reference the tests build those terms from, and as a layer the
-    benchmark tracer counts.
+    read the terms of all generators at once from ``Presentation.fox_terms``.
+    It stays as the reference the tests build those terms from, and as a
+    layer the benchmark tracer counts.
     """
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .presentations import NUM, ParseError
+from .presentations import _BREAKS, _COMMENT, NUM, ParseError
 from .reps import unitarity_defects
 
 
@@ -179,12 +179,8 @@ def ruelle_eval(spec, z, cutoffs=()):
     return _report_rows(cutoffs, used, prefix), (complex(np.exp(prefix[-1])), tail)
 
 
-_GEO = re.compile(rf"geo\s+{NUM}\s*;(\s*(?:{NUM},{NUM}(?:\s+{NUM},{NUM})*)?\s*);")
-
-# str.splitlines() ends a line at \r\n or at any of _BREAKS; _BLANK is the rest of \s
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+# _BLANK is the rest of \s beside the line breaks of str.splitlines
 _BLANK = rf"[^\S{_BREAKS}]"
-_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
 # trailing blanks, an optional comment and the line's end
 _LINE_END = rf"{_BLANK}*(?:{_COMMENT.pattern})?(?:\r\n|[{_BREAKS}]|\Z)"
 _RANK = re.compile(rf"{_BLANK}*rank{_BLANK}+(\d+){_BLANK}*;{_LINE_END}")
@@ -192,6 +188,10 @@ _RANK = re.compile(rf"{_BLANK}*rank{_BLANK}+(\d+){_BLANK}*;{_LINE_END}")
 # conversion accepts exactly when it full-matches NUM; sre keeps about a
 # quarter of NUM's state per holonomy pair for it
 _TOKEN = r"[-+.eE0-9\d]+"
+# the line reader's geo line, each number a _TOKEN run that is then checked
+# against NUM on its own: the same lines as with NUM in place of each run,
+# without sre's state for NUM at every number
+_GEO = re.compile(rf"geo\s+{_TOKEN}\s*;(\s*(?:{_TOKEN},{_TOKEN}(?:\s+{_TOKEN},{_TOKEN})*)?\s*);")
 # sre keeps backtracking state for every number of a match until the match
 # ends, so a block is sized by the numbers it holds, not by its lines
 BLOCK_NUMBERS = 1024
@@ -219,11 +219,14 @@ def _raise_first_error(text, invalid=None):
     when every line parses, ``invalid = (entry, message)`` from the batched
     check on the line of that geo entry."""
     rank, entry = None, 0
+    runs, number = re.compile(_TOKEN), re.compile(NUM)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not (m := _GEO.fullmatch(line)):
+        # the runs after "geo" are the line's numbers
+        if not ((m := _GEO.fullmatch(line))
+                and all(number.fullmatch(run[0]) for run in runs.finditer(line, 3))):
             if m := re.fullmatch(r"rank\s+(\d+)\s*;", line):
                 if rank is not None:
                     raise ParseError("duplicate 'rank' header", lineno)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -57,7 +56,8 @@ def boundary2(pres, rep, skip_generator=None):
 
     The Fox term of a letter x_i is +rho(prefix) t**deg(prefix) with the
     prefix before it, and of x_i^-1 it is -rho(prefix) t**deg(prefix) with
-    the prefix through it.  Each relator is walked once, by
+    the prefix through it; ``pres.fox_terms`` holds each term's generator,
+    sign, prefix length and degree.  Each relator is walked once, by
     ``rep.prefix_products``; one ``np.add.at`` adds all terms, the negative
     ones negated exactly, into the flat coefficient tensor (relator j's rows
     start at its lowest degree), unbuffered and in word order.  As a - b is
@@ -70,34 +70,33 @@ def boundary2(pres, rep, skip_generator=None):
     """
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
-    prefix_degs = [
-        list(accumulate((s for _, s in rel.letters), initial=0)) for rel in pres.relators
-    ]
-    lows = [min(d) for d in prefix_degs]
-    width = max((max(d) - low + 1 for d, low in zip(prefix_degs, lows)), default=1)
-    shape = (len(lows) * r, len(cols) * r, width)
+    fox_terms = pres.fox_terms
+    width = max((t.high - t.low + 1 for t in fox_terms), default=1)
+    shape = (len(fox_terms) * r, len(cols) * r, width)
     if math.prod(shape) > MAX_CELLS**2:
         raise ValueError(f"Fox Jacobian of {' x '.join(map(str, shape))} coefficients (rows x "
                          f"columns x degrees) exceeds MAX_CELLS^2 = {MAX_CELLS**2}")
     coef = np.zeros(shape, dtype=complex)
-    # offsets in the flat coef: block column c of generator i, entry (a, b) of a block
-    column = {i: c * r * width for c, i in enumerate(cols)}
+    # block column of each generator, -1 for the skipped one
+    column = np.full(pres.n_generators + 1, -1)
+    column[cols] = range(len(cols))
+    # offsets in the flat coef: entry (a, b) of a block
     entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
-    terms, prods, images = [], [np.empty((0, r, r))], []
-    for j, (rel, deg, low) in enumerate(zip(pres.relators, prefix_degs, lows)):
-        row = j * r * coef.shape[1] * width - low
-        # letter k's term: its prefix length, its block's first entry, its sign
-        rel_terms = [(k + (s < 0), row + column[i] + d - (s < 0), s)
-                     for k, ((i, s), d) in enumerate(zip(rel.letters, deg)) if i in column]
-        walk = rep.prefix_products(rel.letters, [t[0] for t in rel_terms] + [len(rel)])
+    firsts, signs = [np.empty(0, int)], [np.empty(0, int)]
+    prods, images = [np.empty((0, r, r))], []
+    for j, (rel, t) in enumerate(zip(pres.relators, fox_terms)):
+        c = column[t.generator]
+        kept = c >= 0
+        # each kept term's block's first entry, at its prefix degree in row j
+        firsts.append((j * r * coef.shape[1] + c[kept] * r) * width - t.low + t.degree[kept])
+        signs.append(t.sign[kept])
+        walk = rep.prefix_products(rel.letters, [*t.length[kept].tolist(), len(rel)])
         prods.append(walk[:-1])
         images.append(walk[-1])
-        terms += rel_terms
-    _, first, signs = np.array(terms, dtype=int).reshape(-1, 3).T
-    prods = np.concatenate(prods)
-    np.negative(prods, out=prods, where=(signs < 0)[:, None, None])
+    first, prods = np.concatenate(firsts), np.concatenate(prods)
+    np.negative(prods, out=prods, where=(np.concatenate(signs) < 0)[:, None, None])
     np.add.at(coef.reshape(-1), (first[:, None, None] + entry).ravel(), prods.ravel())
-    return LaurentMatrix(np.repeat(lows, r), coef), images
+    return LaurentMatrix(np.repeat([t.low for t in fox_terms], r), coef), images
 
 
 def choose_pivot(pres, rep, pivot=1):

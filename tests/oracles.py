@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against.
 
-None of this is on a command-line path: Laurent polynomial arithmetic and
+None of this is on a command-line path: the ``.pres`` and ``.cw`` readers on
+a table of every token's line and column, Laurent polynomial arithmetic and
 matrices packed from entries, group-ring arithmetic on {Word: coefficient}
 dicts, rho of a word one matmul per letter, the first and second boundary
 matrices of a presentation by a letter-by-letter walk, the cuspidality rule
@@ -10,16 +11,222 @@ degree.
 """
 
 import functools
+import re
 
 import numpy as np
 
-from torsionlab.cwcomplex import Incidence, TwistedCWComplex, _laplacian, twisted_boundary
+from torsionlab.cwcomplex import (
+    MAX_CELLS,
+    Incidence,
+    TwistedCWComplex,
+    _laplacian,
+    twisted_boundary,
+)
 from torsionlab.freegroup import Word, fox_derivative
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
+from torsionlab.presentations import MAX_WORD_LETTERS, ParseError, Presentation
 from torsionlab.twisted import CUSPIDAL_TOL, _generator_block, phi_apply
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
+
+
+# -- the .pres and .cw readers on a positional token table ------------------------
+
+class PositionalTokenStream:
+    """The token stream as the readers first had it: one (token, line, col)
+    record per token of the whole file, from a tokenization line by line of
+    ``str.splitlines``, with the comment of each line cut off."""
+
+    TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^|-?\d+|;|\S")
+    NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+    def __init__(self, text):
+        self.tokens = [
+            (m.group(0), lineno, m.start() + 1)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for m in self.TOKEN.finditer(line.split("#", 1)[0])
+        ]
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, expect=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"unexpected end of input, expected {expect or 'a token'}")
+        self.pos += 1
+        return tok
+
+    def expect(self, text):
+        tok, line, col = self.next(expect=repr(text))
+        if tok != text:
+            raise ParseError(f"expected {text!r}, got {tok!r}", line, col)
+
+    def integer(self, what):
+        tok, line, col = self.next(expect=f"an integer {what}")
+        try:
+            return int(tok), line, col
+        except ValueError:
+            raise ParseError(f"bad {what} {tok!r}", line, col) from None
+
+    def generators(self):
+        tok, line, col = self.next(expect="'gens'")
+        if tok != "gens":
+            raise ParseError(f"file must start with 'gens', got {tok!r}", line, col)
+        names = []
+        while True:
+            tok, line, col = self.next(expect="a generator name or ';'")
+            if tok == ";":
+                break
+            if not self.NAME.fullmatch(tok) or tok[0].isupper():
+                raise ParseError(f"generator names must be lowercase, got {tok!r}", line, col)
+            if tok in names:
+                raise ParseError(f"duplicate generator {tok!r}", line, col)
+            names.append(tok)
+        if not names:
+            raise ParseError("no generators declared", line, col)
+        letters = {}
+        for k, name in enumerate(names, start=1):
+            letters[name] = (k, 1)
+            if name[0] != "_":
+                letters[name[0].upper() + name[1:]] = (k, -1)
+        return tuple(names), letters
+
+    def word(self, letters, stop=";"):
+        tokens = self.tokens
+        start = pos = self.pos
+        out = []
+        while pos < len(tokens) and tokens[pos][0] != stop:
+            name, line, col = tokens[pos]
+            pos += 1
+            if name == "1":
+                continue
+            letter = letters.get(name)
+            if letter is None:
+                if self.NAME.fullmatch(name):
+                    raise ParseError(f"unknown generator {name!r}", line, col)
+                raise ParseError(f"expected a generator name, got {name!r}", line, col)
+            count = 1
+            if pos < len(tokens) and tokens[pos][0] == "^":
+                self.pos = pos + 1
+                count = self.integer("exponent")[0]
+                pos = self.pos
+                if count < 0:
+                    letter, count = (letter[0], -letter[1]), -count
+            if len(out) + count > MAX_WORD_LETTERS:
+                raise ParseError(
+                    f"word longer than {MAX_WORD_LETTERS} letters after expanding powers",
+                    line,
+                    col,
+                )
+            out += [letter] * count
+        if pos == start:
+            raise ParseError("empty word", *(tokens[pos][1:] if pos < len(tokens) else ()))
+        self.pos = pos
+        return Word(tuple(out))
+
+
+def parse_presentation_positional(text):
+    """``parse_presentation`` on a ``PositionalTokenStream``."""
+    stream = PositionalTokenStream(text)
+    names, letters = stream.generators()
+    wirtinger = False
+    if stream.peek() and stream.peek()[0] == "wirtinger":
+        stream.next()
+        stream.expect(";")
+        wirtinger = True
+    relators = []
+    meridian = longitude = None
+    while stream.peek() is not None:
+        tok, line, col = stream.next()
+        if meridian is not None:
+            raise ParseError(f"expected end of input, got {tok!r}", line, col)
+        if tok == "rel":
+            relators.append(stream.word(letters))
+            stream.expect(";")
+        elif tok == "meridian":
+            meridian = stream.word(letters)
+            stream.expect(";")
+            stream.expect("longitude")
+            longitude = stream.word(letters)
+            stream.expect(";")
+        else:
+            raise ParseError(f"expected 'rel' or 'meridian', got {tok!r}", line, col)
+    return Presentation(generator_names=names, relators=tuple(relators), wirtinger=wirtinger,
+                        meridian=meridian, longitude=longitude)
+
+
+def parse_complex_positional(text):
+    """``parse_complex`` on a ``PositionalTokenStream``."""
+    stream = PositionalTokenStream(text)
+    names, letters = stream.generators()
+    relations = []
+    cells = {}
+    bd_statements = []
+    while stream.peek() is not None:
+        tok, line, col = stream.next()
+        if tok == "rel":
+            relations.append(stream.word(letters))
+            stream.expect(";")
+        elif tok == "cells":
+            p, pl, pc = stream.integer("degree")
+            count, cl, cc = stream.integer("cell count")
+            if p < 0:
+                raise ParseError(f"cell degree must be >= 0, got {p}", pl, pc)
+            if p in cells:
+                raise ParseError(f"duplicate 'cells {p}'", pl, pc)
+            if not 0 <= count <= MAX_CELLS:
+                raise ParseError(f"cell count must lie in 0..{MAX_CELLS}, got {count}", cl, cc)
+            cells[p] = count
+            stream.expect(";")
+        elif tok == "bd":
+            p = stream.integer("degree")[0]
+            i = stream.integer("cell index")[0]
+            stream.expect("-")
+            stream.expect(">")
+            recs = []
+            while stream.peek() and stream.peek()[0] == "(":
+                stream.next()
+                stok, sl, sc = stream.next(expect="a sign")
+                if stok not in ("+", "-"):
+                    raise ParseError(f"expected '+' or '-', got {stok!r}", sl, sc)
+                stream.expect(",")
+                word = stream.word(letters, stop=",")
+                stream.expect(",")
+                target, tl, tc = stream.integer("target index")
+                stream.expect(")")
+                recs.append((Incidence(target, 1 if stok == "+" else -1, word), tl, tc))
+            stream.expect(";")
+            bd_statements.append((p, i, line, col, recs))
+        else:
+            raise ParseError(f"expected 'rel', 'cells' or 'bd', got {tok!r}", line, col)
+    if not cells:
+        raise ParseError("no 'cells' statements")
+    top = max(cells)
+    dims = []
+    for p in range(top + 1):
+        if p not in cells:
+            raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
+        dims.append(cells[p])
+    bd = {}
+    for p, i, line, col, recs in bd_statements:
+        if not 1 <= p <= top:
+            raise ParseError(f"'bd' degree {p} is outside 1..{top}", line, col)
+        if not 0 <= i < dims[p]:
+            raise ParseError(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", line, col)
+        for rec, tl, tc in recs:
+            if not 0 <= rec.target < dims[p - 1]:
+                raise ParseError(
+                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", tl, tc
+                )
+            bd.setdefault((p, i), []).append(rec)
+    incidences = [
+        tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
+    ]
+    return TwistedCWComplex(cells_per_degree=tuple(dims), incidences=tuple(incidences),
+                            relations=tuple(relations), generator_names=names)
 
 
 # -- Laurent polynomials -----------------------------------------------------

@@ -14,8 +14,11 @@ import torsionlab.cli as cli
 from torsionlab.cli import main
 from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix
+from torsionlab.presentations import FoxTerms, _TokenStream
 from torsionlab.ruelle import parse_spectrum, truncated_ruelle
 from torsionlab.twisted import twisted_alexander
+
+from conftest import torus_braid_closure
 
 CIRCLE_CW = """\
 gens a ;
@@ -262,6 +265,31 @@ class TestVerifyKnot:
             assert "agree = true" in capsys.readouterr().out
         assert peaks[1] / peaks[0] < 6
         assert peaks[1] < 10_000_000
+
+    def test_fox_terms_once_and_no_position_scan(self, capsys, monkeypatch, tmp_path):
+        # verify-knot reads one presentation in two boundary2 calls (xi and
+        # the trivial rep) and in knot_complex: each relator's Fox terms are
+        # derived once, and a valid file never has a token's position found
+        derived, scans = [], []
+        of, position = FoxTerms.of, _TokenStream.position
+        monkeypatch.setattr(FoxTerms, "of", classmethod(lambda cls, w: derived.append(w) or of(w)))
+        monkeypatch.setattr(_TokenStream, "position",
+                            lambda stream, k: scans.append(k) or position(stream, k))
+        knot = torus_braid_closure(3, 7)
+        names = knot.generator_names
+        pres = tmp_path / "t37.pres"
+        pres.write_text(f"gens {' '.join(names)}; wirtinger;\n" + "".join(
+            "rel " + " ".join(names[i - 1] + ("" if s > 0 else "^-1") for i, s in r.letters)
+            + ";\n" for r in knot.relators))
+        code, out, _ = run(capsys, "verify-knot", str(pres), "--xi=0,1")
+        assert code == 0 and "agree = true" in out
+        assert derived == list(knot.relators) and len(derived) == 2
+        assert scans == []
+        # an error names one token, found by one scan
+        pres.write_text(pres.read_text() + "rel ?;\n")
+        code, _, err = run(capsys, "verify-knot", str(pres), "--xi=0,1")
+        assert code == 1 and "(line 4, col 5)" in err
+        assert len(scans) == 1
 
     def test_hypotheses_failure_exits_2(self, capsys):
         code, out, _ = run(capsys, "verify-knot", "trefoil", "--xi=1,0")

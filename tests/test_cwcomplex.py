@@ -392,7 +392,7 @@ class TestKnotComplex:
             changes += [{"length": rec.length + d} for d in (-1, 1)
                         if 0 <= rec.length + d <= len(rec.base)]
             for change in changes:
-                mutated = cell[:k] + (dataclasses.replace(rec, **change),) + cell[k + 1:]
+                mutated = cell[:k] + (rec._replace(**change),) + cell[k + 1:]
                 with pytest.raises(ValueError, match="composition"):
                     dataclasses.replace(cx, incidences=(cx.incidences[0],
                                                         (mutated,) + cx.incidences[1][1:]))

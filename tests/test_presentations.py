@@ -1,14 +1,18 @@
 """Presentation file parsing."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import ParseError, Word, knot_complex, parse_complex, parse_presentation
 from torsionlab.cli import corpus_dir
 from torsionlab.presentations import MAX_WORD_LETTERS
 
 from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
+from oracles import parse_complex_positional, parse_presentation_positional
 
 CW_TAIL = "cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 0);"
 
@@ -262,3 +266,147 @@ class TestSharedSyntax:
         with pytest.raises(ParseError, match=message) as err:
             parse_complex(f"gens a; cells 0 1; cells 1 1;\n{statement}")
         assert (err.value.line, err.value.col) == (2, col)
+
+
+def outcome(parse, text):
+    """What a reader makes of ``text``: its result, or its error's type,
+    message, line and column."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+READERS = {
+    "pres": (parse_presentation, parse_presentation_positional),
+    "cw": (parse_complex, parse_complex_positional),
+}
+
+# every line break of str.splitlines, other blanks, and no space at all
+SEPARATORS = [" ", "", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029", "\xa0", "\x1f", "\u3000"]
+# a statement is a keyword, or a whole statement, then tokens: single ones,
+# glued ones (x1-2, a^+3, ->, a^١) and comments, each after a separator
+KEYWORDS = {
+    "pres": ["rel", "rel", "rel", "meridian", "longitude", "wirtinger", "gens", "rel a b A B",
+             "meridian a ; longitude b"],
+    "cw": ["rel", "cells", "cells", "bd", "bd", "bd 1 0 -> (+, a, 0) (-, 1, 0)", "cells 1 2",
+           "bd 2 0 -> (+, 1, 0) (+, a, 1) (-, a b A, 0) (-, 1, 1)"],
+}
+TOKENS = {
+    "pres": ["a", "b", "A", "B", "x1", "X1", "_c", "C", "1", "^", "2", "-1", "-3", "0", "١",
+             "a^١", "b^-١٢", "x1-2", "a^+3", "a^-2", "->", ",", "?", "é", "#", "# rel a ;"],
+    "cw": ["0", "1", "2", "-1", "١", "->", "-", ">", "(", ")", ",", "+", "a", "b", "A", "a^١",
+           "x1-2", "a^+3", "?", "#", "# bd 1 0 ;"],
+}
+HEADS = {
+    "pres": ["", "gens a b x1 _c;", "gens a b x1 _c; wirtinger;", "gens a b;"],
+    "cw": ["", "gens a b;", "gens a b; cells 0 1; cells 1 2;", "gens a b; cells 0 1;"],
+}
+
+
+def token_soups(fmt):
+    separator = st.sampled_from(SEPARATORS)
+    statement = st.tuples(separator, st.sampled_from(KEYWORDS[fmt]),
+                          st.lists(st.tuples(separator, st.sampled_from(TOKENS[fmt])), max_size=8),
+                          separator, st.sampled_from([";", ";", ";", ""]))
+    return st.tuples(st.sampled_from(HEADS[fmt]), st.lists(statement, max_size=6)).map(
+        lambda soup: soup[0] + "".join(s + kw + "".join(map("".join, toks)) + t + end
+                                       for s, kw, toks, t, end in soup[1]))
+
+
+class TestTokenStreamAgainstPositional:
+    """The readers give what the same readers give on a table of every
+    token's line and column (``oracles.PositionalTokenStream``): the same
+    Presentation or TwistedCWComplex, or the same error at the same place."""
+
+    def check(self, fmt, text):
+        parse, reference = READERS[fmt]
+        assert outcome(parse, text) == outcome(reference, text), repr(text)
+
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_token_soups(self, fmt, data):
+        self.check(fmt, data.draw(token_soups(fmt)))
+
+    @pytest.mark.parametrize("brk", SEPARATORS)
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_error_after_each_separator(self, fmt, brk):
+        # the error's line and column count the separator as splitlines does
+        self.check(fmt, f"gens a b;{brk}rel a{brk}# c ;{brk}b^{brk}?;{brk}")
+        self.check(fmt, f"gens a b;{brk}{brk}rel a b^2 A{brk}B;{brk}?")
+
+    @pytest.mark.parametrize("brk", SEPARATORS)
+    def test_valid_file_with_each_separator(self, brk):
+        # every space of the file becomes the separator (a space where it is
+        # none, since names must not run together)
+        pres = torus_braid_closure(3, 7)
+        names = pres.generator_names
+        text = f"gens {' '.join(names)};{brk}wirtinger;" + "".join(
+            f"{brk}rel {mixed_syntax(r, names)} ;" for r in pres.relators)
+        text = text.replace(" ", brk or " ")
+        self.check("pres", text)
+        assert parse_presentation(text) == pres
+
+    @pytest.mark.parametrize("text", [
+        "gens x1 x2;\nrel x1-2 ;",
+        "gens a;\nrel a^+3;",
+        "gens a;\nrel a^١ a^-١٢ a^٣;",
+        "gens a; # gens b;\nrel a # ; ?\n;",
+        "gens a b;\nrel a b#\nA B;\nrel ;",
+        "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0->(+,a,0)(-,1,0);",
+        "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0->(+,a,0)(-,1,7);",
+        "gens a;\ncells 0 1;\ncells 1 1;\nbd 2 0 -> ;",
+    ])
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_named_cases(self, fmt, text):
+        self.check(fmt, text)
+
+    @pytest.mark.parametrize("name", KNOT_NAMES)
+    def test_corpus(self, name):
+        self.check("pres", (corpus_dir() / f"{name}.pres").read_text())
+
+
+def peak_of(parse, text):
+    """``(tracemalloc peak, result or error)`` of one parse."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestPositionsWithoutTable:
+    """Tokens are held as strings, and the position of the one token an
+    error names is found by a scan that keeps no table of the file."""
+
+    # a file around one word of one-letter tokens, and the word's line and column
+    FILES = {
+        "pres": (parse_presentation, "gens a b;\nrel {};\n", 2, 5),
+        "cw": (parse_complex, "gens a b;\ncells 0 1;\ncells 1 1;\nbd 1 0 -> (+, {}, 0);\n",
+               4, 15),
+    }
+
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_overrun_of_a_long_word(self, fmt):
+        # 1 MB of one-letter tokens: a (token, line, col) record per token
+        # peaks at 53 MB, and so does a table built only for the error
+        parse, template, line, col = self.FILES[fmt]
+        peak, exc = peak_of(parse, template.format("a " * 500_000))
+        assert str(exc) == (f"word longer than {MAX_WORD_LETTERS} letters after expanding "
+                            f"powers (line {line}, col {col + 2 * MAX_WORD_LETTERS})")
+        assert peak <= 26.5e6, f"{peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_word_at_the_cap(self, fmt):
+        # 100 000 one-letter tokens: 19 MB with a record per token
+        parse, template, _, _ = self.FILES[fmt]
+        peak, result = peak_of(parse, template.format("a b " * (MAX_WORD_LETTERS // 2)))
+        word = result.relators[0] if fmt == "pres" else result.incidences[0][0][0].word
+        assert len(word) == MAX_WORD_LETTERS
+        assert peak <= 10e6, f"{peak / 1e6:.1f} MB"

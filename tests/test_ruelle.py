@@ -731,6 +731,28 @@ class TestBlockReader:
         np.testing.assert_array_equal(spec.holonomies[0], np.eye(rank))
         assert peak < 5e6, f"{peak / 1e6:.1f} MB"
 
+    def test_peak_memory_of_a_long_invalid_line(self):
+        # the rank-100 line with 2,0 on the diagonal: the unitarity failure
+        # sends the text through the line reader, which matches the line's
+        # numbers as runs of NUM's characters too (with NUM per number, 11 MB)
+        rank = 100
+        peaks = []
+        for diagonal in ("1,0", "2,0"):
+            pairs = [diagonal if i == j else "0,0" for i in range(rank) for j in range(rank)]
+            text = f"rank {rank};\ngeo 1 ; " + " ".join(pairs) + " ;\n"
+            tracemalloc.start()
+            try:
+                try:
+                    parse_spectrum(text)
+                except ParseError:
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        exc = assert_same_as_line_reader(text)
+        assert str(exc) == "holonomy is not unitary (defect 3.00e+01) (line 2)"
+        assert peaks[1] <= 1.5 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+
 
 class TestRuelleEval:
     """ruelle_eval reads the table and the value off one running sum."""
