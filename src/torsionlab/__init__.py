@@ -16,7 +16,6 @@ from .cwcomplex import (
     parse_complex,
     torsion_report,
 )
-from .freegroup import Word
 from .laurent import LaurentPoly
 from .presentations import ParseError, Presentation, parse_presentation
 from .reps import UnitaryRep, parse_representation

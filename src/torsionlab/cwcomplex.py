@@ -1,9 +1,10 @@
 """Twisted chain complexes of finite CW complexes and zeta-regularized torsion.
 
-Cells carry incidence records (target cell, sign, deck-group word).  A word
-may be held as a prefix of a longer one, as the Fox terms of a 2-cell are
-prefixes of its relator, so a complex built from a presentation, its
-validation and its boundary matrices stay linear in the relator lengths.
+Cells carry incidence records (target cell, sign, deck-group word), a word
+being a tuple of signed generator indices (``freegroup``).  A word may be
+held as a prefix of a longer one, as the Fox terms of a 2-cell are prefixes
+of its relator, so a complex built from a presentation, its validation and
+its boundary matrices stay linear in the relator lengths.
 Tensoring with a unitary representation of the deck group gives
 finite-dimensional boundary matrices.  The combinatorial Laplacian in each
 degree is B_p^* B_p + B_{p+1} B_{p+1}^*; its positive spectrum, weighted by
@@ -19,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .freegroup import Word
-from .presentations import ParseError, _TokenStream
+from .freegroup import inverse, reduce
+from .presentations import ParseError, _TokenStream, stray_letter
 
 # eigenvalues below 1e-8 * (1 + spectral max) count as kernel
 ZERO_EIG_REL_TOL = 1e-8
@@ -36,7 +37,7 @@ MAX_CELLS = 4096
 class _IncidenceFields(NamedTuple):
     target: int
     sign: int
-    base: Word
+    base: tuple
     length: int
 
 
@@ -57,9 +58,7 @@ class Incidence(_IncidenceFields):
 
     @property
     def word(self):
-        if self.length == len(self.base):
-            return self.base
-        return Word._of_reduced(self.base.letters[: self.length])
+        return self.base[: self.length]
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,7 @@ class TwistedCWComplex:
             raise ValueError("cell counts must be nonnegative, degree 0 present")
         if len(self.incidences) != max(len(dims) - 1, 0):
             raise ValueError("need one incidence table per degree >= 1")
+        n, checked = len(self.generator_names), set()
         for p, table in enumerate(self.incidences, start=1):
             if len(table) != dims[p]:
                 raise ValueError(f"degree {p}: expected {dims[p]} cells, got {len(table)}")
@@ -92,10 +92,14 @@ class TwistedCWComplex:
                         raise ValueError(f"degree {p}: target {target} out of range")
                     if sign not in (1, -1):
                         raise ValueError("incidence signs must be +1 or -1")
-                    if not (0 <= length <= len(base.letters)):
+                    if not (0 <= length <= len(base)):
                         raise ValueError(
                             f"degree {p}: prefix length {length} outside 0..{len(base)}"
                         )
+                    if id(base) not in checked and stray_letter(base, n) is not None:
+                        raise ValueError(
+                            f"degree {p}: {base} uses a generator beyond the declared {n}")
+                    checked.add(id(base))
         self.validate_boundary()
 
     @property
@@ -117,12 +121,12 @@ class TwistedCWComplex:
         Only keys with a nonzero coefficient are turned back into words for
         relator deletion, so a Fox 2-cell costs time linear in its relator.
         """
-        bases = tuple(ls for r in self.relations for ls in (r.letters, r.inverse().letters))
+        bases = tuple(b for r in self.relations for b in (r, inverse(r)))
         tree = _CayleyTree()
         step = tree.step
         for p in range(2, self.top_degree + 1):
             lower = [
-                [(target, sign, base.letters[:length]) for target, sign, base, length in cell]
+                [(target, sign, base[:length]) for target, sign, base, length in cell]
                 for cell in self.incidences[p - 2]
             ]
             for i, recs in enumerate(self.incidences[p - 1]):
@@ -131,7 +135,7 @@ class TwistedCWComplex:
                 paths = {}  # id(base) -> the node of each prefix of base
                 for target, sign, base, length in recs:
                     if (nodes := paths.get(id(base))) is None:
-                        nodes = paths[id(base)] = tree.prefixes(base.letters)
+                        nodes = paths[id(base)] = tree.prefixes(base)
                     for low_target, low_sign, letters in lower[target]:
                         node = nodes[length]
                         for letter in letters:
@@ -159,12 +163,11 @@ class _CayleyTree:
 
     def __init__(self):
         self.parent = [0]
-        self.last = [None]  # the letter that leads to each node
+        self.last = [0]  # the letter that leads to each node, none (0) to the root
         self.children = {}  # (node, letter) -> node
 
     def step(self, node, letter):
-        i, s = letter
-        if self.last[node] == (i, -s):
+        if self.last[node] == -letter:
             return self.parent[node]
         child = self.children.get((node, letter))
         if child is None:
@@ -172,11 +175,6 @@ class _CayleyTree:
             self.parent.append(node)
             self.last.append(letter)
         return child
-
-    def walk(self, node, letters):
-        for letter in letters:
-            node = self.step(node, letter)
-        return node
 
     def prefixes(self, letters):
         """The nodes of the prefixes of a word, from one walk along it."""
@@ -190,13 +188,13 @@ class _CayleyTree:
         while node:
             letters.append(self.last[node])
             node = self.parent[node]
-        return Word._of_reduced(tuple(reversed(letters)))
+        return tuple(reversed(letters))
 
 
 def _delete_relators(w, bases):
     """Normalize a word by deleting relator occurrences until stable.
 
-    ``bases`` holds the letters of each relator and of its inverse; their
+    ``bases`` holds each relator and its inverse; their
     cyclic rotations are the patterns, tried base by base and rotation by
     rotation.  Each step deletes the leftmost occurrence of the first
     pattern that occurs and freely reduces.  Rotations are formed as they
@@ -204,7 +202,7 @@ def _delete_relators(w, bases):
     first relator from a word equal to it forms one rotation, not one per
     letter.
     """
-    while (shorter := _delete_first(w.letters, bases)) is not None:
+    while (shorter := _delete_first(w, bases)) is not None:
         w = shorter
     return w
 
@@ -216,7 +214,7 @@ def _delete_first(ls, bases):
             pat = base[k:] + base[:k]
             for start in range(len(ls) - m + 1):
                 if ls[start : start + m] == pat:
-                    return Word(ls[:start] + ls[start + m :])
+                    return reduce(ls[:start] + ls[start + m :])
     return None
 
 
@@ -255,7 +253,7 @@ def twisted_boundary(cx, rep, p):
     images = np.empty((len(recs), r, r), dtype=complex)
     for start, end in zip([0, *ends], ends):
         ks = order[start:end]
-        images[ks] = rep.prefix_products(bases[ks[0]].letters, lengths[ks])
+        images[ks] = rep.prefix_products(bases[ks[0]], lengths[ks])
     # block k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
     cells = np.repeat(np.arange(len(table)), [len(cell) for cell in table])
     first = (np.array(targets, dtype=int) * cols + cells)[:, None, None] * r
@@ -333,9 +331,7 @@ def knot_complex(pres):
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
     n = pres.n_generators
-    empty = Word()  # one base for every 1-cell, so twisted_boundary walks it once
-    one_cells = [(Incidence(0, 1, Word.generator(i)), Incidence(0, -1, empty))
-                 for i in range(1, n + 1)]
+    one_cells = [(Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in range(1, n + 1)]
     two_cells = []
     for rel, t in zip(pres.relators, pres.fox_terms):
         by_generator = np.argsort(t.generator, kind="stable")

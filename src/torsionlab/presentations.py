@@ -18,7 +18,8 @@ rules:
   inverse the name with its first character capitalized, so ``X1`` and
   ``x1^-1`` denote the same letter; ``1`` is the identity.  A word holds
   at most MAX_WORD_LETTERS letters once its powers are written out, and it
-  is never empty.
+  is never empty.  It is read into the ``freegroup`` form, a freely reduced
+  tuple of signed generator indices: ``i`` for x_i and ``-i`` for x_i^-1.
 
 Grammar of a presentation::
 
@@ -26,8 +27,9 @@ Grammar of a presentation::
     relator    := "rel" word ";"
     peripheral := "meridian" word ";" "longitude" word ";"
 
-A Presentation derives the Fox terms of its relators (``fox_terms``) once,
-on first read; the Fox and CW routes both read them.
+A Presentation derives the prefix degree bounds of its relators
+(``degree_bounds``) and their Fox terms (``fox_terms``) once each, on first
+read; the Fox and CW routes both read them.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .freegroup import Word
+from .freegroup import reduce
 
 
 class ParseError(ValueError):
@@ -55,6 +56,15 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+def stray_letter(word, n):
+    """The first letter of ``word`` that is 0 or names a generator past the
+    n-th, or None: a letter k is read at k + n in tables of 2n + 1 entries,
+    where any other index would wrap around or fail."""
+    if word and (min(word) < -n or max(word) > n or 0 in word):
+        return next(k for k in word if not 0 < abs(k) <= n)
+    return None
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation with optional peripheral words."""
@@ -62,23 +72,22 @@ class Presentation:
     generator_names: tuple
     relators: tuple
     wirtinger: bool = False
-    meridian: Word | None = None
-    longitude: Word | None = None
+    meridian: tuple | None = None
+    longitude: tuple | None = None
 
     def __post_init__(self):
-        for r in self.relators:
-            if r.max_generator() > self.n_generators:
-                raise ParseError(
-                    f"relator {r!r} uses a generator beyond the declared {self.n_generators}"
-                )
-        if self.wirtinger and len(self.relators) != self.n_generators - 1:
+        n = self.n_generators
+        peripheral = ("meridian", self.meridian), ("longitude", self.longitude)
+        for what, w in (*(("relator", r) for r in self.relators), *peripheral):
+            if w is not None and stray_letter(w, n) is not None:
+                raise ParseError(f"{what} {w} uses a generator beyond the declared {n}")
+        if self.wirtinger and len(self.relators) != n - 1:
             raise ParseError(
-                f"wirtinger presentation needs {self.n_generators - 1} relators, "
-                f"got {len(self.relators)}"
+                f"wirtinger presentation needs {n - 1} relators, got {len(self.relators)}"
             )
         for k, r in enumerate(self.relators, start=1):
             # every generator abelianizes to t only if each relator maps to 0 in Z
-            if self.wirtinger and (s := r.exponent_sum()):
+            if self.wirtinger and (s := len(r) - 2 * sum(a < 0 for a in r)):
                 raise ParseError(f"wirtinger relator {k} has exponent sum {s}, not 0")
 
     @property
@@ -90,6 +99,15 @@ class Presentation:
         return self.meridian is not None and self.longitude is not None
 
     @cached_property
+    def degree_bounds(self):
+        """``(low, high)`` of each relator: the least and greatest exponent sum
+        of its prefixes, the empty one and the relator itself included.  A
+        cumulative sum of signs, so the Fox Jacobian's degree span is known
+        before any ``fox_terms`` table is derived."""
+        prefixes = (np.cumsum(np.sign(np.array(r, dtype=np.intp))) for r in self.relators)
+        return tuple((int(p.min(initial=0)), int(p.max(initial=0))) for p in prefixes)
+
+    @cached_property
     def fox_terms(self):
         """The ``FoxTerms`` of each relator, derived on first read and kept."""
         return tuple(map(FoxTerms.of, self.relators))
@@ -99,32 +117,29 @@ class FoxTerms(NamedTuple):
     """The Fox terms of a word by every generator, one per letter in letter
     order, as read-only arrays.
 
-    Letter k, x_i^s, adds the term s * (prefix) to d w / d x_i: the prefix
-    before it (``length`` k) when s = +1, through it (k + 1) when s = -1.
-    ``degree`` is that prefix's exponent sum; ``low`` and ``high`` bound the
-    exponent sums of all prefixes of the word, the empty one and the word
-    itself included.
+    The letter at position k, x_i^s, adds s * (prefix) to d w / d x_i: the
+    prefix before it (``length`` k) if s = +1, through it (k + 1) if s = -1.
+    ``degree`` is that prefix's exponent sum.
     """
 
     generator: np.ndarray
     sign: np.ndarray
     length: np.ndarray
     degree: np.ndarray
-    low: int
-    high: int
 
     @classmethod
     def of(cls, w):
+        w = np.array(w, dtype=np.intp)
         n = len(w)
         table = np.empty((4, n), dtype=np.intp)
-        table[:2] = np.fromiter(chain.from_iterable(w.letters), np.intp, 2 * n).reshape(n, 2).T
+        table[:2] = np.abs(w), np.sign(w)
         _, sign, length, degree = table
-        np.add(np.arange(n), sign < 0, out=length)
+        np.add(np.arange(n), w < 0, out=length)
         prefix = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(sign, out=prefix[1:])
         np.take(prefix, length, out=degree)
         table.flags.writeable = False
-        return cls(*table, int(prefix.min()), int(prefix.max()))
+        return cls(*table)
 
 
 # letters a word may hold once its powers are written out; checked before
@@ -201,8 +216,8 @@ class _TokenStream:
 
     def generators(self):
         """The ``gens`` header: the names, and the table ``word`` reads letters
-        from, which maps the k-th name to the letters ((k, 1), (k, -1)) and the
-        name capitalized to ((k, -1), (k, 1)): a letter and its inverse."""
+        from, which maps the k-th name to the letter k and the name capitalized
+        to its inverse -k."""
         tok = self.next(expect="'gens'")
         if tok != "gens":
             raise self.error(f"file must start with 'gens', got {tok!r}")
@@ -217,9 +232,9 @@ class _TokenStream:
             raise self.error("no generators declared")
         letters = {}
         for k, name in enumerate(names, start=1):
-            letters[name] = (k, 1), (k, -1)
+            letters[name] = k
             if name[0] != "_":
-                letters[name[0].upper() + name[1:]] = letters[name][::-1]
+                letters[name[0].upper() + name[1:]] = -k
         return tuple(names), letters
 
     def word(self, letters, stop=";"):
@@ -236,8 +251,8 @@ class _TokenStream:
             if name == "1":
                 # the identity word; legal anywhere a word is expected
                 continue
-            pair = letters.get(name)
-            if pair is None:
+            letter = letters.get(name)
+            if letter is None:
                 if _NAME.fullmatch(name):
                     raise self.error(f"unknown generator {name!r}", at)
                 raise self.error(f"expected a generator name, got {name!r}", at)
@@ -254,15 +269,15 @@ class _TokenStream:
                     f"word longer than {MAX_WORD_LETTERS} letters after expanding powers", at
                 )
             if count == 1:
-                out.append(pair[0])
+                out.append(letter)
             else:
-                out += [pair[count < 0]] * abs(count)
+                out += [letter if count > 0 else -letter] * abs(count)
         if pos == start:
             if pos < end:
                 raise self.error("empty word", pos)
             raise ParseError("empty word")
         self.pos = pos
-        return Word(tuple(out))
+        return reduce(out)
 
 
 def parse_presentation(text):

@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .presentations import NUM, ParseError
+from .presentations import NUM, ParseError, stray_letter
 
 UNITARITY_TOL = 1e-10
 RELATOR_TOL = 1e-8
@@ -72,35 +72,34 @@ class UnitaryRep:
     def of_word(self, w):
         """rho(w), the last of ``prefix_products``: bitwise w's letter images
         multiplied left to right from the identity, one matmul per letter."""
-        return self.prefix_products(w.letters, [len(w)])[0]
+        return self.prefix_products(w, [len(w)])[0]
 
-    def prefix_products(self, letters, lengths):
-        """rho of the prefix of ``letters`` at each of the ascending ``lengths``
+    def prefix_products(self, word, lengths):
+        """rho of the prefix of ``word`` at each of the ascending ``lengths``
         (repeats allowed), as a (len(lengths), r, r) array: one walk, reading
         the images at the call, multiplies the identity on the right by each
-        letter's image in word order.  At rank 1 that is one cumulative product
-        of 1 and the letter scalars gathered by index, which runs the complex
-        multiplications of the 1x1 matmuls in their order, so bitwise theirs."""
-        table = {}
-        for i, (m, inv) in enumerate(zip(self.images, self.inverses), start=1):
-            table[i, 1], table[i, -1] = m, inv
-        try:
-            if self.rank == 1:
-                end = lengths[-1] if len(lengths) else 0
-                position = {letter: k for k, letter in enumerate(table, start=1)}
-                index = [0, *map(position.__getitem__, letters[:end])]
-                walk = np.array([1, *(m[0, 0] for m in table.values())])[index]
-                return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
-            out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
-            mat, done = np.eye(self.rank, dtype=complex), 0
-            for j, length in enumerate(lengths):
-                for letter in letters[done:length]:
-                    mat = mat @ table[letter]
-                out[j], done = mat, length
-            return out
-        except KeyError as exc:
-            raise ValueError(
-                f"word uses generator {exc.args[0][0]}, rep has {len(self.images)}") from None
+        letter's image in word order.  Letter k reads entry k + n of a table
+        of the n inverses (last first), the identity and the n images.  At
+        rank 1 the walk is one gather from that table, behind a leading 1,
+        and one cumulative product, which runs the complex multiplications
+        of the 1x1 matmuls in their order, so bitwise theirs."""
+        n = len(self.images)
+        word = word[: lengths[-1] if len(lengths) else 0]
+        if (k := stray_letter(word, n)) is not None:
+            raise ValueError(f"word uses generator {abs(k)}, rep has {n}")
+        if self.rank == 1:
+            table = np.array([*(m[0, 0] for m in self.inverses[::-1]), 1,
+                              *(m[0, 0] for m in self.images)])
+            walk = table[np.array((0, *word), dtype=np.intp) + n]
+            return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
+        table = [*self.inverses[::-1], None, *self.images]
+        out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
+        mat, done = np.eye(self.rank, dtype=complex), 0
+        for j, length in enumerate(lengths):
+            for k in word[done:length]:
+                mat = mat @ table[k + n]
+            out[j], done = mat, length
+        return out
 
     def validate_against(self, pres, relator_images):
         """Check that each relator image, in ``pres``'s relator order, is I (well-definedness)."""

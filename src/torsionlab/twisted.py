@@ -27,11 +27,11 @@ def phi_apply(elem, rep):
 
     ``elem`` maps words to coefficients, as ``fox_derivative`` returns.
     Returns an r x r LaurentMatrix: each word w adds coeff * rho(w) at
-    t**w.exponent_sum(), with ``rep.of_word``, in the dict's order.  The
+    t**(exponent sum of w), with ``rep.of_word``, in the dict's order.  The
     pipeline does not call this: applied to ``fox_derivative`` of each
     relator, it is the reference that tests compare ``boundary2`` against.
     """
-    degrees = [w.exponent_sum() for w in elem]
+    degrees = [int(np.sign(w).sum()) for w in elem]
     low = min(degrees, default=0)
     coef = np.zeros((rep.rank, rep.rank, max(degrees, default=0) - low + 1), dtype=complex)
     for (w, c), d in zip(elem.items(), degrees):
@@ -66,13 +66,14 @@ def boundary2(pres, rep, skip_generator=None):
     bitwise ``rep.of_word``'s.
 
     A tensor of more than MAX_CELLS^2 coefficients, the budget of one capped
-    Laplacian, is a ValueError before it is allocated.
+    Laplacian, is a ValueError before it is allocated, and before any Fox
+    term is derived: its degree span comes from ``pres.degree_bounds``.
     """
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
-    fox_terms = pres.fox_terms
-    width = max((t.high - t.low + 1 for t in fox_terms), default=1)
-    shape = (len(fox_terms) * r, len(cols) * r, width)
+    bounds = pres.degree_bounds
+    width = max((high - low + 1 for low, high in bounds), default=1)
+    shape = (len(bounds) * r, len(cols) * r, width)
     if math.prod(shape) > MAX_CELLS**2:
         raise ValueError(f"Fox Jacobian of {' x '.join(map(str, shape))} coefficients (rows x "
                          f"columns x degrees) exceeds MAX_CELLS^2 = {MAX_CELLS**2}")
@@ -84,19 +85,19 @@ def boundary2(pres, rep, skip_generator=None):
     entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
     firsts, signs = [np.empty(0, int)], [np.empty(0, int)]
     prods, images = [np.empty((0, r, r))], []
-    for j, (rel, t) in enumerate(zip(pres.relators, fox_terms)):
+    for j, (rel, t, (low, _)) in enumerate(zip(pres.relators, pres.fox_terms, bounds)):
         c = column[t.generator]
         kept = c >= 0
         # each kept term's block's first entry, at its prefix degree in row j
-        firsts.append((j * r * coef.shape[1] + c[kept] * r) * width - t.low + t.degree[kept])
+        firsts.append((j * r * coef.shape[1] + c[kept] * r) * width - low + t.degree[kept])
         signs.append(t.sign[kept])
-        walk = rep.prefix_products(rel.letters, [*t.length[kept].tolist(), len(rel)])
+        walk = rep.prefix_products(rel, [*t.length[kept].tolist(), len(rel)])
         prods.append(walk[:-1])
         images.append(walk[-1])
     first, prods = np.concatenate(firsts), np.concatenate(prods)
     np.negative(prods, out=prods, where=(np.concatenate(signs) < 0)[:, None, None])
     np.add.at(coef.reshape(-1), (first[:, None, None] + entry).ravel(), prods.ravel())
-    return LaurentMatrix(np.repeat([t.low for t in fox_terms], r), coef), images
+    return LaurentMatrix(np.repeat([low for low, _ in bounds], r), coef), images
 
 
 def choose_pivot(pres, rep, pivot=1):

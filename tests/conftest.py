@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from torsionlab import LaurentPoly, Presentation, UnitaryRep, Word, parse_presentation
+from torsionlab import LaurentPoly, Presentation, UnitaryRep, parse_presentation
+from torsionlab.freegroup import inverse, reduce
 from torsionlab.cli import corpus_dir
 
 from oracles import ONE, close_to, scale
@@ -78,19 +79,18 @@ def torus_braid_closure(p, q):
     beta acts on words by the Artin action; the relator for j = p is
     redundant and dropped.
     """
-    x = Word.generator
+    def artin(i, k):
+        j = abs(k)
+        img = (i, i + 1, -i) if j == i else (i,) if j == i + 1 else (j,)
+        return img if k > 0 else inverse(img)
 
-    def artin(i, j, s):
-        img = x(i) * x(i + 1) * x(i, -1) if j == i else x(i) if j == i + 1 else x(j)
-        return (img if s > 0 else img.inverse()).letters
-
-    images = [x(j) for j in range(1, p + 1)]
+    images = [(j,) for j in range(1, p + 1)]
     for _ in range(q):
         for i in range(1, p):
-            images = [Word(sum((artin(i, j, s) for j, s in w.letters), ())) for w in images]
+            images = [reduce(sum((artin(i, k) for k in w), ())) for w in images]
     return Presentation(
         generator_names=tuple(f"x{j}" for j in range(1, p + 1)),
-        relators=tuple(images[j - 1] * x(j, -1) for j in range(1, p)),
+        relators=tuple(reduce(images[j - 1] + (-j,)) for j in range(1, p)),
         wirtinger=True,
     )
 
@@ -107,10 +107,9 @@ def two_bridge(p, q):
     K(p/q) is hyperbolic unless q = +-1 (mod p) (Menasco).  The presentation
     has no peripheral words.
     """
-    a, b = Word.generator(1), Word.generator(2)
-    w = Word(tuple((2 if i % 2 else 1, e) for i, e in enumerate(two_bridge_signs(p, q), 1)))
+    w = tuple((2 if i % 2 else 1) * e for i, e in enumerate(two_bridge_signs(p, q), 1))
     return Presentation(
-        generator_names=("a", "b"), relators=(a * w * b.inverse() * w.inverse(),), wirtinger=True
+        generator_names=("a", "b"), relators=(reduce((1, *w, -2, *inverse(w))),), wirtinger=True
     )
 
 

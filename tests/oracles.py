@@ -2,12 +2,12 @@
 
 None of this is on a command-line path: the ``.pres`` and ``.cw`` readers on
 a table of every token's line and column, Laurent polynomial arithmetic and
-matrices packed from entries, group-ring arithmetic on {Word: coefficient}
-dicts, rho of a word one matmul per letter, the first and second boundary
-matrices of a presentation by a letter-by-letter walk, the cuspidality rule
-on both peripheral words, pivot candidates, the circle complex, the knot
-complex's 2-cells from Fox derivatives and the combinatorial Laplacian of a
-degree.
+matrices packed from entries, group-ring arithmetic on {word: coefficient}
+dicts with its own product of reduced words, rho of a word one matmul per
+letter, the first and second boundary matrices of a presentation by a
+letter-by-letter walk, the cuspidality rule on both peripheral words, pivot
+candidates, the circle complex, the knot complex's 2-cells from Fox
+derivatives and the combinatorial Laplacian of a degree.
 """
 
 import functools
@@ -22,7 +22,7 @@ from torsionlab.cwcomplex import (
     _laplacian,
     twisted_boundary,
 )
-from torsionlab.freegroup import Word, fox_derivative
+from torsionlab.freegroup import fox_derivative, reduce
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
 from torsionlab.presentations import MAX_WORD_LETTERS, ParseError, Presentation
 from torsionlab.twisted import CUSPIDAL_TOL, _generator_block, phi_apply
@@ -89,9 +89,9 @@ class PositionalTokenStream:
             raise ParseError("no generators declared", line, col)
         letters = {}
         for k, name in enumerate(names, start=1):
-            letters[name] = (k, 1)
+            letters[name] = k
             if name[0] != "_":
-                letters[name[0].upper() + name[1:]] = (k, -1)
+                letters[name[0].upper() + name[1:]] = -k
         return tuple(names), letters
 
     def word(self, letters, stop=";"):
@@ -114,7 +114,7 @@ class PositionalTokenStream:
                 count = self.integer("exponent")[0]
                 pos = self.pos
                 if count < 0:
-                    letter, count = (letter[0], -letter[1]), -count
+                    letter, count = -letter, -count
             if len(out) + count > MAX_WORD_LETTERS:
                 raise ParseError(
                     f"word longer than {MAX_WORD_LETTERS} letters after expanding powers",
@@ -125,7 +125,7 @@ class PositionalTokenStream:
         if pos == start:
             raise ParseError("empty word", *(tokens[pos][1:] if pos < len(tokens) else ()))
         self.pos = pos
-        return Word(tuple(out))
+        return reduce(out)
 
 
 def parse_presentation_positional(text):
@@ -320,8 +320,18 @@ def max_abs_coeff(m):
 # -- the group ring --------------------------------------------------------------
 
 
+def product(u, v):
+    """The reduced word of u v for reduced u and v: cancellation happens only
+    at the seam, so it runs from there and nowhere else."""
+    n, m, k = len(u), min(len(u), len(v)), 0
+    while k < m and u[n - 1 - k] == -v[k]:
+        k += 1
+    return u[: n - k] + v[k:]
+
+
 class GroupRingElement(dict):
-    """A finite combination {Word: coefficient} of free-group words, zero terms dropped."""
+    """A finite combination {word: coefficient} of reduced free-group words,
+    zero terms dropped."""
 
     def __init__(self, terms=()):
         super().__init__((w, c) for w, c in dict(terms).items() if c != 0)
@@ -350,18 +360,19 @@ class GroupRingElement(dict):
         out = {}
         for u, a in self.items():
             for v, b in other.items():
-                out[u * v] = out.get(u * v, 0) + a * b
+                uv = product(u, v)
+                out[uv] = out.get(uv, 0) + a * b
         return GroupRingElement(out)
 
 
 def fundamental_identity_residual(w, n_generators=None):
     """sum_i (dw/dx_i) (x_i - 1) - (w - 1): the zero element for every word."""
     if n_generators is None:
-        n_generators = w.max_generator()
-    one = GroupRingElement.of_word(Word())
+        n_generators = max(map(abs, w), default=0)
+    one = GroupRingElement.of_word(())
     acc = one - GroupRingElement.of_word(w)
     for i in range(1, n_generators + 1):
-        xi = GroupRingElement.of_word(Word.generator(i))
+        xi = GroupRingElement.of_word((i,))
         acc = acc + GroupRingElement(fox_derivative(w, i)) * (xi - one)
     return acc
 
@@ -372,10 +383,10 @@ def fundamental_identity_residual(w, n_generators=None):
 def of_word_sequential(rep, letters):
     """rho of a word from the identity, one matmul per letter, left to right."""
     out = np.eye(rep.rank, dtype=complex)
-    for i, s in letters:
-        if i > len(rep.images):
-            raise ValueError(f"word uses generator {i}, rep has {len(rep.images)}")
-        out = out @ (rep.images[i - 1] if s > 0 else rep.inverses[i - 1])
+    for k in letters:
+        if not 0 < abs(k) <= len(rep.images):
+            raise ValueError(f"word uses generator {abs(k)}, rep has {len(rep.images)}")
+        out = out @ (rep.images[k - 1] if k > 0 else rep.inverses[-k - 1])
     return out
 
 
@@ -387,15 +398,16 @@ def boundary2_sequential(pres, rep, skip_generator=None):
     r = rep.rank
     cols = [i for i in range(1, pres.n_generators + 1) if i != skip_generator]
     block = {i: c for c, i in enumerate(cols)}
-    degs = [[0] + list(np.cumsum([s for _, s in rel.letters])) for rel in pres.relators]
+    degs = [[0] + list(np.cumsum([1 if k > 0 else -1 for k in rel])) for rel in pres.relators]
     lows = [min(d) for d in degs]
     width = max((max(d) - low + 1 for d, low in zip(degs, lows)), default=1)
     coef = np.zeros((len(lows), r, len(cols), r, width), dtype=complex)
     for rel, deg, low, out in zip(pres.relators, degs, lows, coef):
         prefix = np.eye(r, dtype=complex)
-        for k, (j, s) in enumerate(rel.letters):
+        for k, letter in enumerate(rel):
+            j = abs(letter)
             c = block.get(j)
-            if s > 0:
+            if letter > 0:
                 if c is not None:
                     out[:, c, :, deg[k] - low] += prefix
                 prefix = prefix @ rep.images[j - 1]
@@ -416,7 +428,7 @@ def cuspidal_stacked(rep, pres):
 
 def boundary1(pres, rep):
     """The nr x r block column with i-th block Phi(x_i - 1)."""
-    blocks = [phi_apply({Word.generator(i): 1, Word(): -1}, rep)
+    blocks = [phi_apply({(i,): 1, (): -1}, rep)
               for i in range(1, pres.n_generators + 1)]
     return matrix([[blk[a, b] for b in range(rep.rank)] for blk in blocks for a in range(rep.rank)])
 
@@ -440,7 +452,7 @@ def circle_complex():
     """One 0-cell and one 1-cell glued along (x1 - 1)."""
     return TwistedCWComplex(
         cells_per_degree=(1, 1),
-        incidences=(((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),),
+        incidences=(((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),),
         generator_names=("a",),
     )
 

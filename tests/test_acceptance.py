@@ -14,7 +14,7 @@ import pytest
 from torsionlab import UnitaryRep, knot_complex, torsion_report, twisted_alexander
 from torsionlab.cli import main
 from torsionlab.cwcomplex import twisted_boundary
-from torsionlab.freegroup import Word
+from torsionlab.freegroup import reduce
 from torsionlab.ruelle import GeodesicEntry, LengthSpectrum, truncated_ruelle
 from torsionlab.twisted import boundary2
 
@@ -114,9 +114,7 @@ def test_criterion_04_fox_fundamental_identity(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         length = int(rng.integers(0, 31))
-        w = Word(
-            [(int(rng.integers(1, n + 1)), int(rng.choice([-1, 1]))) for _ in range(length)]
-        )
+        w = reduce([int(rng.integers(1, n + 1)) * int(rng.choice([-1, 1])) for _ in range(length)])
         if not fundamental_identity_residual(w, n).is_zero:
             failures += 1
     report(4, failures == 0, f"1000 random words (n<=5, len<=30), exact-zero residuals, {failures} failures")

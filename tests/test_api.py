@@ -12,7 +12,7 @@ import oracles
 
 PUBLIC = {
     # presentations, words and representations
-    "ParseError", "Presentation", "Word", "parse_presentation",
+    "ParseError", "Presentation", "parse_presentation",
     "UnitaryRep", "parse_representation",
     # the Fox route
     "LaurentPoly", "TwistedAlexanderResult", "twisted_alexander",

@@ -279,7 +279,7 @@ class TestVerifyKnot:
         names = knot.generator_names
         pres = tmp_path / "t37.pres"
         pres.write_text(f"gens {' '.join(names)}; wirtinger;\n" + "".join(
-            "rel " + " ".join(names[i - 1] + ("" if s > 0 else "^-1") for i, s in r.letters)
+            "rel " + " ".join(names[abs(k) - 1] + ("" if k > 0 else "^-1") for k in r)
             + ";\n" for r in knot.relators))
         code, out, _ = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert code == 0 and "agree = true" in out

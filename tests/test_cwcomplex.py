@@ -12,14 +12,13 @@ from torsionlab import (
     ParseError,
     TwistedCWComplex,
     UnitaryRep,
-    Word,
     knot_complex,
     parse_complex,
     torsion_report,
     twisted_alexander,
 )
 from torsionlab.cwcomplex import ZERO_EIG_REL_TOL, twisted_boundary
-from torsionlab.freegroup import fox_derivative
+from torsionlab.freegroup import fox_derivative, inverse, reduce
 from torsionlab.presentations import MAX_WORD_LETTERS
 from torsionlab.twisted import boundary2
 
@@ -75,7 +74,7 @@ bd 1 1 -> (-, a^-1 b, 0) (+, b^2, 1) (-, 1, 0) ;
 
 def shared_base_complex():
     """Prefix incidences of one base out of length order, two at one length."""
-    w = Word(((1, 1), (2, 1), (1, -1), (2, 1), (2, 1)))
+    w = (1, 2, -1, 2, 2)
     recs = (Incidence(1, 1, w, 3), Incidence(0, -1, w, 1), Incidence(0, 1, w, 3),
             Incidence(1, -1, w, 0), Incidence(1, 1, w))
     return TwistedCWComplex(
@@ -149,7 +148,7 @@ def twisted_boundary_reference(cx, rep, p):
     for i, cell in enumerate(cx.incidences[p - 1]):
         for rec in cell:
             out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += (
-                rec.sign * of_word_sequential(rep, rec.word.letters).T
+                rec.sign * of_word_sequential(rep, rec.word).T
             )
     return out
 
@@ -412,15 +411,27 @@ class TestKnotComplex:
             TwistedCWComplex(
                 cells_per_degree=(1, 1, 1),
                 incidences=(
-                    ((Incidence(0, 1, Word.generator(1)), Incidence(0, -1, Word())),),
-                    ((Incidence(0, 1, Word()),),),
+                    ((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),
+                    ((Incidence(0, 1, ()),),),
                 ),
                 generator_names=("a",),
             )
 
 
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    def test_letter_out_of_range_rejected(self, letter):
+        # two generators: a letter k is read at k + 2 of the rep's tables
+        one_cells = tuple((Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in (1, 2))
+        bad = (1, letter)
+        with pytest.raises(ValueError, match=rf"^degree 1: \(1, {letter}\) uses a generator "
+                                             r"beyond the declared 2$"):
+            TwistedCWComplex(cells_per_degree=(1, 3),
+                             incidences=(one_cells + ((Incidence(0, 1, bad, 1),),),),
+                             generator_names=("a", "b"))
+
+
 class TestIncidence:
-    W = Word(((1, 1), (2, -1), (1, 1)))
+    W = (1, -2, 1)
 
     def test_whole_word(self):
         rec = Incidence(0, 1, self.W)
@@ -429,7 +440,7 @@ class TestIncidence:
 
     def test_prefix_built_when_read(self):
         assert [Incidence(0, -1, self.W, n).word for n in range(4)] == [
-            Word(self.W.letters[:n]) for n in range(4)
+            (), (1,), (1, -2), (1, -2, 1)
         ]
 
 
@@ -438,17 +449,16 @@ class TestCayleyTree:
         tree = cwcomplex._CayleyTree()
 
         def random_letters(n):
-            return tuple((int(rng.integers(1, 4)), int(rng.choice([-1, 1]))) for _ in range(n))
+            return tuple(int(rng.integers(1, 4)) * int(rng.choice([-1, 1])) for _ in range(n))
 
         seen = {}
         for _ in range(300):
             u, v = random_letters(int(rng.integers(0, 8))), random_letters(int(rng.integers(0, 8)))
-            assert tree.prefixes(u)[-1] == tree.walk(0, u)
-            node = tree.walk(tree.walk(0, u), v)
-            want = Word(u) * Word(v)
+            node = tree.prefixes(u + v)[-1]
+            want = reduce(u + v)
             assert tree.word(node) == want
             # one node per reduced word, one reduced word per node
-            assert seen.setdefault(want.letters, node) == node
+            assert seen.setdefault(want, node) == node
         assert len(set(seen.values())) == len(seen)
 
 
@@ -456,11 +466,11 @@ class TestValidateWithRelators:
     """The boundary check on complexes whose 2-cells follow a word w by Fox
     derivatives while the declared relator is r."""
 
-    R = Word(((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)))
+    R = (1, 2, 1, -2, -1, -2)
 
     def complex_along(self, w):
         one_cells = tuple(
-            (Incidence(0, 1, Word.generator(i)), Incidence(0, -1, Word())) for i in (1, 2)
+            (Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in (1, 2)
         )
         recs = []
         for i in (1, 2):
@@ -473,9 +483,9 @@ class TestValidateWithRelators:
         )
 
     def test_relator_consequences_accepted(self):
-        a, b = Word.generator(1), Word.generator(2)
-        conjugates = (a * self.R * a.inverse(), b * self.R.inverse() * b.inverse())
-        for w in (self.R, self.R * self.R, self.R.inverse()) + conjugates:
+        r = self.R
+        conjugates = (reduce((1, *r, -1)), reduce((2, *inverse(r), -2)))
+        for w in (r, reduce(r + r), inverse(r)) + conjugates:
             self.complex_along(w)
 
     def test_deletion_matches_a_precomputed_pattern_list(self, rng):
@@ -483,20 +493,20 @@ class TestValidateWithRelators:
         # after each deletion
         def reference(w, relations):
             patterns = [
-                base.letters[k:] + base.letters[:k]
+                base[k:] + base[:k]
                 for r in relations
-                for base in (r, r.inverse())
+                for base in (r, inverse(r))
                 for k in range(len(r))
             ]
             changed = True
             while changed:
                 changed = False
-                ls = w.letters
+                ls = w
                 for pat in patterns:
                     m = len(pat)
                     for start in range(len(ls) - m + 1):
                         if ls[start : start + m] == pat:
-                            w = Word(ls[:start] + ls[start + m :])
+                            w = reduce(ls[:start] + ls[start + m :])
                             changed = True
                             break
                     if changed:
@@ -504,25 +514,25 @@ class TestValidateWithRelators:
             return w
 
         def random_word(n):
-            return Word(tuple((int(rng.integers(1, 3)), int(rng.choice([-1, 1])))
-                              for _ in range(n)))
+            return reduce(tuple(int(rng.integers(1, 3)) * int(rng.choice([-1, 1]))
+                                for _ in range(n)))
 
         for _ in range(200):
             relations = tuple(random_word(int(rng.integers(1, 6))) for _ in range(2))
-            w = Word()
+            w = ()
             for _ in range(int(rng.integers(1, 6))):
                 # random letters and relator rotations, freely reduced together
                 r = relations[int(rng.integers(0, 2))]
                 k = int(rng.integers(0, len(r))) if len(r) else 0
-                rotation = Word(r.letters[k:] + r.letters[:k])
-                w = w * random_word(int(rng.integers(0, 3))) * rotation
-            bases = tuple(ls for r in relations for ls in (r.letters, r.inverse().letters))
+                rotation = reduce(r[k:] + r[:k])
+                w = reduce(w + random_word(int(rng.integers(0, 3))) + rotation)
+            bases = tuple(b for r in relations for b in (r, inverse(r)))
             assert cwcomplex._delete_relators(w, bases) == reference(w, relations)
 
     def test_off_by_a_non_relator_word_rejected(self):
-        a, b = Word.generator(1), Word.generator(2)
-        commutator = a * b * a.inverse() * b.inverse()
-        for w in (self.R * commutator, self.R * a, commutator * self.R):
+        commutator = (1, 2, -1, -2)
+        for w in (reduce(self.R + commutator), reduce(self.R + (1,)),
+                  reduce(commutator + self.R)):
             with pytest.raises(ValueError, match="composition is nonzero on 2-cell 0"):
                 self.complex_along(w)
 

@@ -1,13 +1,16 @@
 """Presentation file parsing."""
 
+import ast
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab import ParseError, Word, knot_complex, parse_complex, parse_presentation
+from torsionlab import ParseError, Presentation, knot_complex, parse_complex, parse_presentation
 from torsionlab.cli import corpus_dir
 from torsionlab.presentations import MAX_WORD_LETTERS
 
@@ -25,9 +28,7 @@ class TestParsing:
         assert pres.n_generators == 2
         assert pres.wirtinger
         assert len(pres.relators) == 1
-        assert pres.relators[0] == Word(
-            ((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
-        )
+        assert pres.relators[0] == (1, 2, 1, -2, -1, -2)
 
     def test_unknot(self):
         pres = parse_presentation("gens a; wirtinger;")
@@ -64,6 +65,18 @@ class TestParsing:
         for p, q in [(5, 3), (7, 3), (31, 13)]:
             assert two_bridge(p, q).wirtinger
 
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    @pytest.mark.parametrize("where", ["relator", "meridian", "longitude"])
+    def test_letter_out_of_range_rejected(self, where, letter):
+        words = {"relators": ((1, 2, -1, -2),), "meridian": (1,), "longitude": (2, 1)}
+        if where == "relator":
+            words["relators"] = ((1, 2, -1, -2), (1, letter))
+        else:
+            words[where] = (1, letter)
+        with pytest.raises(ParseError, match=rf"^{where} \(1, {letter}\) uses a generator "
+                                             r"beyond the declared 2$"):
+            Presentation(generator_names=("a", "b"), **words)
+
     def test_capital_means_inverse(self):
         p1 = parse_presentation("gens a b; rel a B;")
         p2 = parse_presentation("gens a b; rel a b^-1;")
@@ -71,7 +84,7 @@ class TestParsing:
 
     def test_relators_freely_reduced(self):
         pres = parse_presentation("gens a; rel a a^-1 a;")
-        assert pres.relators[0] == Word.generator(1)
+        assert pres.relators[0] == (1,)
 
     def test_peripheral_words(self):
         pres = parse_presentation(
@@ -79,8 +92,8 @@ class TestParsing:
             "meridian a; longitude b a^2 b a^-4;"
         )
         assert pres.has_peripheral
-        assert pres.meridian == Word.generator(1)
-        assert pres.longitude.exponent_sum() == 0
+        assert pres.meridian == (1,)
+        assert pres.longitude == (2, 1, 1, 2, -1, -1, -1, -1)
 
     def test_comments_and_positions(self):
         text = "# a comment\ngens a;\nrel ??? ;\n"
@@ -97,9 +110,11 @@ class TestParsing:
             parse_presentation("gens a; rel ;")
 
     def test_word_degree(self):
-        pres = parse_presentation("gens a b; rel a b a^-1 b^-1;")
-        assert pres.relators[0].exponent_sum() == 0
-        assert Word.generator(1).exponent_sum() == 1
+        # the prefix degrees of a commutator run 0, 1, 2, 1, 0
+        pres = parse_presentation("gens a b; rel a b a^-1 b^-1; rel A^3 b;")
+        assert pres.relators == ((1, 2, -1, -2), (-1, -1, -1, 2))
+        assert pres.degree_bounds == ((0, 2), (-3, 0))
+        assert pres.fox_terms[0].degree.tolist() == [0, 1, 1, 0]
 
     @pytest.mark.parametrize(
         "tail,token,col",
@@ -140,9 +155,9 @@ class TestWordLength:
 
 def format_word(w, names):
     """A word over the given generator names, one letter or inverse letter per token."""
-    if w.is_empty:
+    if not w:
         return "1"
-    return " ".join(names[i - 1] if s > 0 else f"{names[i - 1]}^-1" for i, s in w.letters)
+    return " ".join(names[k - 1] if k > 0 else f"{names[-k - 1]}^-1" for k in w)
 
 
 class TestSerialization:
@@ -153,20 +168,20 @@ class TestSerialization:
         assert reparsed.relators == pres.relators
 
     def test_identity_word(self):
-        assert format_word(Word(), ("a",)) == "1"
+        assert format_word((), ("a",)) == "1"
 
 
 def mixed_syntax(w, names):
     """A word written with every letter form: runs of one letter as a power,
     and single letters cycling through ``x``, ``x^1``, ``X^-1`` (or ``X``,
     ``x^-1``, ``X^1`` for an inverse)."""
-    if w.is_empty:
+    if not w:
         return "1"
     forms = itertools.cycle(range(3))
     parts = []
-    for (i, s), run in itertools.groupby(w.letters):
-        k = len(list(run))
-        name = names[i - 1]
+    for letter, run in itertools.groupby(w):
+        k, s = len(list(run)), 1 if letter > 0 else -1
+        name = names[abs(letter) - 1]
         cap = name[0].upper() + name[1:]
         if k > 1:
             parts.append(f"{name}^{s * k}" if s > 0 else f"{cap}^{k}")
@@ -266,6 +281,39 @@ class TestSharedSyntax:
         with pytest.raises(ParseError, match=message) as err:
             parse_complex(f"gens a; cells 0 1; cells 1 1;\n{statement}")
         assert (err.value.line, err.value.col) == (2, col)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_SPEC = importlib.util.spec_from_file_location("gen", BENCH / "gen.py")
+gen = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(gen)
+
+
+def bench_knots():
+    """The (p, q) of every torus knot the talex and verify workloads run, read
+    from bench/prepare.py's job tables without running it."""
+    tables = {}
+    for node in ast.parse((BENCH / "prepare.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("TALEX_JOBS", "VERIFY_KNOTS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return sorted({job[:2] for table in tables.values() for job in table})
+
+
+class TestBenchGenerator:
+    """The benchmark's generator writes its words as lists of signed generator
+    indices, reduced by its own code: parsing the text it writes gives them
+    back as the tuples the package holds."""
+
+    def test_every_bench_knot_is_read(self):
+        assert (3, 53) in bench_knots() and (5, 11) in bench_knots()
+
+    @pytest.mark.parametrize("p,q", bench_knots())
+    def test_parsed_words_are_the_generators(self, p, q):
+        pres = parse_presentation(gen.torus_presentation(p, q))
+        assert pres.relators == tuple(map(tuple, gen.torus_relators(p, q)))
+        assert pres.meridian == (1,)
+        assert pres.longitude == tuple(range(1, p + 1)) * q + (-1,) * (p * q)
 
 
 def outcome(parse, text):

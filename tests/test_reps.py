@@ -10,13 +10,13 @@ import pytest
 from torsionlab import (
     ParseError,
     UnitaryRep,
-    Word,
     parse_presentation,
     parse_spectrum,
     twisted_alexander,
 )
 import torsionlab.reps as reps
 from torsionlab.reps import RELATOR_TOL, UNITARITY_TOL, parse_representation, unitarity_defects
+from torsionlab.freegroup import reduce
 from torsionlab.ruelle import GeodesicEntry
 
 from conftest import float_edge, random_unitary
@@ -27,7 +27,7 @@ class TestUnitaryRep:
     def test_character(self):
         rep = UnitaryRep.character(2, 1j)
         assert rep.rank == 1
-        assert rep.of_word(Word(((1, 1), (2, 1))))[0, 0] == pytest.approx(-1.0)
+        assert rep.of_word((1, 2))[0, 0] == pytest.approx(-1.0)
 
     def test_non_unit_character_rejected(self):
         with pytest.raises(ValueError, match="modulus 1"):
@@ -41,7 +41,7 @@ class TestUnitaryRep:
         u = random_unitary(rng, 2)
         v = random_unitary(rng, 2)
         rep = UnitaryRep([u, v])
-        got = rep.of_word(Word(((1, 1), (2, -1), (1, 1))))
+        got = rep.of_word((1, -2, 1))
         np.testing.assert_allclose(got, u @ v.conj().T @ u, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -157,25 +157,37 @@ class TestPrefixProducts:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_bitwise_equal_to_sequential_walk(self, rank, rng):
         rep = UnitaryRep([random_unitary(rng, rank) for _ in range(3)])
-        letters = tuple((int(i), int(s)) for i, s in zip(rng.integers(1, 4, 60),
-                                                         rng.choice([-1, 1], 60)))
+        letters = tuple(int(i) * int(s) for i, s in zip(rng.integers(1, 4, 60),
+                                                        rng.choice([-1, 1], 60)))
         for lengths in ([0], [60], [0, 0, 7, 7, 7, 31, 60, 60], list(range(61)), []):
             got = rep.prefix_products(letters, lengths)
             assert got.shape == (len(lengths), rank, rank)
             for length, mat in zip(lengths, got):
                 assert mat.tobytes() == of_word_sequential(rep, letters[:length]).tobytes()
-        word = Word(letters)
-        assert rep.of_word(word).tobytes() == of_word_sequential(rep, word.letters).tobytes()
+        word = reduce(letters)
+        assert rep.of_word(word).tobytes() == of_word_sequential(rep, word).tobytes()
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_unknown_generator(self, rank):
         rep = UnitaryRep([np.eye(rank)] * 2)
         with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
-            rep.prefix_products(((1, 1), (3, -1), (4, 1)), [3])
+            rep.prefix_products((1, -3, 4), [3])
         with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
-            rep.of_word(Word(((2, 1), (3, 1))))
+            rep.of_word((2, 3))
         # letters past the longest requested prefix are not read
-        assert rep.prefix_products(((1, 1), (3, -1)), [0, 1]).shape == (2, rank, rank)
+        assert rep.prefix_products((1, -3), [0, 1]).shape == (2, rank, rank)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    def test_letter_out_of_range(self, rank, letter):
+        # letter k is read at k + n of a table of 2n + 1 entries: 0 would read
+        # the identity, and -(n + 1) would wrap around to the last image
+        rep = UnitaryRep([np.eye(rank)] * 2)
+        with pytest.raises(ValueError, match=rf"^word uses generator {abs(letter)}, rep has 2$"):
+            rep.prefix_products((1, -2, letter, 2), [1, 4])
+        with pytest.raises(ValueError, match=rf"^word uses generator {abs(letter)}, rep has 2$"):
+            rep.of_word((letter,))
+        assert rep.prefix_products((1, -2, letter), [0, 2]).shape == (2, rank, rank)
 
 
 class TestRepFile:

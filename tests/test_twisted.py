@@ -1,9 +1,11 @@
 """Twisted Alexander pipeline: Phi, boundaries, pivots, special values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from torsionlab import LaurentPoly, UnitaryRep, Word, parse_presentation, twisted_alexander
+from torsionlab import LaurentPoly, UnitaryRep, parse_presentation, twisted_alexander
 from torsionlab.freegroup import fox_derivative
 from torsionlab.laurent import LaurentMatrix
 from torsionlab.reps import UNITARITY_TOL
@@ -48,29 +50,27 @@ TREFOIL = "gens x1 x2; wirtinger; rel x1 x2 x1 x2^-1 x1^-1 x2^-1;"
 class TestPhi:
     def test_generator_maps_to_xi_t(self):
         rep = UnitaryRep.character(2, 1j)
-        m = phi_apply(GroupRingElement.of_word(Word.generator(1)), rep)
+        m = phi_apply(GroupRingElement.of_word((1,)), rep)
         assert m.rows == m.cols == 1
         assert m[0, 0] == LaurentPoly(1, (1j,))
 
     def test_identity_element(self):
         rep = UnitaryRep.character(2, 1j)
-        m = phi_apply(GroupRingElement.of_word(Word()), rep)
+        m = phi_apply(GroupRingElement.of_word(()), rep)
         assert m[0, 0] == ONE
 
     def test_linear_combination(self):
         # x1 x2 - 1 under rho = xi gives xi^2 t^2 - 1
         xi = np.exp(0.3j)
         rep = UnitaryRep.character(2, xi)
-        elem = GroupRingElement.of_word(Word(((1, 1), (2, 1)))) - GroupRingElement.of_word(Word())
+        elem = GroupRingElement.of_word((1, 2)) - GroupRingElement.of_word(())
         m = phi_apply(elem, rep)
         assert close_to(m[0, 0], LaurentPoly(0, [-1, 0, xi**2]), rtol=1e-12)
 
     def test_ring_homomorphism(self, rng):
         rep = random_abelian_rep(rng, 2, 2)
-        u = GroupRingElement.of_word(Word(((1, 1), (2, -1)))) + GroupRingElement.of_word(
-            Word.generator(2), 2.0
-        )
-        v = GroupRingElement.of_word(Word.generator(1), -1.5) + GroupRingElement.of_word(Word())
+        u = GroupRingElement.of_word((1, -2)) + GroupRingElement.of_word((2,), 2.0)
+        v = GroupRingElement.of_word((1,), -1.5) + GroupRingElement.of_word(())
         lhs = phi_apply(u * v, rep)
         rhs = matmul(phi_apply(u, rep), phi_apply(v, rep))
         for i in range(2):
@@ -257,6 +257,28 @@ class TestFoxCap:
         else:
             with pytest.raises(ValueError, match=r"2 x 2 x 5 coefficients .* MAX_CELLS\^2 = 16$"):
                 boundary2(pres, rep, skip_generator=1)
+
+    def test_refused_before_any_fox_term(self):
+        # 64 relators of 8192 letters, prefix degrees 0..4096: a 64 x 64 x
+        # 4097 tensor, one coefficient past the cap.  The span comes from the
+        # prefix degree bounds, so the refusal peaks near the parsed words
+        # (8 bytes a letter), not at the Fox tables (32 more a letter)
+        text = "gens " + " ".join(f"a_{i}" for i in range(1, 66)) + "; wirtinger;\n" + "".join(
+            f"rel a_{i}^4095 a_{i + 1} A_{i}^4095 A_{i + 1};\n" for i in range(1, 65))
+        tracemalloc.start()
+        try:
+            pres = parse_presentation(text)
+            parsed = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match=r"^Fox Jacobian of 64 x 64 x 4097 coefficients "
+                               r"\(rows x columns x degrees\) exceeds MAX_CELLS\^2 = 16777216$"):
+                twisted_alexander(pres, UnitaryRep.character(65, 1j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed >= 64 * 8192 * 8
+        assert peak <= 1.5 * parsed, f"{peak / 1e6:.1f} MB against {parsed / 1e6:.1f} MB parsed"
+        assert "fox_terms" not in vars(pres)
 
 
 class TestPivot:
@@ -470,13 +492,13 @@ class TestWalkCounts:
     @pytest.mark.parametrize("name", KNOT_NAMES)
     def test_relators_then_the_meridian(self, monkeypatch, name, rng):
         pres = load_corpus_presentation(name)
-        n, once = pres.n_generators, [r.letters for r in pres.relators] + [pres.meridian.letters]
+        n, once = pres.n_generators, [*pres.relators, pres.meridian]
         for rep in (UnitaryRep.character(n, 1j), UnitaryRep.character(n, -1.0),
                     random_abelian_rep(rng, n, 4, avoid_eigenvalue_one=True)):
             assert self.walks(monkeypatch, pres, rep) == once
         # the trivial character fixes every vector, so the longitude decides
         trivial = UnitaryRep.character(n, 1.0)
-        assert self.walks(monkeypatch, pres, trivial) == once + [pres.longitude.letters]
+        assert self.walks(monkeypatch, pres, trivial) == once + [pres.longitude]
 
 
 class TestErrorOrder:
