@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from torsionlab import LaurentPoly, Presentation, UnitaryRep, parse_presentation
-from torsionlab.freegroup import inverse, reduce
 from torsionlab.cli import corpus_dir
+from torsionlab.freegroup import inverse, reduce
 
 from oracles import ONE, close_to, scale
 

@@ -15,8 +15,8 @@ from torsionlab import (
     twisted_alexander,
 )
 import torsionlab.reps as reps
-from torsionlab.reps import RELATOR_TOL, UNITARITY_TOL, parse_representation, unitarity_defects
 from torsionlab.freegroup import reduce
+from torsionlab.reps import RELATOR_TOL, UNITARITY_TOL, parse_representation, unitarity_defects
 from torsionlab.ruelle import GeodesicEntry
 
 from conftest import float_edge, random_unitary
