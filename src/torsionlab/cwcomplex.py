@@ -4,7 +4,10 @@ Cells carry incidence records (target cell, sign, deck-group word), a word
 being a tuple of signed generator indices (``freegroup``).  A word may be
 held as a prefix of a longer one, as the Fox terms of a 2-cell are prefixes
 of its relator, so a complex built from a presentation, its validation and
-its boundary matrices stay linear in the relator lengths.
+its boundary matrices stay linear in the relator lengths.  The constructor
+checks structure; that the boundary squares to zero is checked by
+``validate_boundary``, which ``parse_complex`` runs on every file, and is a
+theorem for ``knot_complex`` (Fox's fundamental formula).
 Tensoring with a unitary representation of the deck group gives
 finite-dimensional boundary matrices.  The combinatorial Laplacian in each
 degree is B_p^* B_p + B_{p+1} B_{p+1}^*; its positive spectrum, weighted by
@@ -14,6 +17,7 @@ exp( (1/2) * sum_p (-1)^p p sum_{lambda>0} log lambda ).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -68,7 +72,8 @@ class TwistedCWComplex:
     ``incidences[p][i]`` lists the records of the boundary of the i-th
     p-cell, for p >= 1.  ``generator_names`` name the deck-group
     generators x_1, x_2, ...  ``relations`` (optional) are deck-group
-    relators used when validating the untwisted boundary condition.
+    relators, read by ``validate_boundary``.  Construction checks structure
+    only: cell counts, target range, signs, prefix lengths and letters.
     """
 
     cells_per_degree: tuple
@@ -100,7 +105,6 @@ class TwistedCWComplex:
                         raise ValueError(
                             f"degree {p}: {base} uses a generator beyond the declared {n}")
                     checked.add(id(base))
-        self.validate_boundary()
 
     @property
     def top_degree(self):
@@ -327,27 +331,29 @@ def knot_complex(pres):
     of a letter x_i is the prefix of the relator before it, of x_i^-1 the
     prefix through it; each incidence holds the relator and that prefix
     length, read from ``pres.fox_terms``, so no prefix word is built.
+
+    The boundary squares to zero by Fox's fundamental formula
+    sum_i (d r / d x_i)(x_i - 1) = r - 1, which vanishes modulo the
+    relators (Fox, "Free differential calculus I", Ann. of Math. 57, 1953);
+    so ``validate_boundary`` is not run here, and
+    ``tests/test_cwcomplex.py::TestFoxFormula`` runs it on torus and
+    two-bridge knots.
     """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
     n = pres.n_generators
-    one_cells = [(Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in range(1, n + 1)]
+    one_cells = tuple((Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in range(1, n + 1))
     two_cells = []
     for rel, t in zip(pres.relators, pres.fox_terms):
         by_generator = np.argsort(t.generator, kind="stable")
         columns = (t.generator[by_generator] - 1, t.sign[by_generator], t.length[by_generator])
         target, sign, length = (c.tolist() for c in columns)
         two_cells.append(tuple(map(Incidence._make, zip(target, sign, repeat(rel), length))))
-    if pres.relators:
-        return TwistedCWComplex(
-            cells_per_degree=(1, n, len(pres.relators)),
-            incidences=(tuple(one_cells), tuple(two_cells)),
-            relations=tuple(pres.relators),
-            generator_names=pres.generator_names,
-        )
+    tables = (one_cells, tuple(two_cells)) if two_cells else (one_cells,)
     return TwistedCWComplex(
-        cells_per_degree=(1, n),
-        incidences=(tuple(one_cells),),
+        cells_per_degree=(1, *map(len, tables)),
+        incidences=tables,
+        relations=tuple(pres.relators),
         generator_names=pres.generator_names,
     )
 
@@ -365,7 +371,9 @@ def parse_complex(text):
 
     Signs are ``+`` or ``-``.  A count must lie in 0..MAX_CELLS; a ``bd``
     degree in 1..top, its cell index and its target indices among the cells
-    of their degree.  Anything else is a ParseError with its position.
+    of their degree.  Anything else is a ParseError with its position, as is
+    a cell whose composite boundary ``validate_boundary`` finds nonzero: at
+    the cell's first ``bd`` statement.
     """
     stream = _TokenStream(text)
     names, letters = stream.generators()
@@ -422,11 +430,13 @@ def parse_complex(text):
             raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
         dims.append(cells[p])
     bd = {}
+    first_bd = {}  # (p, i) -> the token of the cell's first 'bd'
     for p, i, at, recs in bd_statements:
         if not 1 <= p <= top:
             raise stream.error(f"'bd' degree {p} is outside 1..{top}", at)
         if not 0 <= i < dims[p]:
             raise stream.error(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", at)
+        first_bd.setdefault((p, i), at)
         for rec, target_at in recs:
             if not 0 <= rec.target < dims[p - 1]:
                 raise stream.error(
@@ -436,10 +446,17 @@ def parse_complex(text):
     incidences = [
         tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
     ]
-    return TwistedCWComplex(
+    cx = TwistedCWComplex(
         cells_per_degree=tuple(dims),
         incidences=tuple(incidences),
         relations=tuple(relations),
         generator_names=names,
     )
+    try:
+        cx.validate_boundary()
+    except ValueError as exc:
+        # the message ends with the cell, "<p>-cell <i>"
+        cell = tuple(map(int, re.search(r"(\d+)-cell (\d+)$", str(exc)).groups()))
+        raise stream.error(str(exc), first_bd[cell]) from None
+    return cx
 

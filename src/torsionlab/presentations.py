@@ -17,8 +17,9 @@ rules:
   ends its statement or field.  A letter is a declared name, or for its
   inverse the name with its first character capitalized, so ``X1`` and
   ``x1^-1`` denote the same letter; ``1`` is the identity.  A word holds
-  at most MAX_WORD_LETTERS letters once its powers are written out, and it
-  is never empty.  It is read into the ``freegroup`` form, a freely reduced
+  at most MAX_WORD_LETTERS letters once its powers are written out, the
+  words of a file at most MAX_FILE_LETTERS together, and a word is never
+  empty.  It is read into the ``freegroup`` form, a freely reduced
   tuple of signed generator indices: ``i`` for x_i and ``-i`` for x_i^-1.
 
 Grammar of a presentation::
@@ -145,6 +146,11 @@ class FoxTerms(NamedTuple):
 # letters a word may hold once its powers are written out; checked before
 # expanding, so a huge exponent is a ParseError rather than a memory blow-up
 MAX_WORD_LETTERS = 100_000
+# letters all the words of one .pres or .cw file may hold together, counted
+# the same way, so a short file of large powers cannot ask for gigabytes:
+# parsed words hold 8 bytes a letter (6.4 MB at the budget), and verify-knot
+# peaks at 253 MB RSS on a file at the budget (8 relators of 100 000 letters)
+MAX_FILE_LETTERS = 8 * MAX_WORD_LETTERS
 
 # a number of the .rep and .spec files and of the CLI's numeric flags; \d as
 # [0-9\d], so that sre tests the ASCII range before the Unicode category
@@ -166,13 +172,15 @@ class _TokenStream:
 
     ``tokens`` holds the token strings of the comment-stripped text, from one
     ``findall``.  A token's line and column are found only when an error
-    names it, by ``position``.
+    names it, by ``position``.  ``letters`` counts the letters of the words
+    read so far, for MAX_FILE_LETTERS.
     """
 
     def __init__(self, text):
         self.text = text
         self.tokens = _TOKEN.findall(_COMMENT.sub("", text) if "#" in text else text)
         self.pos = 0
+        self.letters = 0
 
     def position(self, index):
         """``(line, col)`` of token ``index``, by a scan of the text that
@@ -241,10 +249,12 @@ class _TokenStream:
         """The word up to the ``stop`` token, which is left unread.
 
         Raises ParseError at the letter that takes the word past
-        MAX_WORD_LETTERS letters, and at the stop token if the word is empty.
+        MAX_WORD_LETTERS letters or the file past MAX_FILE_LETTERS, and at
+        the stop token if the word is empty.
         """
         tokens, end = self.tokens, len(self.tokens)
         start = pos = self.pos
+        budget = MAX_FILE_LETTERS - self.letters
         out = []
         while pos < end and (name := tokens[pos]) != stop:
             at, pos = pos, pos + 1
@@ -268,6 +278,10 @@ class _TokenStream:
                 raise self.error(
                     f"word longer than {MAX_WORD_LETTERS} letters after expanding powers", at
                 )
+            if len(out) + abs(count) > budget:
+                raise self.error(
+                    f"file longer than {MAX_FILE_LETTERS} letters after expanding powers", at
+                )
             if count == 1:
                 out.append(letter)
             else:
@@ -277,6 +291,7 @@ class _TokenStream:
                 raise self.error("empty word", pos)
             raise ParseError("empty word")
         self.pos = pos
+        self.letters += len(out)
         return reduce(out)
 
 

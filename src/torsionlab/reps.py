@@ -8,7 +8,8 @@ file format is::
     char <name> = re,im;                      # rank-1 shorthand
 
 A ``mat`` body holds exactly r*r pairs with one comma between consecutive
-pairs; any other text in it is a ParseError.
+pairs; any other text in it is a ParseError.  So is a second ``rank`` or a
+second assignment to one generator.
 
 Images, characters and holonomies are unitary to 1e-10 by ``unitarity_defects``;
 when validated against a presentation, relator images must equal the identity to 1e-8.
@@ -136,14 +137,17 @@ def parse_representation(text, generator_names):
 
     for stmt, lineno in statements:
         if m := re.fullmatch(r"rank\s+(\d+)", stmt):
+            if rank is not None:
+                raise ParseError("duplicate 'rank' header", lineno)
             rank = int(m.group(1))
             if rank < 1:
                 raise ParseError("rank must be positive", lineno)
-        elif m := re.fullmatch(rf"char\s+([a-z_][A-Za-z0-9_]*)\s*=\s*({NUM})\s*,\s*({NUM})", stmt):
+            continue
+        if m := re.fullmatch(rf"char\s+([a-z_][A-Za-z0-9_]*)\s*=\s*({NUM})\s*,\s*({NUM})", stmt):
             name, re_s, im_s = m.groups()
             if rank is None or rank != 1:
                 raise ParseError("'char' requires 'rank 1;' first", lineno)
-            assigned[name] = np.array([[complex(float(re_s), float(im_s))]])
+            image = np.array([[complex(float(re_s), float(im_s))]])
         elif m := re.fullmatch(r"mat\s+([a-z_][A-Za-z0-9_]*)\s*=\s*\[(.*)\]", stmt, re.DOTALL):
             name, body = m.groups()
             if rank is None:
@@ -164,16 +168,20 @@ def parse_representation(text, generator_names):
                     lineno,
                 )
             vals = [complex(float(a), float(b)) for a, b in zip(parts[1::3], parts[2::3])]
-            assigned[name] = np.array(vals, dtype=complex).reshape(rank, rank)
+            image = np.array(vals, dtype=complex).reshape(rank, rank)
         else:
             raise ParseError(f"unrecognized statement {stmt.splitlines()[0]!r}", lineno)
+        if name in assigned:
+            raise ParseError(f"duplicate assignment to generator {name!r}", lineno)
+        assigned[name] = image
 
     if rank is None:
         raise ParseError("missing 'rank r;' header")
     missing = [nm for nm in generator_names if nm not in assigned]
     if missing:
         raise ParseError(f"no matrix assigned to generator(s) {', '.join(missing)}")
-    extra = [nm for nm in assigned if nm not in generator_names]
+    known = set(generator_names)
+    extra = [nm for nm in assigned if nm not in known]
     if extra:
         raise ParseError(f"matrix assigned to unknown generator(s) {', '.join(extra)}")
     return UnitaryRep([assigned[nm] for nm in generator_names])

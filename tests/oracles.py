@@ -24,7 +24,12 @@ from torsionlab.cwcomplex import (
 )
 from torsionlab.freegroup import fox_derivative, reduce
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
-from torsionlab.presentations import MAX_WORD_LETTERS, ParseError, Presentation
+from torsionlab.presentations import (
+    MAX_FILE_LETTERS,
+    MAX_WORD_LETTERS,
+    ParseError,
+    Presentation,
+)
 from torsionlab.twisted import CUSPIDAL_TOL, _generator_block, phi_apply
 
 ZERO = LaurentPoly(0, ())
@@ -48,6 +53,7 @@ class PositionalTokenStream:
             for m in self.TOKEN.finditer(line.split("#", 1)[0])
         ]
         self.pos = 0
+        self.letters = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -121,10 +127,17 @@ class PositionalTokenStream:
                     line,
                     col,
                 )
+            if self.letters + len(out) + count > MAX_FILE_LETTERS:
+                raise ParseError(
+                    f"file longer than {MAX_FILE_LETTERS} letters after expanding powers",
+                    line,
+                    col,
+                )
             out += [letter] * count
         if pos == start:
             raise ParseError("empty word", *(tokens[pos][1:] if pos < len(tokens) else ()))
         self.pos = pos
+        self.letters += len(out)
         return reduce(out)
 
 
@@ -211,11 +224,13 @@ def parse_complex_positional(text):
             raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
         dims.append(cells[p])
     bd = {}
+    first_bd = {}
     for p, i, line, col, recs in bd_statements:
         if not 1 <= p <= top:
             raise ParseError(f"'bd' degree {p} is outside 1..{top}", line, col)
         if not 0 <= i < dims[p]:
             raise ParseError(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", line, col)
+        first_bd.setdefault((p, i), (line, col))
         for rec, tl, tc in recs:
             if not 0 <= rec.target < dims[p - 1]:
                 raise ParseError(
@@ -225,8 +240,14 @@ def parse_complex_positional(text):
     incidences = [
         tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
     ]
-    return TwistedCWComplex(cells_per_degree=tuple(dims), incidences=tuple(incidences),
-                            relations=tuple(relations), generator_names=names)
+    cx = TwistedCWComplex(cells_per_degree=tuple(dims), incidences=tuple(incidences),
+                          relations=tuple(relations), generator_names=names)
+    try:
+        cx.validate_boundary()
+    except ValueError as exc:
+        p, i = map(int, re.search(r"(\d+)-cell (\d+)$", str(exc)).groups())
+        raise ParseError(str(exc), *first_bd[p, i]) from None
+    return cx
 
 
 # -- Laurent polynomials -----------------------------------------------------

@@ -375,6 +375,14 @@ class TestTorsionCW:
         assert err == "error: Laplacian side 4098 (cells x rank) exceeds MAX_CELLS = 4096\n"
         assert peak < 2e6, f"{peak / 1e6:.1f} MB"
 
+    def test_non_chain_exits_1_at_its_cell(self, capsys, tmp_path):
+        cw = tmp_path / "disc.cw"
+        cw.write_text(CIRCLE_CW + "cells 2 1;\nbd 2 0 -> (+, 1, 0);\n")
+        code, out, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert (code, out) == (1, "")
+        assert err == ("error: untwisted boundary composition is nonzero on 2-cell 0 "
+                       "(line 6, col 1)\n")
+
     def test_out_of_range_bd_exits_1(self, capsys, tmp_path):
         # once loaded as the circle, with both out-of-range statements dropped
         cw = tmp_path / "dropped.cw"

@@ -1,10 +1,13 @@
 """Twisted CW complexes, combinatorial Laplacians, and torsion reports."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab.cwcomplex as cwcomplex
 from torsionlab import (
@@ -14,6 +17,7 @@ from torsionlab import (
     UnitaryRep,
     knot_complex,
     parse_complex,
+    parse_presentation,
     torsion_report,
     twisted_alexander,
 )
@@ -29,6 +33,7 @@ from conftest import (
     random_abelian_rep,
     random_unitary,
     torus_braid_closure,
+    two_bridge,
 )
 from oracles import (
     boundary1,
@@ -394,7 +399,8 @@ class TestKnotComplex:
                 mutated = cell[:k] + (rec._replace(**change),) + cell[k + 1:]
                 with pytest.raises(ValueError, match="composition"):
                     dataclasses.replace(cx, incidences=(cx.incidences[0],
-                                                        (mutated,) + cx.incidences[1][1:]))
+                                                        (mutated,) + cx.incidences[1][1:])
+                                        ).validate_boundary()
 
     @pytest.mark.parametrize("length", [-1, 7])
     def test_prefix_length_out_of_range_rejected(self, length):
@@ -415,8 +421,19 @@ class TestKnotComplex:
                     ((Incidence(0, 1, ()),),),
                 ),
                 generator_names=("a",),
-            )
+            ).validate_boundary()
 
+    def test_constructor_checks_structure_only(self, monkeypatch):
+        # the word problem is validate_boundary's, run by parse_complex and
+        # the tests, not by the constructor or knot_complex
+        def refuse(cx):
+            raise AssertionError("validate_boundary ran")
+
+        monkeypatch.setattr(TwistedCWComplex, "validate_boundary", refuse)
+        knot_complex(torus_braid_closure(3, 16))
+        TwistedCWComplex(cells_per_degree=(1, 1, 1), generator_names=("a",),
+                         incidences=(((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),
+                                     ((Incidence(0, 1, ()),),)))
 
     @pytest.mark.parametrize("letter", [0, 3, -3])
     def test_letter_out_of_range_rejected(self, letter):
@@ -428,6 +445,40 @@ class TestKnotComplex:
             TwistedCWComplex(cells_per_degree=(1, 3),
                              incidences=(one_cells + ((Incidence(0, 1, bad, 1),),),),
                              generator_names=("a", "b"))
+
+
+# T(p,q) and K(p/q): p and q coprime, and p odd and q < p for K(p/q)
+TORUS_KNOTS = [(p, q) for p in range(2, 7) for q in range(2, 64) if math.gcd(p, q) == 1]
+TWO_BRIDGE_KNOTS = [(p, q) for p in range(3, 62, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+class TestFoxFormula:
+    """``knot_complex`` does not validate its complex: its boundary squares
+    to zero by Fox's fundamental formula, sum_i (d r / d x_i)(x_i - 1) =
+    r - 1, which is 0 once the relator r is deleted.  These run the check
+    that the formula makes redundant on the command line."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(pq=st.sampled_from(TORUS_KNOTS))
+    def test_torus_knots(self, pq):
+        knot_complex(torus_braid_closure(*pq)).validate_boundary()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(pq=st.sampled_from(TWO_BRIDGE_KNOTS))
+    def test_two_bridge_knots(self, pq):
+        knot_complex(two_bridge(*pq)).validate_boundary()
+
+    def test_linear_in_the_relator(self):
+        # the 16 000-letter relator (a b A B)^4000: 6.6 MB peak, where a
+        # product formed per prefix took 97.6 MB at 4 000 letters
+        pres = parse_presentation("gens a b; wirtinger; rel " + "a b A B " * 4000 + ";")
+        tracemalloc.start()
+        try:
+            knot_complex(pres).validate_boundary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestIncidence:
@@ -475,12 +526,14 @@ class TestValidateWithRelators:
         recs = []
         for i in (1, 2):
             recs.extend(Incidence(i - 1, c, u) for u, c in fox_derivative(w, i).items())
-        return TwistedCWComplex(
+        cx = TwistedCWComplex(
             cells_per_degree=(1, 2, 1),
             incidences=(one_cells, (tuple(recs),)),
             generator_names=("a", "b"),
             relations=(self.R,),
         )
+        cx.validate_boundary()
+        return cx
 
     def test_relator_consequences_accepted(self):
         r = self.R
@@ -591,6 +644,26 @@ class TestComplexFile:
         with pytest.raises(ParseError, match=message) as err:
             parse_complex(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "text,cell,line,col",
+        [
+            ("gens a; cells 0 1; cells 1 1; cells 2 1;\nbd 1 0 -> (+, a, 0) (-, 1, 0);\n"
+             "bd 2 0 -> (+, 1, 0);", "2-cell 0", 3, 1),
+            # cell 1 is given in two statements, the first of them empty
+            ("gens a; cells 0 1; cells 1 1; cells 2 2;\nbd 1 0 -> (+, a, 0) (-, 1, 0);\n"
+             "bd 2 0 -> (+, 1, 0) (-, 1, 0);  bd 2 1 -> ;\nbd 2 1 -> (+, a, 0);", "2-cell 1",
+             3, 33),
+            # the composite vanishes only once the declared relator is deleted
+            (TREFOIL_WITH_RELATOR.replace("rel a b a b^-1", "rel a b a b^-2"), "2-cell 0", 9, 1),
+        ],
+        ids=["circle-and-a-disc", "split-cell", "wrong-relator"],
+    )
+    def test_non_chain_rejected_at_its_cell(self, text, cell, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert str(err.value) == (f"untwisted boundary composition is nonzero on {cell} "
+                                  f"(line {line}, col {col})")
 
     def test_bd_word_at_letter_cap(self):
         text = f"gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a^{MAX_WORD_LETTERS}, 0);"

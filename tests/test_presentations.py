@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from torsionlab import ParseError, Presentation, knot_complex, parse_complex, parse_presentation
 from torsionlab.cli import corpus_dir
-from torsionlab.presentations import MAX_WORD_LETTERS
+from torsionlab.presentations import MAX_FILE_LETTERS, MAX_WORD_LETTERS
 
 from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
 from oracles import parse_complex_positional, parse_presentation_positional
@@ -151,6 +151,49 @@ class TestWordLength:
     def test_huge_negative_exponent_in_peripheral_word(self):
         with pytest.raises(ParseError, match="letters"):
             parse_presentation("gens a; meridian a; longitude A^1000000000;")
+
+
+class TestFileLetterBudget:
+    """The words of one file hold at most MAX_FILE_LETTERS letters together."""
+
+    # seven words at the word cap and one a letter short of it, then the
+    # word that reaches the budget
+    FILES = {
+        "pres": "gens a b;\n" + f"rel a^{MAX_WORD_LETTERS};\n" * 7
+                + f"rel a^{MAX_WORD_LETTERS - 1};\nrel {{}};\n",
+        "cw": "gens a b;\n" + f"rel a^{MAX_WORD_LETTERS};\n" * 7
+              + f"cells 0 1;\ncells 1 1;\nbd 1 0 -> (+, a^{MAX_WORD_LETTERS - 1}, 0) (-, {{}}, 0);\n",
+    }
+
+    def test_budget_admits_the_largest_file_in_use(self):
+        # CI's wide.pres: 64 relators of 8 192 letters, past the Fox cap
+        assert MAX_FILE_LETTERS >= 64 * 8192
+        assert MAX_FILE_LETTERS % MAX_WORD_LETTERS == 0
+
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_at_the_budget(self, fmt):
+        parse, reference = READERS[fmt]
+        text = self.FILES[fmt].format("b")
+        result = parse(text)
+        if fmt == "pres":
+            words = result.relators
+        else:
+            words = (*result.relations, *(rec.word for rec in result.incidences[0][0]))
+        assert sum(map(len, words)) == MAX_FILE_LETTERS
+        assert outcome(reference, text) == result
+
+    @pytest.mark.parametrize("fmt", ["pres", "cw"])
+    def test_one_letter_past_the_budget(self, fmt):
+        # the second b crosses the budget
+        parse, reference = READERS[fmt]
+        text = self.FILES[fmt].format("b b")
+        line = len(text.splitlines())
+        col = text.splitlines()[-1].index("b b") + 3
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (f"file longer than {MAX_FILE_LETTERS} letters after expanding "
+                                  f"powers (line {line}, col {col})")
+        assert outcome(reference, text) == outcome(parse, text)
 
 
 def format_word(w, names):
@@ -406,6 +449,8 @@ class TestTokenStreamAgainstPositional:
         "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0->(+,a,0)(-,1,0);",
         "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0->(+,a,0)(-,1,7);",
         "gens a;\ncells 0 1;\ncells 1 1;\nbd 2 0 -> ;",
+        "gens a;\ncells 0 1;\ncells 1 1;\ncells 2 2;\nbd 1 0 -> (+, a, 0) (-, 1, 0);\n"
+        "bd 2 0 -> (+, 1, 0) (-, 1, 0);\n bd 2 1 -> ;\nbd 2 1 -> (+, 1, 0);",
     ])
     @pytest.mark.parametrize("fmt", ["pres", "cw"])
     def test_named_cases(self, fmt, text):

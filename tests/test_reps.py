@@ -271,17 +271,42 @@ class TestRepFile:
 
     def test_many_statements_in_linear_time(self):
         # line numbers were once recounted from the start for every statement,
-        # so 100 000 statements took about a minute
+        # so 100 000 statements took about a minute; one generator each, as a
+        # generator takes one assignment
         n = 100_000
-        body = "rank 1;\n" + "char a = 1,0;\n" * (n - 1)
+        names = tuple(f"a{k}" for k in range(n))
+        body = "rank 1;\n" + "".join(f"char {nm} = 1,0;\n" for nm in names[:-1])
         start = time.perf_counter()
-        rep = parse_representation(body + "char a = 0,1;\n", ("a",))
+        rep = parse_representation(body + f"char {names[-1]} = 0,1;\n", names)
         assert time.perf_counter() - start < 10.0
-        assert rep.images[0][0, 0] == 1j
+        assert rep.images[-1][0, 0] == 1j
         with pytest.raises(ParseError) as err:
-            parse_representation(body + "char a = 1,0,0;\n", ("a",))
+            parse_representation(body + f"char {names[-1]} = 1,0,0;\n", names)
         assert err.value.line == n + 1
-        assert str(err.value) == f"unrecognized statement 'char a = 1,0,0' (line {n + 1})"
+        assert str(err.value) == (f"unrecognized statement 'char {names[-1]} = 1,0,0' "
+                                  f"(line {n + 1})")
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("rank 1;\nchar a = 0,1;\nchar a = -1,0;\nchar b = 0,1;\n",
+             "duplicate assignment to generator 'a'", 3),
+            ("rank 1;\nchar b = 0,1;\nmat b = [ [0,1] ];\nchar a = 0,1;\n",
+             "duplicate assignment to generator 'b'", 3),
+            ("rank 2;\nmat a = [ [1,0], [0,0], [0,0], [1,0] ];\n\n"
+             "mat a = [ [0,1], [0,0], [0,0], [0,1] ];\n", "duplicate assignment to generator 'a'",
+             4),
+            ("rank 1;\nchar a = 0,1;\n# rank 2;\nrank 1;\nchar b = 0,1;\n",
+             "duplicate 'rank' header", 4),
+            ("rank 2;\nrank 2;\nmat a = [ [1,0], [0,0], [0,0], [1,0] ];\n",
+             "duplicate 'rank' header", 2),
+        ],
+        ids=["char-char", "char-mat", "mat-mat", "rank-after-char", "rank-rank"],
+    )
+    def test_one_rank_and_one_assignment_per_generator(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_representation(text, ("a", "b"))
+        assert str(err.value) == f"{message} (line {line})"
 
 
 def sheared(phases, beta):
