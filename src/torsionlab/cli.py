@@ -37,7 +37,7 @@ from .laurent import TRIM_TOL
 from .presentations import NUM, parse_presentation
 from .reps import UnitaryRep, parse_representation
 from .ruelle import SpectrumWarning, parse_spectrum, ruelle_eval
-from .twisted import boundary2, twisted_alexander
+from .twisted import boundary2, checked_square, twisted_alexander
 
 NOTE = ("note", "hyperbolicity of the knot complement is assumed, not verified; "
                 "the geometric meaning of R(0) requires it")
@@ -151,7 +151,7 @@ def cmd_verify_knot(args):
 
     result = twisted_alexander(pres, rep)
     fields = [("presentation", args.presentation), ("xi", fmt_complex(xi))]
-    if result.cuspidal is False or result.ruelle_at_0 is None:
+    if result.cuspidal is not True or result.ruelle_at_0 is None:
         return 2, fields + [("h1_vanishes", fmt_bool(result.h1_vanishes)),
                             ("cuspidal", fmt_bool(result.cuspidal)), WITHHELD]
 
@@ -159,10 +159,10 @@ def cmd_verify_knot(args):
     trivial = UnitaryRep.character(pres.n_generators, 1.0)
     trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column)[0].det()
     fox_value = result.ruelle_at_0
-    cw_value = torsion_report(knot_complex(pres), rep).torsion**2
+    cw_value = checked_square(torsion_report(knot_complex(pres), rep).torsion, "cw_route")
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of
     # modulus 1 on |t| = 1
-    closed_form = (abs(trivial_delta1(xi)) / abs(1.0 - xi)) ** 2
+    closed_form = checked_square(abs(trivial_delta1(xi)) / abs(1.0 - xi), "closed_form")
 
     values = [fox_value, cw_value, closed_form]
     deviation = max(
@@ -188,7 +188,8 @@ def cmd_torsion_cw(args):
 
 
 def cmd_ruelle(args):
-    spec = parse_spectrum(resolve_input(args.spectrum, ".spec").read_text())
+    with resolve_input(args.spectrum, ".spec").open() as f:
+        spec = parse_spectrum(f)
     z = complex(*flag_numbers(args.z, "--z", "re,im"))
     cutoffs = (flag_numbers(args.cutoffs, "--cutoffs", "comma-separated numbers")
                if args.cutoffs else [])

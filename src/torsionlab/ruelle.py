@@ -14,7 +14,8 @@ per-entry loop bit for bit.  A z at which some factor is not finite (a
 pole, or an overflow of e^{-z l}) is refused with ValueError.  The file
 reader's regex checks only where the numbers stand; the float conversion
 checks the numbers, since over their characters it accepts exactly what
-``NUM`` full-matches.
+``NUM`` full-matches.  An open file is read a piece of whole lines at a
+time, so a parse holds the parsed arrays and one piece, not the text.
 """
 
 from __future__ import annotations
@@ -250,46 +251,101 @@ def _raise_first_error(text, invalid=None):
     raise AssertionError("the block reader rejected a spectrum the line reader accepts")
 
 
-def parse_spectrum(text):
-    """Parse the spectrum file format.
+# a text file is read this many characters at a time, and the parsed table
+# is checked in slices of about this many numbers
+PIECE_CHARS = 1 << 16
+
+
+def _whole(source):
+    """The whole text of ``source``, a str or a seekable text file, for the line reader."""
+    if isinstance(source, str):
+        return source
+    source.seek(0)
+    return source.read()
+
+
+def _pieces(source):
+    """The text of ``source`` in pieces of whole lines.  A str is one piece; a
+    text file is read PIECE_CHARS characters at a time, and a piece ends after
+    the last "\\n" of a read, so a line longer than a read is held whole."""
+    if isinstance(source, str):
+        yield source
+        return
+    held = []
+    while True:
+        try:
+            chunk = source.read(PIECE_CHARS)
+        except UnicodeDecodeError:
+            _whole(source)  # raises the error of reading the file whole, at its position
+            raise
+        if not chunk:
+            break
+        if cut := chunk.rfind("\n") + 1:
+            held.append(chunk[:cut])
+            yield "".join(held)
+            held = [chunk[cut:]]
+        else:
+            held.append(chunk)
+    if tail := "".join(held):
+        yield tail
+
+
+def parse_spectrum(source):
+    """Parse the spectrum file format from its text or from an open text file.
 
     ``rank r;`` then one ``geo <length> ; <re,im re,im ...> ;`` line per
     prime geodesic: the holonomy row major as r*r pairs ``re,im`` separated
-    by whitespace; ``#`` starts a comment.  Lengths and unitarity are checked
-    after the last line; the error names the line of the first entry that
-    fails.  A block regex checks where the numbers stand, each a run of NUM's
-    characters (_TOKEN), and one numpy conversion per block checks and reads
-    them; a failure of either is reported by the line reader.  At rank 1 the
-    holonomies are their own eigenvalues, so no eigensolve runs."""
-    pos = 0
-    while pos < len(text) and (m := _block(0).match(text, pos)):
-        pos = m.end()
-    if not (header := _RANK.match(text, pos)) or (rank := int(header[1])) < 1:
-        _raise_first_error(text)
-    # a pair takes at least three characters, so no geo line can hold more
-    # pairs than the text has characters: such a rank is never compiled
-    block = _block(rank * rank if rank * rank <= len(text) else 0)
-    nums, pos = array("d"), header.end()
-    while pos < len(text):
-        if not (m := block.match(text, pos)):
-            _raise_first_error(text)
-        lines = m[0]
-        if "#" in lines:
-            lines = _COMMENT.sub("", lines)
-        try:
-            block_nums = np.array(lines.replace("geo", " ").replace(";", " ").replace(",", " ")
-                                  .split(), dtype=float)
-        except ValueError:
-            _raise_first_error(text)
-        nums.frombytes(block_nums.tobytes())
-        pos = m.end()
+    by whitespace; ``#`` starts a comment.  The error names the line of the
+    first entry whose length or holonomy is invalid, unless some line breaks
+    the grammar, which is reported first.
+
+    A file is parsed a piece of whole lines at a time (``_pieces``), so the
+    run holds the parsed numbers and one piece, never the whole text; a str is
+    one piece.  A block regex checks where the numbers stand, each a run of
+    NUM's characters (_TOKEN), and one numpy conversion per block checks and
+    reads them.  Lengths and unitarity are checked after the last line, in
+    slices of the table of about PIECE_CHARS numbers.  Any failure is
+    reported by the line reader on the whole text, which a file is read again
+    for.  At rank 1 the holonomies are their own eigenvalues, so no
+    eigensolve runs."""
+    rank, nums = None, array("d")
+    for piece in _pieces(source):
+        pos = 0
+        if rank is None:
+            while pos < len(piece) and (m := _block(0).match(piece, pos)):
+                pos = m.end()
+            if pos == len(piece):
+                continue
+            if not (header := _RANK.match(piece, pos)) or (rank := int(header[1])) < 1:
+                _raise_first_error(_whole(source))
+            pos = header.end()
+        # a pair takes at least three characters, so no geo line of the piece
+        # can hold more pairs than it has characters: such a rank is never compiled
+        block = _block(rank * rank if rank * rank <= len(piece) else 0)
+        while pos < len(piece):
+            if not (m := block.match(piece, pos)):
+                _raise_first_error(_whole(source))
+            lines = m[0]
+            if "#" in lines:
+                lines = _COMMENT.sub("", lines)
+            try:
+                block_nums = np.array(lines.replace("geo", " ").replace(";", " ")
+                                      .replace(",", " ").split(), dtype=float)
+            except ValueError:
+                _raise_first_error(_whole(source))
+            nums.frombytes(block_nums.tobytes())
+            pos = m.end()
+    if rank is None:
+        _raise_first_error(_whole(source))
     if not nums:
         return LengthSpectrum(rank, ())
     # one row per entry: the length, then the holonomy as re,im pairs
     table = np.frombuffer(nums).reshape(-1, 1 + 2 * rank * rank)
-    lengths, holonomies = table[:, 0], np.ascontiguousarray(table[:, 1:]).view(complex)
-    if bad := _first_invalid(lengths, holonomies.reshape(-1, rank, rank)):
-        _raise_first_error(text, bad)
+    lengths, holonomies = table[:, 0], table[:, 1:].view(complex).reshape(-1, rank, rank)
+    rows = max(1, PIECE_CHARS // table.shape[1])
+    for start in range(0, len(table), rows):
+        if bad := _first_invalid(lengths[start:start + rows], holonomies[start:start + rows]):
+            _raise_first_error(_whole(source), (start + bad[0], bad[1]))
     return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
 
 

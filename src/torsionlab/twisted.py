@@ -141,6 +141,16 @@ def cuspidality_check(rep, pres):
     return int(np.sum(sv > CUSPIDAL_TOL)) == rep.rank
 
 
+def checked_square(x, name):
+    """``x**2`` for a float x, or a ValueError naming ``name`` when a float
+    cannot hold it (float ** raises OverflowError, which ``cli.main`` does
+    not report as an input error)."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"{name} = {x:.12g}^2 is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class TwistedAlexanderResult:
     delta0: LaurentPoly
@@ -158,6 +168,7 @@ def twisted_alexander(pres, rep, pivot=1):
     When delta1(1) and delta0(1) are nonzero (``value_at_1``) the torsion at
     t=1 is |delta1(1)/delta0(1)| and the Ruelle value at the origin its
     square; otherwise the polynomials are returned with the values withheld.
+    A square that a float cannot hold is a ValueError (``checked_square``).
     """
     if not pres.wirtinger:
         raise ValueError("twisted_alexander requires a Wirtinger presentation")
@@ -173,7 +184,7 @@ def twisted_alexander(pres, rep, pivot=1):
     torsion = ruelle = None
     if h1_vanishes and delta0_nonzero:
         torsion = abs(value1 / value0)
-        ruelle = torsion**2
+        ruelle = checked_square(torsion, "ruelle_at_0")
     return TwistedAlexanderResult(
         delta0=delta0,
         delta1=delta1,

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import torsionlab.cli as cli
+import torsionlab.ruelle as ruelle
 from torsionlab.cli import main
 from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix
@@ -254,7 +256,8 @@ class TestVerifyKnot:
         peaks = []
         for length in (2000, 8000):
             pres = tmp_path / f"long{length}.pres"
-            pres.write_text("gens a b; wirtinger; rel " + "a b A B " * (length // 4) + ";\n")
+            pres.write_text("gens a b; wirtinger; rel " + "a b A B " * (length // 4)
+                            + ";\nmeridian a; longitude b;\n")
             tracemalloc.start()
             try:
                 code = main(["verify-knot", str(pres), "--xi=0,1"])
@@ -278,15 +281,16 @@ class TestVerifyKnot:
         knot = torus_braid_closure(3, 7)
         names = knot.generator_names
         pres = tmp_path / "t37.pres"
-        pres.write_text(f"gens {' '.join(names)}; wirtinger;\n" + "".join(
+        relators = f"gens {' '.join(names)}; wirtinger;\n" + "".join(
             "rel " + " ".join(names[abs(k) - 1] + ("" if k > 0 else "^-1") for k in r)
-            + ";\n" for r in knot.relators))
+            + ";\n" for r in knot.relators)
+        pres.write_text(relators + f"meridian x1; longitude {' '.join(names * 7)} x1^-21;\n")
         code, out, _ = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert code == 0 and "agree = true" in out
         assert derived == list(knot.relators) and len(derived) == 2
         assert scans == []
         # an error names one token, found by one scan
-        pres.write_text(pres.read_text() + "rel ?;\n")
+        pres.write_text(relators + "rel ?;\n")
         code, _, err = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert code == 1 and "(line 4, col 5)" in err
         assert len(scans) == 1
@@ -394,16 +398,42 @@ class TestTorsionCW:
 
 class TestLibraryErrors:
     def test_no_peripheral_words_skip_cuspidality(self, capsys, tmp_path):
-        # without peripheral words cuspidality is unknown: talex withholds
-        # the values, verify-knot goes ahead
+        # without peripheral words cuspidality is unknown: talex and
+        # verify-knot both withhold the values
         pres = tmp_path / "bare.pres"
         pres.write_text("gens a b; wirtinger; rel a b a B A B;\n")
         code, out, err = run(capsys, "talex", str(pres), "--xi=0,1")
         assert (code, err) == (2, "")
         assert "cuspidal = unknown" in out
         code, out, err = run(capsys, "verify-knot", str(pres), "--xi=0,1")
+        assert (code, err) == (2, "")
+        assert out == (f"[verify-knot]\npresentation = {pres}\nxi = 0,1\nh1_vanishes = true\n"
+                       "cuspidal = unknown\nvalues = withheld (hypotheses fail)\n")
+        # with a meridian and a longitude the same relator gives values
+        pres.write_text("gens a b; wirtinger; rel a b a B A B;\nmeridian a; longitude b;\n")
+        code, out, err = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert (code, err) == (0, "")
         assert "agree = true" in out
+
+    @pytest.mark.parametrize("command", ["talex", "verify-knot"])
+    def test_overflowing_square_exits_1(self, capsys, tmp_path, command):
+        # rel k-th power of [x_i, x_{i+1}] for i <= n: at xi = -1 each Fox row
+        # is k (1 + t) (e_i - e_{i+1}), so the torsion at t = 1 is k^n 2^(n-1),
+        # 1.5e156 for k = 100 and n = 68: its square passes the largest float
+        n, k = 68, 100
+        pres = tmp_path / "wide.pres"
+        pres.write_text(
+            "gens " + " ".join(f"x{i}" for i in range(1, n + 2)) + "; wirtinger;\n"
+            + "".join(f"rel {f'x{i} x{i + 1} X{i} X{i + 1} ' * k};\n" for i in range(1, n + 1))
+            + "meridian x1; longitude x2;\n")
+        code, out, err = run(capsys, command, str(pres), "--xi=-1,0")
+        assert (code, out) == (1, "")
+        assert err == "error: ruelle_at_0 = 1.4757395259e+156^2 is too large for a float\n"
+
+    def test_overflowing_cw_route_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "torsion_report", lambda cx, rep: SimpleNamespace(torsion=1e200))
+        code, out, err = run(capsys, "verify-knot", "figure_eight", "--xi=0,1")
+        assert (code, out, err) == (1, "", "error: cw_route = 1e+200^2 is too large for a float\n")
 
 
 class TestMalformedFlags:
@@ -559,6 +589,18 @@ class TestRuelleEval:
             code, out, err = run(capsys, "ruelle-eval", str(sp), z, "--cutoffs=2,7")
         assert (code, out, caught) == (1, "", [])
         assert err == f"error: the Euler factor at length 1.0 is not finite at z = {shown}\n"
+
+    def test_undecodable_byte_past_the_first_piece(self, capsys, tmp_path):
+        # one error line, with the byte's position in the file, as when the
+        # whole file is read with read_text()
+        head = b"rank 1;\n" + b"geo 1 ; 1,0 ;\n" * (2 * ruelle.PIECE_CHARS // 14 + 1)
+        sp = tmp_path / "bad.spec"
+        sp.write_bytes(head + b"geo 2 ; 1,0 \xff;\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            sp.read_text()
+        code, out, err = run(capsys, "ruelle-eval", str(sp), "--z=3,0")
+        assert (code, out, err) == (1, "", f"error: {whole.value}\n")
+        assert f"can't decode byte 0xff in position {len(head) + 12}: " in err
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         sp = tmp_path / "bad.spec"

@@ -754,6 +754,132 @@ class TestBlockReader:
         assert peaks[1] <= 1.5 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
+def assert_file_same_as_text(path):
+    """parse_spectrum of the open file gives parse_spectrum(path.read_text())'s
+    arrays bit for bit, or its ParseError with the same text and line."""
+    try:
+        want = parse_spectrum(path.read_text())
+    except ParseError as exc:
+        with path.open() as f, pytest.raises(ParseError) as err:
+            parse_spectrum(f)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return exc
+    with path.open() as f:
+        got = parse_spectrum(f)
+    assert got.rank == want.rank
+    for name in ("lengths", "holonomies", "eigenvalues"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    return got
+
+
+class TestFilePieces:
+    """An open file, read a piece of whole lines at a time, parses as its whole text does."""
+
+    @pytest.fixture(params=[1, 7, 64, None], ids=["1", "7", "64", "default"])
+    def piece_chars(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ruelle, "PIECE_CHARS", request.param)
+        return ruelle.PIECE_CHARS
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("decoration", sorted(DECORATIONS))
+    def test_random_spectra(self, rng, tmp_path, piece_chars, rank, decoration):
+        path = tmp_path / "s.spec"
+        for n in (0, 1, 2 * lines_per_block(rank) + 7):
+            path.write_text(DECORATIONS[decoration]([f"rank {rank};"],
+                                                    random_geo_lines(rng, rank, n)))
+            assert len(assert_file_same_as_text(path).lengths) == n
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", TestBlockReader.BAD_LINES)
+    def test_malformed_line_anywhere(self, rng, tmp_path, piece_chars, bad):
+        # the first line, the first of the second block and the last
+        per_block = lines_per_block(1)
+        geo = random_geo_lines(rng, 1, per_block + 2)
+        path = tmp_path / "s.spec"
+        for k in (0, per_block, len(geo) - 1):
+            lines = list(geo)
+            lines[k] = bad
+            path.write_text("rank 1;\n" + "\n".join(lines) + "\n")
+            assert assert_file_same_as_text(path).line == k + 2
+
+    def test_grammar_error_in_a_later_piece_beats_an_invalid_entry(self, rng, tmp_path,
+                                                                   piece_chars):
+        geo = random_geo_lines(rng, 1, 2 * lines_per_block(1))
+        geo[3], geo[-1] = "geo 1 ; 2,0 ;", "geo 1 ; 1,0 junk ;"
+        path = tmp_path / "s.spec"
+        path.write_text("rank 1;\n" + "\n".join(geo) + "\n")
+        exc = assert_file_same_as_text(path)
+        assert "malformed holonomy" in str(exc) and exc.line == len(geo) + 1
+
+    def test_first_invalid_entry_in_file_order(self, rng, tmp_path, piece_chars):
+        geo = random_geo_lines(rng, 2, 3 * lines_per_block(2))
+        geo[200] = geo_line(9.0, 2 * np.eye(2))
+        geo[100] = geo_line(-1.0, np.eye(2))
+        path = tmp_path / "s.spec"
+        path.write_text("rank 2;\n\n" + "\n".join(geo) + "\n")
+        exc = assert_file_same_as_text(path)
+        assert "positive" in str(exc) and exc.line == 103
+
+    @pytest.mark.parametrize("text", [
+        "", "\n# comments only\n\n", "rank 1000000000;\n\n# empty\n",
+        "rank 1000000000;\ngeo 1 ; 1,0 ;\n", "# a header after comments\n" * 30 + "rank 1;\n",
+        "\n" * 100 + "rank 2;\n" + "\n" * 100 + "rank 2;\n",
+    ])
+    def test_whole_file_cases(self, tmp_path, piece_chars, text):
+        path = tmp_path / "s.spec"
+        path.write_text(text)
+        assert_file_same_as_text(path)
+
+    @pytest.mark.parametrize("second_line", [b"geo 1 ; 1,0 ;\n", b"geo 1 ; junk ;\n"])
+    def test_undecodable_byte_past_the_first_piece(self, tmp_path, piece_chars, second_line):
+        # the position is the byte's in the file, as in a whole-file read,
+        # which fails before any line is parsed
+        head = (b"rank 1;\n" + second_line
+                + b"geo 1 ; 1,0 ;\n" * (piece_chars // 7 + 1))
+        path = tmp_path / "s.spec"
+        path.write_bytes(head + b"geo 2 ; 1,0 \xff;\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        with path.open() as f, pytest.raises(UnicodeDecodeError) as err:
+            parse_spectrum(f)
+        assert str(err.value) == str(whole.value)
+        assert f"in position {len(head) + 12}:" in str(err.value)
+
+    def test_peak_memory_is_the_arrays(self, tmp_path):
+        # 20 000 rank-2 entries, 3.7 MB of text.  The file path holds the
+        # table of rows, 8 (1 + 2 r^2) bytes an entry (with array's 1/16
+        # over-allocation), then the sorted holonomies (16 r^2), the sorted
+        # lengths and their order (8 + 8), the eigenvalues (16 r) and the
+        # eigensolve's finiteness mask (r^2), and about one piece: a read,
+        # the piece and its blocks, 4 PIECE_CHARS bytes of ASCII.  Reading
+        # the text whole first adds the text and whole-table scratch (10.5 MB
+        # when the CLI read the text whole, against 3.9 MB)
+        n, rank = 20000, 2
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((n, rank, rank)) + 1j * rng.standard_normal((n, rank, rank))
+        path = tmp_path / "s.spec"
+        path.write_text(f"rank {rank};\n" + "\n".join(
+            geo_line(float(l), h) for l, h in zip(rng.uniform(0.3, 5.0, n), np.linalg.qr(z)[0]))
+            + "\n")
+        bound = (n * (8 * (1 + 2 * rank * rank) * 17 / 16 + 16 * rank * rank + 16 + 16 * rank
+                      + rank * rank) + 4 * ruelle.PIECE_CHARS)
+        peaks = []
+        for read in (lambda: path.open(), lambda: path.read_text()):
+            tracemalloc.start()
+            try:
+                source = read()
+                spec = parse_spectrum(source)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if not isinstance(source, str):
+                source.close()
+            assert len(spec.lengths) == n
+        assert peaks[0] < bound < peaks[1], [f"{p / 1e6:.2f} MB" for p in (*peaks, bound)]
+
+
 class TestRuelleEval:
     """ruelle_eval reads the table and the value off one running sum."""
 

@@ -14,6 +14,7 @@ from torsionlab.twisted import (
     CUSPIDAL_TOL,
     H1_TOL,
     boundary2,
+    checked_square,
     choose_pivot,
     cuspidality_check,
     phi_apply,
@@ -545,6 +546,12 @@ class TestErrorOrder:
         # one image short: the Fox walk meets the missing generator first
         with pytest.raises(ValueError, match=r"^word uses generator 2, rep has 1$"):
             twisted_alexander(pres, UnitaryRep([np.eye(2)]))
+
+
+class TestCheckedSquare:
+    def test_overflow_is_a_value_error_naming_the_value(self):
+        with pytest.raises(ValueError, match=r"^closed_form = 1\.4e\+154\^2 is too large"):
+            checked_square(1.4e154, "closed_form")
 
 
 class TestTwistedAlexander:
