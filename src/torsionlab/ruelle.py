@@ -5,17 +5,18 @@ evaluated by summing per-factor log-determinants in increasing length
 order; the product converges absolutely for Re z > 2, and the evaluator
 reports a crude bound on the entries beyond the cutoff.  No extrapolation
 toward z = 0 is performed: the special value at the origin comes from the
-torsion routes, not from truncation.  A spectrum is held as arrays
-sorted by length, with the z-independent holonomy eigenvalues from one
-batched eigensolve (at rank 1 the holonomies themselves, which is what
-LAPACK returns for a 1 x 1 matrix); an evaluation is one array expression
-over the factors plus a running sum in length order, which equals a
-per-entry loop bit for bit.  A z at which some factor is not finite (a
-pole, or an overflow of e^{-z l}) is refused with ValueError.  The file
-reader's regex checks only where the numbers stand; the float conversion
-checks the numbers, since over their characters it accepts exactly what
-``NUM`` full-matches.  An open file is read a piece of whole lines at a
-time, so a parse holds the parsed arrays and one piece, not the text.
+torsion routes, not from truncation.  A spectrum is held as arrays sorted
+by length, with the z-independent holonomy eigenvalues: at rank 1 the
+holonomies themselves (what LAPACK returns for a 1 x 1 matrix), at rank 2
+a closed form within a few ulps of LAPACK's, above that one batched LAPACK
+eigensolve; an evaluation is one array expression over the factors plus a
+running sum in length order, which equals a per-entry loop bit for bit.  A
+z at which some factor is not finite (a pole, or an overflow of e^{-z l})
+is refused with ValueError.  The file reader's regex checks only where the
+numbers stand; the float conversion checks the numbers, since over their
+characters it accepts exactly what ``NUM`` full-matches.  An open file is
+read a piece of whole lines at a time, so a parse holds the parsed arrays
+and one piece, not the text.
 """
 
 from __future__ import annotations
@@ -64,10 +65,47 @@ class GeodesicEntry:
         object.__setattr__(self, "holonomy", h)
 
 
+def _eigenvalues(h):
+    """(E, r) eigenvalues of an (E, r, r) stack h, by its rank r.
+
+    Rank 1: the entries, a view.  Rank 2: m +- s with m = (a + d)/2 and
+    s = sqrt(q^2 + bc), q = (a - d)/2, for h = [[a, b], [c, d]], in row slices
+    whose two temporaries take PIECE_CHARS bytes.  For a normal h with
+    eigenvalues m +- g/2, the Frobenius norm of h - mI gives
+    |q|^2 + |bc| <= |g/2|^2 = |q^2 + bc|: the sum does not cancel, so s keeps a
+    few ulps of 1 even as the eigenvalues meet, where tr^2 - 4 det loses half
+    the digits.  Rank >= 3 and the (0, 0, 0) empty stack: one batched LAPACK
+    eigensolve."""
+    n, rank = h.shape[:2]
+    if rank == 1:
+        return h.reshape(-1, 1)
+    if rank != 2:
+        return np.linalg.eigvals(h)
+    out = np.empty((n, 2), dtype=complex)
+    rows = max(1, PIECE_CHARS // 32)
+    for start in range(0, n, rows):
+        a, b, c, d = (h[start:start + rows, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        # numpy may round a complex product with FMA or without, by the
+        # operands' length and overlap (one element in place goes without):
+        # each product goes to a new array, so the bits do not depend on the
+        # stack's length or layout; halving and sums round alike either way
+        m, q = out[start:start + rows].T
+        np.subtract(a, d, out=q)
+        q *= 0.5
+        s = np.multiply(q, q)
+        s += np.multiply(b, c)
+        np.sqrt(s, out=s)
+        np.add(a, d, out=m)
+        m *= 0.5
+        np.subtract(m, s, out=q)
+        m += s
+    return out
+
+
 class LengthSpectrum:
     """Prime geodesics of rank r: ``lengths`` (E,), ``holonomies`` (E, r, r) and
-    ``eigenvalues`` (E, r, one batched eigensolve; at rank 1 a view of the
-    holonomies, bit for bit what the eigensolve returns), stably sorted by
+    ``eigenvalues`` (E, r; ``_eigenvalues``: at rank 1 a view of the holonomies,
+    at rank 2 a closed form, above one batched eigensolve), stably sorted by
     length.  An empty spectrum holds (0, 0, 0) and (0, 0) arrays whatever its rank."""
 
     def __init__(self, rank, entries):
@@ -83,8 +121,7 @@ class LengthSpectrum:
         self.lengths = lengths[order]
         self.holonomies = (holonomies.reshape(len(order), rank, rank)[order] if len(order)
                            else np.empty((0, 0, 0), dtype=complex))
-        self.eigenvalues = (self.holonomies.reshape(-1, 1) if rank == 1 and len(order)
-                            else np.linalg.eigvals(self.holonomies))
+        self.eigenvalues = _eigenvalues(self.holonomies)
         return self
 
     @property
@@ -213,15 +250,27 @@ def _block(pairs):
     return re.compile(rf"(?:{line}{_LINE_END}){{1,{lines}}}")
 
 
-def _raise_first_error(text, invalid=None):
+def _raise_first_error(source, invalid=None):
     """The line-by-line reader, run only once a faster check has failed.
 
     Raises the ParseError of the first line that breaks the grammar, or,
     when every line parses, ``invalid = (entry, message)`` from the batched
-    check on the line of that geo entry."""
+    check on the line of that geo entry.  A file is first read to its end, so
+    that a byte that does not decode is raised wherever it stands, as by a
+    whole read; then its lines are read again from its start a piece at a
+    time.  A piece ends at a line break, so its lines are those that
+    str.splitlines() finds in the whole text."""
+    if isinstance(source, str):
+        pieces = (source,)
+    else:
+        for _ in _pieces(source):
+            pass
+        source.seek(0)
+        pieces = _pieces(source)
     rank, entry = None, 0
     runs, number = re.compile(_TOKEN), re.compile(NUM)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = (line for piece in pieces for line in piece.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -251,17 +300,10 @@ def _raise_first_error(text, invalid=None):
     raise AssertionError("the block reader rejected a spectrum the line reader accepts")
 
 
-# a text file is read this many characters at a time, and the parsed table
-# is checked in slices of about this many numbers
+# a text file is read this many characters at a time, the parsed table is
+# checked in slices of about this many numbers, and _eigenvalues' rank-2
+# temporaries take this many bytes
 PIECE_CHARS = 1 << 16
-
-
-def _whole(source):
-    """The whole text of ``source``, a str or a seekable text file, for the line reader."""
-    if isinstance(source, str):
-        return source
-    source.seek(0)
-    return source.read()
 
 
 def _pieces(source):
@@ -276,7 +318,8 @@ def _pieces(source):
         try:
             chunk = source.read(PIECE_CHARS)
         except UnicodeDecodeError:
-            _whole(source)  # raises the error of reading the file whole, at its position
+            source.seek(0)
+            source.read()  # raises the error of reading the file whole, at its position
             raise
         if not chunk:
             break
@@ -305,9 +348,8 @@ def parse_spectrum(source):
     NUM's characters (_TOKEN), and one numpy conversion per block checks and
     reads them.  Lengths and unitarity are checked after the last line, in
     slices of the table of about PIECE_CHARS numbers.  Any failure is
-    reported by the line reader on the whole text, which a file is read again
-    for.  At rank 1 the holonomies are their own eigenvalues, so no
-    eigensolve runs."""
+    reported by the line reader, which reads a file again a piece at a time.
+    At ranks 1 and 2 no eigensolve runs (``_eigenvalues``)."""
     rank, nums = None, array("d")
     for piece in _pieces(source):
         pos = 0
@@ -317,14 +359,14 @@ def parse_spectrum(source):
             if pos == len(piece):
                 continue
             if not (header := _RANK.match(piece, pos)) or (rank := int(header[1])) < 1:
-                _raise_first_error(_whole(source))
+                _raise_first_error(source)
             pos = header.end()
         # a pair takes at least three characters, so no geo line of the piece
         # can hold more pairs than it has characters: such a rank is never compiled
         block = _block(rank * rank if rank * rank <= len(piece) else 0)
         while pos < len(piece):
             if not (m := block.match(piece, pos)):
-                _raise_first_error(_whole(source))
+                _raise_first_error(source)
             lines = m[0]
             if "#" in lines:
                 lines = _COMMENT.sub("", lines)
@@ -332,11 +374,11 @@ def parse_spectrum(source):
                 block_nums = np.array(lines.replace("geo", " ").replace(";", " ")
                                       .replace(",", " ").split(), dtype=float)
             except ValueError:
-                _raise_first_error(_whole(source))
+                _raise_first_error(source)
             nums.frombytes(block_nums.tobytes())
             pos = m.end()
     if rank is None:
-        _raise_first_error(_whole(source))
+        _raise_first_error(source)
     if not nums:
         return LengthSpectrum(rank, ())
     # one row per entry: the length, then the holonomy as re,im pairs
@@ -345,7 +387,7 @@ def parse_spectrum(source):
     rows = max(1, PIECE_CHARS // table.shape[1])
     for start in range(0, len(table), rows):
         if bad := _first_invalid(lengths[start:start + rows], holonomies[start:start + rows]):
-            _raise_first_error(_whole(source), (start + bad[0], bad[1]))
+            _raise_first_error(source, (start + bad[0], bad[1]))
     return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import torsionlab.cli as cli
 import torsionlab.ruelle as ruelle
 from torsionlab import LengthSpectrum, ParseError, SpectrumWarning, format_spectrum, parse_spectrum
+from torsionlab.reps import UNITARITY_TOL, unitarity_defects
 from torsionlab.ruelle import GeodesicEntry, convergence_report, truncated_ruelle
 
 from conftest import random_unitary
@@ -65,9 +66,15 @@ def bits(x):
     return x.real.hex(), x.imag.hex()
 
 
+def entry_eigenvalues(h):
+    """The eigenvalues of one holonomy as a spectrum takes them: the closed form at
+    rank 2, one eigensolve at every other rank."""
+    return ruelle._eigenvalues(h[None])[0] if len(h) == 2 else np.linalg.eigvals(h)
+
+
 def loop_log_factor(entry, z):
-    """-log det(I - rho(gamma) e^{-z l}) of one entry, one eigensolve per call."""
-    mus = np.linalg.eigvals(entry.holonomy) * np.exp(-z * entry.length)
+    """-log det(I - rho(gamma) e^{-z l}) of one entry, its eigenvalues taken alone."""
+    mus = entry_eigenvalues(entry.holonomy) * np.exp(-z * entry.length)
     return -np.sum(np.log(1.0 - mus))
 
 
@@ -145,26 +152,37 @@ class TestEntriesAndSpectrum:
             LengthSpectrum(rank=2, entries=(GeodesicEntry(1.0, np.eye(1)),))
 
     def test_array_layout_and_stable_order(self, rng):
-        hs = [random_unitary(rng, 3) for _ in range(4)]
-        lengths = [2.0, 1.0, 2.0, 0.5]
-        spec = LengthSpectrum(3, tuple(GeodesicEntry(l, h) for l, h in zip(lengths, hs)))
-        assert spec.lengths.shape == (4,) and spec.holonomies.shape == (4, 3, 3)
-        assert spec.eigenvalues.shape == (4, 3)
-        np.testing.assert_array_equal(spec.lengths, [0.5, 1.0, 2.0, 2.0])
-        # equal lengths keep their given order
-        for got, want in zip(spec.holonomies, [hs[3], hs[1], hs[0], hs[2]]):
-            np.testing.assert_array_equal(got, want)
-        for e, eig in zip(spec.entries, spec.eigenvalues):
-            np.testing.assert_array_equal(eig, np.linalg.eigvals(e.holonomy))
+        for rank in (2, 3):
+            hs = [random_unitary(rng, rank) for _ in range(4)]
+            lengths = [2.0, 1.0, 2.0, 0.5]
+            spec = LengthSpectrum(rank, tuple(GeodesicEntry(l, h) for l, h in zip(lengths, hs)))
+            assert spec.lengths.shape == (4,) and spec.holonomies.shape == (4, rank, rank)
+            assert spec.eigenvalues.shape == (4, rank)
+            np.testing.assert_array_equal(spec.lengths, [0.5, 1.0, 2.0, 2.0])
+            # equal lengths keep their given order
+            for got, want in zip(spec.holonomies, [hs[3], hs[1], hs[0], hs[2]]):
+                np.testing.assert_array_equal(got, want)
+            for e, eig in zip(spec.entries, spec.eigenvalues):
+                assert eig.tobytes() == entry_eigenvalues(e.holonomy).tobytes()
 
-    def test_one_eigensolve_per_entry(self, monkeypatch):
+    @staticmethod
+    def evaluate(rank, monkeypatch):
+        """The eigensolves of parsing and evaluating 30 rank-r entries."""
         solved = count_eigensolves(monkeypatch)
-        lines = ["rank 2;"] + [f"geo {1 + 0.1 * k} ; 1,0 0,0 0,0 0,1 ;" for k in range(30)]
+        body = " ".join("1,0" if i == j else "0,0" for i in range(rank) for j in range(rank))
+        lines = [f"rank {rank};"] + [f"geo {1 + 0.1 * k} ; {body} ;" for k in range(30)]
         spec = parse_spectrum("\n".join(lines))
         convergence_report(spec, 3.0, [1.5, 2.5, 9.0])
         truncated_ruelle(spec, 3.0)
         truncated_ruelle(spec, 3.0, cutoff=2.0)
-        assert solved == [30]
+        return solved
+
+    def test_one_eigensolve_per_entry(self, monkeypatch):
+        # rank 3: one batched eigensolve over all entries, at parse time
+        assert self.evaluate(3, monkeypatch) == [30]
+
+    def test_rank2_runs_no_eigensolve(self, monkeypatch):
+        assert self.evaluate(2, monkeypatch) == []
 
     def test_rank1_eigenvalues_are_the_holonomies(self, monkeypatch):
         # every signed zero next to a unit part, then random phases
@@ -183,6 +201,100 @@ class TestEntriesAndSpectrum:
         got = spec.eigenvalues
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
         assert got.shape == (len(parts), 1)
+
+
+EPS = np.finfo(float).eps
+
+
+def pair_error(got, want):
+    """Largest distance between (E, 2) eigenvalue pairs, each pair matched
+    either way round, whichever is closer: LAPACK orders them its own way."""
+    straight = np.maximum(abs(got[:, 0] - want[:, 0]), abs(got[:, 1] - want[:, 1]))
+    crossed = np.maximum(abs(got[:, 0] - want[:, 1]), abs(got[:, 1] - want[:, 0]))
+    return np.minimum(straight, crossed).max(initial=0.0)
+
+
+def conjugated(rng, diagonals):
+    """V diag V^H for Haar-random V, one per row of the (E, 2) diagonals."""
+    vs = np.array([random_unitary(rng, 2) for _ in diagonals])
+    return vs @ (diagonals[:, :, None] * np.conj(np.swapaxes(vs, 1, 2)))
+
+
+class TestRank2Eigenvalues:
+    """The closed form m +- sqrt(q^2 + bc) against LAPACK's eigensolve.
+
+    The bound on a normal h is a few ulps of 1.  With u = EPS/2, m = (a + d)/2
+    is off by u|m|; q^2 + bc by (2u + sqrt(5)u + u)|q^2 + bc|, since the two
+    terms do not cancel (``ruelle._eigenvalues``); the square root halves that
+    and adds u, and m +- s adds u again.  As |m|^2 + |s|^2 = 1 for unitary h,
+    the closed form is within 6u = 3 EPS (0.71 EPS measured against mpmath).
+    zgeev is backward stable, and on a normal matrix its eigenvalues move no
+    more than its backward error: up to 6.3 EPS measured here.  So the two agree
+    to 16 EPS = 3.6e-15.  A non-normal h with departure nu from normality moves
+    its discriminant by about eta nu under a backward error eta, and a double
+    eigenvalue by the square root of that: sqrt(16 EPS nu) more."""
+
+    BOUND = 16 * EPS
+
+    def check(self, h, bound=BOUND):
+        got, want = ruelle._eigenvalues(h), np.linalg.eigvals(h)
+        assert got.shape == want.shape == (len(h), 2) and got.dtype == complex
+        assert np.isfinite(got).all()
+        error = pair_error(got, want)
+        assert error <= bound, f"{error / EPS:.2f} EPS"
+        return got
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0])
+    def test_eigenvalue_gaps(self, rng, gap):
+        theta = rng.uniform(-np.pi, np.pi, 500)
+        self.check(conjugated(rng, np.exp(1j * np.stack([theta, theta + gap], axis=1))))
+
+    def test_diagonal_and_anti_diagonal_with_signed_zeros(self):
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        units = [1, -1, 1j, -1j, np.exp(0.3j), complex(-0.0, 1.0), complex(1.0, -0.0)]
+        hs = [[[u, z0], [z1, w]] for u in units for w in units for z0 in zeros for z1 in zeros]
+        hs += [[[z0, u], [w, z1]] for u in units for w in units for z0 in zeros for z1 in zeros]
+        self.check(np.array(hs))
+
+    def test_unitarity_defect_just_under_the_tolerance(self, rng):
+        # a random perturbation P (defect up to 2 |P|) leaves the eigenvalues
+        # well conditioned; lam I + delta V N V^H with N = [[0, 1], [0, 0]], of
+        # defect sqrt(2) delta and departure delta from normality, is the worst
+        # case: a double eigenvalue
+        lam = np.exp(1j * rng.uniform(-np.pi, np.pi, (500, 2)))
+        perturbation = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+        perturbation *= (0.45 * UNITARITY_TOL
+                         / np.linalg.norm(perturbation, axis=(1, 2))[:, None, None])
+        delta = 0.7 * UNITARITY_TOL
+        vs = np.array([random_unitary(rng, 2) for _ in lam])
+        nilpotent = vs @ np.array([[0, 1], [0, 0]]) @ np.conj(np.swapaxes(vs, 1, 2))
+        jordan = lam[:, :1, None] * np.eye(2) + delta * nilpotent
+        for h, bound in ((conjugated(rng, lam) + perturbation, self.BOUND),
+                         (jordan, self.BOUND + np.sqrt(16 * EPS * delta))):
+            defects, unitary = unitarity_defects(h)
+            assert unitary.all() and defects.max() > 0.5 * UNITARITY_TOL
+            self.check(h, bound)
+
+    def test_bits_do_not_depend_on_layout_or_slices(self, rng, monkeypatch):
+        # more rows than one slice, the parse table's view (rows of a length
+        # and four pairs), Fortran order, one row at a time and 3-row slices
+        n = 3 * ruelle.PIECE_CHARS // 16 + 5
+        h = conjugated(rng, np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 2))))
+        table = np.empty((n, 9))
+        table[:, 1:] = h.reshape(n, 4).view(float)
+        stacks = [h, table[:, 1:].view(complex).reshape(n, 2, 2), np.asfortranarray(h)]
+        assert not stacks[1].flags.c_contiguous and stacks[2].flags.f_contiguous
+        want = ruelle._eigenvalues(h).tobytes()
+        assert {ruelle._eigenvalues(stack).tobytes() for stack in stacks} == {want}
+        assert b"".join(ruelle._eigenvalues(x[None]).tobytes() for x in h[:300]) == want[:300 * 32]
+        monkeypatch.setattr(ruelle, "PIECE_CHARS", 96)
+        assert ruelle._eigenvalues(h).tobytes() == want
+
+    def test_empty_rank2_spectrum(self):
+        for spec in (LengthSpectrum(2, ()), parse_spectrum("rank 2;\n"),
+                     parse_spectrum("rank 2;\n# no geo lines\n\n")):
+            assert spec.rank == 2 and spec.eigenvalues.shape == (0, 0)
+            assert spec.holonomies.shape == (0, 0, 0)
 
 
 class TestTruncatedRuelle:
@@ -847,22 +959,36 @@ class TestFilePieces:
         assert str(err.value) == str(whole.value)
         assert f"in position {len(head) + 12}:" in str(err.value)
 
+    @staticmethod
+    def unitary_geo_lines(n, rank):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((n, rank, rank)) + 1j * rng.standard_normal((n, rank, rank))
+        return [geo_line(float(l), h)
+                for l, h in zip(rng.uniform(0.3, 5.0, n), np.linalg.qr(z)[0])]
+
+    @staticmethod
+    def peak(parse):
+        """parse()'s result and its tracemalloc peak."""
+        tracemalloc.start()
+        try:
+            result = parse()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_is_the_arrays(self, tmp_path):
         # 20 000 rank-2 entries, 3.7 MB of text.  The file path holds the
         # table of rows, 8 (1 + 2 r^2) bytes an entry (with array's 1/16
         # over-allocation), then the sorted holonomies (16 r^2), the sorted
-        # lengths and their order (8 + 8), the eigenvalues (16 r) and the
-        # eigensolve's finiteness mask (r^2), and about one piece: a read,
-        # the piece and its blocks, 4 PIECE_CHARS bytes of ASCII.  Reading
-        # the text whole first adds the text and whole-table scratch (10.5 MB
-        # when the CLI read the text whole, against 3.9 MB)
+        # lengths and their order (8 + 8), the eigenvalues (16 r) and r^2,
+        # for an eigensolve's finiteness mask at rank 3 and up (at rank 2
+        # the closed form's two temporaries, PIECE_CHARS bytes), and about
+        # one piece: a read, the piece and its blocks, 4 PIECE_CHARS bytes of
+        # ASCII.  Reading the text whole first adds the text and whole-table
+        # scratch (10.5 MB when the CLI read the text whole, against 4.0 MB)
         n, rank = 20000, 2
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal((n, rank, rank)) + 1j * rng.standard_normal((n, rank, rank))
         path = tmp_path / "s.spec"
-        path.write_text(f"rank {rank};\n" + "\n".join(
-            geo_line(float(l), h) for l, h in zip(rng.uniform(0.3, 5.0, n), np.linalg.qr(z)[0]))
-            + "\n")
+        path.write_text(f"rank {rank};\n" + "\n".join(self.unitary_geo_lines(n, rank)) + "\n")
         bound = (n * (8 * (1 + 2 * rank * rank) * 17 / 16 + 16 * rank * rank + 16 + 16 * rank
                       + rank * rank) + 4 * ruelle.PIECE_CHARS)
         peaks = []
@@ -878,6 +1004,24 @@ class TestFilePieces:
                 source.close()
             assert len(spec.lengths) == n
         assert peaks[0] < bound < peaks[1], [f"{p / 1e6:.2f} MB" for p in (*peaks, bound)]
+
+    def test_peak_memory_of_an_invalid_last_entry(self, tmp_path):
+        # the last of 20 000 rank-2 entries is not unitary: the line reader
+        # reads the file again a piece at a time beside the parsed table, and
+        # peaks below the parse of the valid file (3.1 against 4.0 MB; 10.3
+        # MB when it split the whole text into lines)
+        lines = self.unitary_geo_lines(20000, 2)
+        path = tmp_path / "s.spec"
+        path.write_text("rank 2;\n" + "\n".join(lines) + "\n")
+        with path.open() as f:
+            _, parsed = self.peak(lambda: parse_spectrum(f))
+        lines[-1] = geo_line(1.0, 2 * np.eye(2))
+        path.write_text("rank 2;\n" + "\n".join(lines) + "\n")
+        with path.open() as f:
+            err, failed = self.peak(lambda: pytest.raises(ParseError, parse_spectrum, f))
+        assert (str(err.value), err.value.line) == ("holonomy is not unitary (defect 4.24e+00) "
+                                                    "(line 20001)", 20001)
+        assert failed <= parsed, [f"{p / 1e6:.2f} MB" for p in (failed, parsed)]
 
 
 class TestRuelleEval:
