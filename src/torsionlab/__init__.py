@@ -9,7 +9,6 @@ building blocks stay in their submodules.
 """
 
 from .cwcomplex import (
-    Incidence,
     TorsionReport,
     TwistedCWComplex,
     knot_complex,

@@ -1,9 +1,10 @@
 """Twisted chain complexes of finite CW complexes and zeta-regularized torsion.
 
-Cells carry incidence records (target cell, sign, deck-group word), a word
-being a tuple of signed generator indices (``freegroup``).  A word may be
-held as a prefix of a longer one, as the Fox terms of a 2-cell are prefixes
-of its relator, so a complex built from a presentation, its validation and
+A complex holds its deck-group words once, a word being a tuple of signed
+generator indices (``freegroup``), and in each degree one integer table of
+incidence records, a record being a sign times a prefix of one of those
+words (``TwistedCWComplex``).  The Fox terms of a 2-cell are prefixes of
+its relator, so a complex built from a presentation, its validation and
 its boundary matrices stay linear in the relator lengths.  The constructor
 checks structure; that the boundary squares to zero is checked by
 ``validate_boundary``, which ``parse_complex`` runs on every file, and is a
@@ -17,10 +18,8 @@ exp( (1/2) * sum_p (-1)^p p sum_{lambda>0} log lambda ).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple
+from itertools import groupby
 
 import numpy as np
 
@@ -38,46 +37,27 @@ ZERO_EIG_REL_TOL = 1e-8
 MAX_CELLS = 4096
 
 
-class _IncidenceFields(NamedTuple):
-    target: int
-    sign: int
-    base: tuple
-    length: int
-
-
-class Incidence(_IncidenceFields):
-    """``sign`` times the deck-group word ``word`` on cell ``target`` of the
-    degree below: an immutable named tuple ``(target, sign, base, length)``.
-
-    ``Incidence(target, sign, word)`` holds the word itself.  With a length
-    the word is the prefix of that many letters of ``base``: the Fox terms
-    of a 2-cell all share their relator this way instead of each holding a
-    copy.  ``word`` builds the prefix only when read.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, target, sign, base, length=None):
-        return tuple.__new__(cls, (target, sign, base, len(base) if length is None else length))
-
-    @property
-    def word(self):
-        return self.base[: self.length]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedCWComplex:
     """A finite CW complex with group-word-labeled incidence data.
 
-    ``incidences[p][i]`` lists the records of the boundary of the i-th
-    p-cell, for p >= 1.  ``generator_names`` name the deck-group
-    generators x_1, x_2, ...  ``relations`` (optional) are deck-group
-    relators, read by ``validate_boundary``.  Construction checks structure
-    only: cell counts, target range, signs, prefix lengths and letters.
+    ``bases`` holds its words.  ``incidences[p - 1]`` is the table of
+    degree p >= 1: an integer array of shape (5, m) whose rows ``cell,
+    target, sign, base, length`` hold one record per column, meaning
+    ``sign`` times the prefix of ``length`` letters of ``bases[base]`` on
+    cell ``target`` of the boundary of p-cell ``cell``.  Records are in
+    cell order, and within a cell in the order they were given: the order
+    in which ``twisted_boundary`` adds them.  ``generator_names`` name the
+    deck-group generators x_1, x_2, ...  ``relations`` (optional) are
+    deck-group relators, read by ``validate_boundary``.  Construction checks
+    structure only: cell counts, cell order, cell and target ranges, signs,
+    base indices, prefix lengths and letters; it makes each table
+    read-only, so the checks keep holding.
     """
 
     cells_per_degree: tuple
-    incidences: tuple  # indexed by degree p >= 1: tuple (per cell) of Incidence tuples
+    bases: tuple
+    incidences: tuple
     generator_names: tuple
     relations: tuple = field(default=())
 
@@ -87,24 +67,27 @@ class TwistedCWComplex:
             raise ValueError("cell counts must be nonnegative, degree 0 present")
         if len(self.incidences) != max(len(dims) - 1, 0):
             raise ValueError("need one incidence table per degree >= 1")
-        n, checked = len(self.generator_names), set()
+        n = len(self.generator_names)
+        sizes = np.array([len(b) for b in self.bases], dtype=np.intp)
         for p, table in enumerate(self.incidences, start=1):
-            if len(table) != dims[p]:
-                raise ValueError(f"degree {p}: expected {dims[p]} cells, got {len(table)}")
-            for recs in table:
-                for target, sign, base, length in recs:
-                    if not (0 <= target < dims[p - 1]):
-                        raise ValueError(f"degree {p}: target {target} out of range")
-                    if sign not in (1, -1):
-                        raise ValueError("incidence signs must be +1 or -1")
-                    if not (0 <= length <= len(base)):
-                        raise ValueError(
-                            f"degree {p}: prefix length {length} outside 0..{len(base)}"
-                        )
-                    if id(base) not in checked and stray_letter(base, n) is not None:
-                        raise ValueError(
-                            f"degree {p}: {base} uses a generator beyond the declared {n}")
-                    checked.add(id(base))
+            table.flags.writeable = False
+            cell, target, sign, base, length = table
+            for what, values, end in (("cell", cell, dims[p]), ("target", target, dims[p - 1]),
+                                      ("base index", base, len(self.bases))):
+                if (bad := (values < 0) | (values >= end)).any():
+                    raise ValueError(f"degree {p}: {what} {values[bad][0]} out of range")
+            if (cell[1:] < cell[:-1]).any():
+                raise ValueError(f"degree {p}: records not in cell order")
+            if (np.abs(sign) != 1).any():
+                raise ValueError("incidence signs must be +1 or -1")
+            if (bad := (length < 0) | (length > sizes[base])).any():
+                k = np.flatnonzero(bad)[0]
+                raise ValueError(
+                    f"degree {p}: prefix length {length[k]} outside 0..{sizes[base[k]]}")
+            for b in np.flatnonzero(np.bincount(base, minlength=len(self.bases))).tolist():
+                if stray_letter(self.bases[b], n) is not None:
+                    raise ValueError(
+                        f"degree {p}: {self.bases[b]} uses a generator beyond the declared {n}")
 
     @property
     def top_degree(self):
@@ -117,6 +100,8 @@ class TwistedCWComplex:
         occurrences of relators (any cyclic rotation, either orientation) are
         deleted iteratively first.  This is a sound but incomplete word
         problem check; it covers complexes built from group presentations.
+        A ValueError names the first cell, in degree and then cell order,
+        where the composite is nonzero, and carries it as ``cell = (p, i)``.
 
         The composite is keyed by reduced words interned as integer nodes of
         the free group's Cayley tree (``_CayleyTree``): the words of a cell's
@@ -125,21 +110,21 @@ class TwistedCWComplex:
         Only keys with a nonzero coefficient are turned back into words for
         relator deletion, so a Fox 2-cell costs time linear in its relator.
         """
-        bases = tuple(b for r in self.relations for b in (r, inverse(r)))
+        relators = tuple(b for r in self.relations for b in (r, inverse(r)))
         tree = _CayleyTree()
         step = tree.step
         for p in range(2, self.top_degree + 1):
-            lower = [
-                [(target, sign, base[:length]) for target, sign, base, length in cell]
-                for cell in self.incidences[p - 2]
-            ]
-            for i, recs in enumerate(self.incidences[p - 1]):
+            lower = [[] for _ in range(self.cells_per_degree[p - 1])]
+            for cell, target, sign, base, length in zip(*self.incidences[p - 2].tolist()):
+                lower[cell].append((target, sign, self.bases[base][:length]))
+            records = zip(*self.incidences[p - 1].tolist())
+            for i, recs in groupby(records, key=lambda rec: rec[0]):
                 # (target, node) -> integer coefficient of the composite boundary
                 residual = {}
-                paths = {}  # id(base) -> the node of each prefix of base
-                for target, sign, base, length in recs:
-                    if (nodes := paths.get(id(base))) is None:
-                        nodes = paths[id(base)] = tree.prefixes(base)
+                paths = {}  # base index -> the node of each prefix of its word
+                for _, target, sign, base, length in recs:
+                    if (nodes := paths.get(base)) is None:
+                        nodes = paths[base] = tree.prefixes(self.bases[base])
                     for low_target, low_sign, letters in lower[target]:
                         node = nodes[length]
                         for letter in letters:
@@ -149,12 +134,12 @@ class TwistedCWComplex:
                 collapsed = {}
                 for (target, node), c in residual.items():
                     if c:
-                        key = (target, _delete_relators(tree.word(node), bases))
+                        key = (target, _delete_relators(tree.word(node), relators))
                         collapsed[key] = collapsed.get(key, 0) + c
                 if any(collapsed.values()):
-                    raise ValueError(
-                        f"untwisted boundary composition is nonzero on {p}-cell {i}"
-                    )
+                    err = ValueError(f"untwisted boundary composition is nonzero on {p}-cell {i}")
+                    err.cell = p, i
+                    raise err
 
 
 class _CayleyTree:
@@ -195,10 +180,10 @@ class _CayleyTree:
         return tuple(reversed(letters))
 
 
-def _delete_relators(w, bases):
+def _delete_relators(w, relators):
     """Normalize a word by deleting relator occurrences until stable.
 
-    ``bases`` holds each relator and its inverse; their
+    ``relators`` holds each relator and its inverse; their
     cyclic rotations are the patterns, tried base by base and rotation by
     rotation.  Each step deletes the leftmost occurrence of the first
     pattern that occurs and freely reduces.  Rotations are formed as they
@@ -206,13 +191,13 @@ def _delete_relators(w, bases):
     first relator from a word equal to it forms one rotation, not one per
     letter.
     """
-    while (shorter := _delete_first(w, bases)) is not None:
+    while (shorter := _delete_first(w, relators)) is not None:
         w = shorter
     return w
 
 
-def _delete_first(ls, bases):
-    for base in bases:
+def _delete_first(ls, relators):
+    for base in relators:
         m = len(base)
         for k in range(m if m <= len(ls) else 0):
             pat = base[k:] + base[:k]
@@ -230,11 +215,15 @@ def twisted_boundary(cx, rep, p):
     transposed in each block; composites then multiply in word order and
     the chain condition holds for non-abelian representations too.
 
-    The incidences sharing a base word take rho(word) from one
+    The records of one base take rho of their prefixes from one
     ``rep.prefix_products`` walk (a Fox 2-cell's words are prefixes of its
     relator, so a relator is walked once).  One ``np.add.at`` on the flat
     matrix adds the blocks, sign times transposed product, unbuffered and in
-    incidence order: bitwise the matrix of a matmul walk per incidence.
+    record order: bitwise the matrix of a matmul walk per record.
+
+    Memory: besides the output, 16 + 24 r^2 bytes a record: the walk order
+    and the block offsets (8 bytes each), the signed images (16 r^2) and
+    their flat indices (8 r^2), plus one walk at a time along a base.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")
@@ -242,28 +231,21 @@ def twisted_boundary(cx, rep, p):
     rows = cx.cells_per_degree[p - 1] * r
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
-    table = cx.incidences[p - 1]
-    recs = [rec for cell in table for rec in cell]
-    if not recs:
+    cell, target, sign, base, length = cx.incidences[p - 1]
+    if not len(cell):
         return out
-    targets, signs, bases, lengths = zip(*recs)
-    lengths = np.array(lengths, dtype=int)
-    # the records by base word (each keyed by its first record), then by
-    # prefix length: one walk along each base
-    first_of = {}
-    group = np.array([first_of.setdefault(id(base), k) for k, base in enumerate(bases)])
-    order = np.lexsort((lengths, group))
-    ends = [*(np.flatnonzero(np.diff(group[order])) + 1).tolist(), len(order)]
-    images = np.empty((len(recs), r, r), dtype=complex)
+    # the records by base, then by prefix length: one walk along each base
+    order = np.lexsort((length, base))
+    ends = [*(np.flatnonzero(np.diff(base[order])) + 1).tolist(), len(order)]
+    images = np.empty((len(order), r, r), dtype=complex)
     for start, end in zip([0, *ends], ends):
         ks = order[start:end]
-        images[ks] = rep.prefix_products(bases[ks[0]], lengths[ks])
-    # block k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
-    cells = np.repeat(np.arange(len(table)), [len(cell) for cell in table])
-    first = (np.array(targets, dtype=int) * cols + cells)[:, None, None] * r
-    index = first + np.add.outer(np.arange(r) * cols, np.arange(r))
-    signs = np.array(signs, dtype=int)[:, None, None]
-    np.add.at(out.reshape(-1), index.ravel(), (signs * images.transpose(0, 2, 1)).ravel())
+        images[ks] = rep.prefix_products(cx.bases[base[ks[0]]], length[ks])
+    np.multiply(sign[:, None, None], images, out=images)
+    # record k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
+    first = (target.astype(np.intp) * cols + cell)[:, None, None] * r
+    index = first + np.add.outer(np.arange(r), np.arange(r) * cols)
+    np.add.at(out.reshape(-1), index.ravel(), images.ravel())
     return out
 
 
@@ -325,12 +307,14 @@ def knot_complex(pres):
     """The 2-complex of a Wirtinger presentation: one 0-cell, n 1-cells,
     n-1 2-cells attached along the relators via Fox derivatives.
 
-    The boundary of a 2-cell lists, generator by generator, one incidence
-    on 1-cell i per term of the relator's Fox derivative by x_i, with the
-    term's coefficient (+1 or -1) as its sign, in letter order.  The term
-    of a letter x_i is the prefix of the relator before it, of x_i^-1 the
-    prefix through it; each incidence holds the relator and that prefix
-    length, read from ``pres.fox_terms``, so no prefix word is built.
+    The bases are the words x_1, ..., x_n and the relators.  The boundary
+    of 1-cell i is x_i - 1: the prefixes of x_i of length 1 and 0.  The
+    boundary of a 2-cell lists, generator by generator, one record on 1-cell
+    i per term of the relator's Fox derivative by x_i, with the term's
+    coefficient (+1 or -1) as its sign, in letter order.  The term of a
+    letter x_i is the prefix of the relator before it, of x_i^-1 the prefix
+    through it; the records are ``pres.fox_terms`` sorted by cell and
+    generator, so no prefix word is built.
 
     The boundary squares to zero by Fox's fundamental formula
     sum_i (d r / d x_i)(x_i - 1) = r - 1, which vanishes modulo the
@@ -341,18 +325,20 @@ def knot_complex(pres):
     """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
-    n = pres.n_generators
-    one_cells = tuple((Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in range(1, n + 1))
-    two_cells = []
-    for rel, t in zip(pres.relators, pres.fox_terms):
-        by_generator = np.argsort(t.generator, kind="stable")
-        columns = (t.generator[by_generator] - 1, t.sign[by_generator], t.length[by_generator])
-        target, sign, length = (c.tolist() for c in columns)
-        two_cells.append(tuple(map(Incidence._make, zip(target, sign, repeat(rel), length))))
-    tables = (one_cells, tuple(two_cells)) if two_cells else (one_cells,)
+    n, terms = pres.n_generators, pres.fox_terms
+    one_cells = [(i, 0, sign, i, length) for i in range(n) for sign, length in ((1, 1), (-1, 0))]
+    tables = [np.array(one_cells, dtype=np.int32).reshape(-1, 5).T]
+    if terms:
+        cell = np.repeat(np.arange(len(terms), dtype=np.int32), [len(t.generator) for t in terms])
+        generator, sign, length = (np.concatenate(c, dtype=np.int32)
+                                   for c in zip(*(t[:3] for t in terms)))
+        # stable: within a cell and a generator, the letters stay in order
+        order = np.lexsort((generator, cell))
+        tables.append(np.stack((cell, generator - 1, sign, cell + n, length))[:, order])
     return TwistedCWComplex(
-        cells_per_degree=(1, *map(len, tables)),
-        incidences=tables,
+        cells_per_degree=(1, n, len(terms)) if terms else (1, n),
+        bases=(*((i,) for i in range(1, n + 1)), *pres.relators),
+        incidences=tuple(tables),
         relations=tuple(pres.relators),
         generator_names=pres.generator_names,
     )
@@ -373,14 +359,15 @@ def parse_complex(text):
     degree in 1..top, its cell index and its target indices among the cells
     of their degree.  Anything else is a ParseError with its position, as is
     a cell whose composite boundary ``validate_boundary`` finds nonzero: at
-    the cell's first ``bd`` statement.
+    the cell's first ``bd`` statement.  Equal words share one base.
     """
     stream = _TokenStream(text)
     names, letters = stream.generators()
 
     relations = []
     cells = {}
-    # (p, i, token of 'bd', [(Incidence, token of its target)])
+    bases = {}  # word -> its index in the complex's bases
+    # (p, i, token of 'bd', [(target, sign, base, length, token of the target)])
     bd_statements = []
     while stream.peek() is not None:
         tok = stream.next()
@@ -414,7 +401,8 @@ def parse_complex(text):
                 word = stream.word(letters, stop=",")
                 stream.expect(",")
                 target = stream.integer("target index")
-                recs.append((Incidence(target, 1 if sign == "+" else -1, word), stream.pos - 1))
+                recs.append((target, 1 if sign == "+" else -1,
+                             bases.setdefault(word, len(bases)), len(word), stream.pos - 1))
                 stream.expect(")")
             stream.expect(";")
             bd_statements.append((p, i, at, recs))
@@ -429,7 +417,7 @@ def parse_complex(text):
         if p not in cells:
             raise ParseError(f"missing 'cells {p}' (degrees must be contiguous from 0)")
         dims.append(cells[p])
-    bd = {}
+    rows = [[] for _ in range(top)]  # per degree: (cell, target, sign, base, length)
     first_bd = {}  # (p, i) -> the token of the cell's first 'bd'
     for p, i, at, recs in bd_statements:
         if not 1 <= p <= top:
@@ -437,26 +425,23 @@ def parse_complex(text):
         if not 0 <= i < dims[p]:
             raise stream.error(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", at)
         first_bd.setdefault((p, i), at)
-        for rec, target_at in recs:
-            if not 0 <= rec.target < dims[p - 1]:
+        for target, sign, base, length, target_at in recs:
+            if not 0 <= target < dims[p - 1]:
                 raise stream.error(
-                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", target_at
+                    f"target index {target} is outside 0..{dims[p - 1] - 1}", target_at
                 )
-            bd.setdefault((p, i), []).append(rec)
-    incidences = [
-        tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
-    ]
+            rows[p - 1].append((i, target, sign, base, length))
+    # a stable sort: a cell's records stay in file order across its statements
+    tables = (sorted(r, key=lambda rec: rec[0]) for r in rows)
     cx = TwistedCWComplex(
         cells_per_degree=tuple(dims),
-        incidences=tuple(incidences),
+        bases=tuple(bases),
+        incidences=tuple(np.array(t, dtype=np.int32).reshape(-1, 5).T for t in tables),
         relations=tuple(relations),
         generator_names=names,
     )
     try:
         cx.validate_boundary()
     except ValueError as exc:
-        # the message ends with the cell, "<p>-cell <i>"
-        cell = tuple(map(int, re.search(r"(\d+)-cell (\d+)$", str(exc)).groups()))
-        raise stream.error(str(exc), first_bd[cell]) from None
+        raise stream.error(str(exc), first_bd[exc.cell]) from None
     return cx
-

@@ -148,8 +148,9 @@ class FoxTerms(NamedTuple):
 MAX_WORD_LETTERS = 100_000
 # letters all the words of one .pres or .cw file may hold together, counted
 # the same way, so a short file of large powers cannot ask for gigabytes:
-# parsed words hold 8 bytes a letter (6.4 MB at the budget), and verify-knot
-# peaks at 253 MB RSS on a file at the budget (8 relators of 100 000 letters)
+# parsed words hold 8 bytes a letter (6.4 MB at the budget), and on a file at
+# the budget (8 relators of 99 960 letters) verify-knot peaks at 121 MB RSS
+# and talex at 114 MB
 MAX_FILE_LETTERS = 8 * MAX_WORD_LETTERS
 
 # a number of the .rep and .spec files and of the CLI's numeric flags; \d as

@@ -6,7 +6,8 @@ matrices packed from entries, group-ring arithmetic on {word: coefficient}
 dicts with its own product of reduced words, rho of a word one matmul per
 letter, the first and second boundary matrices of a presentation by a
 letter-by-letter walk, the cuspidality rule on both peripheral words, pivot
-candidates, the circle complex, the knot complex's 2-cells from Fox
+candidates, complexes built from per-cell record lists and their records
+written out, the circle complex, the knot complex's 2-cells from Fox
 derivatives and the combinatorial Laplacian of a degree.
 """
 
@@ -15,13 +16,7 @@ import re
 
 import numpy as np
 
-from torsionlab.cwcomplex import (
-    MAX_CELLS,
-    Incidence,
-    TwistedCWComplex,
-    _laplacian,
-    twisted_boundary,
-)
+from torsionlab.cwcomplex import MAX_CELLS, TwistedCWComplex, _laplacian, twisted_boundary
 from torsionlab.freegroup import fox_derivative, reduce
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix, LaurentPoly
 from torsionlab.presentations import (
@@ -210,7 +205,7 @@ def parse_complex_positional(text):
                 stream.expect(",")
                 target, tl, tc = stream.integer("target index")
                 stream.expect(")")
-                recs.append((Incidence(target, 1 if stok == "+" else -1, word), tl, tc))
+                recs.append(((target, 1 if stok == "+" else -1, word), tl, tc))
             stream.expect(";")
             bd_statements.append((p, i, line, col, recs))
         else:
@@ -232,16 +227,11 @@ def parse_complex_positional(text):
             raise ParseError(f"'bd {p}' cell index {i} is outside 0..{dims[p] - 1}", line, col)
         first_bd.setdefault((p, i), (line, col))
         for rec, tl, tc in recs:
-            if not 0 <= rec.target < dims[p - 1]:
-                raise ParseError(
-                    f"target index {rec.target} is outside 0..{dims[p - 1] - 1}", tl, tc
-                )
+            if not 0 <= rec[0] < dims[p - 1]:
+                raise ParseError(f"target index {rec[0]} is outside 0..{dims[p - 1] - 1}", tl, tc)
             bd.setdefault((p, i), []).append(rec)
-    incidences = [
-        tuple(tuple(bd.get((p, i), ())) for i in range(dims[p])) for p in range(1, top + 1)
-    ]
-    cx = TwistedCWComplex(cells_per_degree=tuple(dims), incidences=tuple(incidences),
-                          relations=tuple(relations), generator_names=names)
+    incidences = [[bd.get((p, i), ()) for i in range(dims[p])] for p in range(1, top + 1)]
+    cx = complex_from_records(tuple(dims), incidences, names, tuple(relations))
     try:
         cx.validate_boundary()
     except ValueError as exc:
@@ -469,13 +459,38 @@ def pivot_candidates(pres, rep):
 # -- the CW route ----------------------------------------------------------------
 
 
+def complex_from_records(cells_per_degree, incidences, generator_names, relations=()):
+    """A TwistedCWComplex from per-cell lists of records ``(target, sign,
+    word[, length])``: ``incidences[p - 1][i]`` lists the records of p-cell
+    i, each the prefix of ``length`` letters of ``word``, all of it when the
+    length is left out.  Equal words share one base."""
+    bases = {}
+    tables = [
+        np.array([(i, target, sign, bases.setdefault(word, len(bases)), *(length or [len(word)]))
+                  for i, cell in enumerate(table) for target, sign, word, *length in cell],
+                 dtype=np.int32).reshape(-1, 5).T
+        for table in incidences
+    ]
+    return TwistedCWComplex(cells_per_degree=cells_per_degree, bases=tuple(bases),
+                            incidences=tuple(tables), generator_names=generator_names,
+                            relations=relations)
+
+
+def complex_records(cx):
+    """Everything a complex says, comparable with ``==``: its cells, names and
+    relations, and per degree its records ``(cell, target, sign, word)`` in
+    table order, each word written out."""
+    records = tuple(
+        tuple((cell, target, sign, cx.bases[base][:length])
+              for cell, target, sign, base, length in zip(*table.tolist()))
+        for table in cx.incidences
+    )
+    return cx.cells_per_degree, cx.generator_names, cx.relations, records
+
+
 def circle_complex():
     """One 0-cell and one 1-cell glued along (x1 - 1)."""
-    return TwistedCWComplex(
-        cells_per_degree=(1, 1),
-        incidences=(((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),),
-        generator_names=("a",),
-    )
+    return complex_from_records((1, 1), [[[(0, 1, (1,)), (0, -1, ())]]], ("a",))
 
 
 def fox_knot_incidences(pres):

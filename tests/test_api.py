@@ -17,8 +17,7 @@ PUBLIC = {
     # the Fox route
     "LaurentPoly", "TwistedAlexanderResult", "twisted_alexander",
     # the CW route
-    "Incidence", "TorsionReport", "TwistedCWComplex", "knot_complex", "parse_complex",
-    "torsion_report",
+    "TorsionReport", "TwistedCWComplex", "knot_complex", "parse_complex", "torsion_report",
     # the Euler product
     "LengthSpectrum", "SpectrumWarning", "format_spectrum", "parse_spectrum", "ruelle_eval",
 }

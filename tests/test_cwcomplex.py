@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import groupby, zip_longest
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import torsionlab.cwcomplex as cwcomplex
 from torsionlab import (
-    Incidence,
     ParseError,
+    Presentation,
     TwistedCWComplex,
     UnitaryRep,
     knot_complex,
@@ -39,6 +40,8 @@ from oracles import (
     boundary1,
     circle_complex,
     comb_laplacian,
+    complex_from_records,
+    complex_records,
     eval_at,
     fox_knot_incidences,
     of_word_sequential,
@@ -80,11 +83,8 @@ bd 1 1 -> (-, a^-1 b, 0) (+, b^2, 1) (-, 1, 0) ;
 def shared_base_complex():
     """Prefix incidences of one base out of length order, two at one length."""
     w = (1, 2, -1, 2, 2)
-    recs = (Incidence(1, 1, w, 3), Incidence(0, -1, w, 1), Incidence(0, 1, w, 3),
-            Incidence(1, -1, w, 0), Incidence(1, 1, w))
-    return TwistedCWComplex(
-        cells_per_degree=(2, 1), incidences=((recs,),), generator_names=("a", "b")
-    )
+    recs = [(1, 1, w, 3), (0, -1, w, 1), (0, 1, w, 3), (1, -1, w, 0), (1, 1, w)]
+    return complex_from_records((2, 1), [[recs]], ("a", "b"))
 
 
 def knot_presentations():
@@ -95,7 +95,8 @@ def knot_presentations():
 
 
 def point_complex():
-    return TwistedCWComplex(cells_per_degree=(1,), incidences=(), generator_names=("a",))
+    return TwistedCWComplex(cells_per_degree=(1,), bases=(), incidences=(),
+                            generator_names=("a",))
 
 
 def corpus_complexes():
@@ -147,14 +148,13 @@ class TestTwistedBoundary:
 
 
 def twisted_boundary_reference(cx, rep, p):
-    """One ``of_word_sequential`` walk per incidence, blocks added in incidence order."""
+    """One ``of_word_sequential`` walk per record, blocks added in table order."""
     r = rep.rank
     out = np.zeros((cx.cells_per_degree[p - 1] * r, cx.cells_per_degree[p] * r), dtype=complex)
-    for i, cell in enumerate(cx.incidences[p - 1]):
-        for rec in cell:
-            out[rec.target * r : (rec.target + 1) * r, i * r : (i + 1) * r] += (
-                rec.sign * of_word_sequential(rep, rec.word).T
-            )
+    for i, target, sign, base, length in zip(*cx.incidences[p - 1].tolist()):
+        out[target * r : (target + 1) * r, i * r : (i + 1) * r] += (
+            sign * of_word_sequential(rep, cx.bases[base][:length]).T
+        )
     return out
 
 
@@ -376,52 +376,71 @@ class TestKnotComplex:
                              ids=[name for name, _ in knot_presentations()])
     def test_incidences_match_fox_construction(self, name, pres):
         cx = knot_complex(pres)
-        two_cells = cx.incidences[1] if cx.top_degree == 2 else ()
-        got = [[(rec.target, rec.sign, rec.word) for rec in cell] for cell in two_cells]
+        records = complex_records(cx)[3]
+        got = [[(target, sign, word) for cell, target, sign, word in records[1] if cell == k]
+               for k in range(len(pres.relators))]
         assert got == fox_knot_incidences(pres)
 
     def test_incidences_share_their_relator(self):
         pres = torus_braid_closure(3, 16)
+        n = pres.n_generators
         cx = knot_complex(pres)
-        for rel, cell in zip(pres.relators, cx.incidences[1]):
-            assert all(rec.base is rel for rec in cell)
+        assert all(base is rel for base, rel in zip(cx.bases[n:], pres.relators, strict=True))
+        cell, _, _, base, _ = cx.incidences[1]
+        assert (base == cell + n).all()
 
     @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "knot_5_2"])
     def test_one_mutated_incidence_rejected(self, name):
-        # every prefix length moved by one, and every sign flipped, in turn
+        # every prefix length of 2-cell 0 moved by one, and every sign flipped, in turn
         cx = knot_complex(load_corpus_presentation(name))
-        cell = cx.incidences[1][0]
-        for k, rec in enumerate(cell):
-            changes = [{"sign": -rec.sign}]
-            changes += [{"length": rec.length + d} for d in (-1, 1)
-                        if 0 <= rec.length + d <= len(rec.base)]
-            for change in changes:
-                mutated = cell[:k] + (rec._replace(**change),) + cell[k + 1:]
-                with pytest.raises(ValueError, match="composition"):
-                    dataclasses.replace(cx, incidences=(cx.incidences[0],
-                                                        (mutated,) + cx.incidences[1][1:])
+        table = cx.incidences[1]
+        size = len(cx.bases[table[3, 0]])
+        for k in np.flatnonzero(table[0] == 0):
+            sign, length = table[2, k], table[4, k]
+            changes = [(2, -sign)] + [(4, length + d) for d in (-1, 1) if 0 <= length + d <= size]
+            for row, value in changes:
+                mutated = table.copy()
+                mutated[row, k] = value
+                with pytest.raises(ValueError, match="composition") as err:
+                    dataclasses.replace(cx, incidences=(cx.incidences[0], mutated)
                                         ).validate_boundary()
+                assert err.value.cell == (2, 0)
 
     @pytest.mark.parametrize("length", [-1, 7])
     def test_prefix_length_out_of_range_rejected(self, length):
         cx = knot_complex(load_corpus_presentation("trefoil"))
-        rel = cx.relations[0]
-        assert len(rel) == 6
-        cell = (Incidence(0, 1, rel, length),) + cx.incidences[1][0][1:]
+        assert len(cx.relations[0]) == 6
+        table = cx.incidences[1].copy()
+        table[4, 0] = length
         with pytest.raises(ValueError, match=f"prefix length {length} outside 0..6"):
-            dataclasses.replace(cx, incidences=(cx.incidences[0], (cell,)))
+            dataclasses.replace(cx, incidences=(cx.incidences[0], table))
+
+    @pytest.mark.parametrize(
+        "row,value,message",
+        [(0, 1, "degree 2: cell 1 out of range"), (0, -1, "degree 2: cell -1 out of range"),
+         (1, 2, "degree 2: target 2 out of range"), (2, 0, "incidence signs must be"),
+         (3, 3, "degree 2: base index 3 out of range")],
+    )
+    def test_column_out_of_range_rejected(self, row, value, message):
+        cx = knot_complex(load_corpus_presentation("trefoil"))
+        table = cx.incidences[1].copy()
+        table[row, -1] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dataclasses.replace(cx, incidences=(cx.incidences[0], table))
+
+    def test_records_out_of_cell_order_rejected(self):
+        cx = knot_complex(torus_braid_closure(3, 4))
+        table = cx.incidences[1][:, ::-1].copy()
+        with pytest.raises(ValueError, match="^degree 2: records not in cell order$"):
+            dataclasses.replace(cx, incidences=(cx.incidences[0], table))
 
     def test_bad_composition_rejected(self):
         # a 2-cell glued along a word that is not a relator consequence
-        with pytest.raises(ValueError, match="composition"):
-            TwistedCWComplex(
-                cells_per_degree=(1, 1, 1),
-                incidences=(
-                    ((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),
-                    ((Incidence(0, 1, ()),),),
-                ),
-                generator_names=("a",),
-            ).validate_boundary()
+        cx = complex_from_records((1, 1, 1), [[[(0, 1, (1,)), (0, -1, ())]], [[(0, 1, ())]]],
+                                  ("a",))
+        with pytest.raises(ValueError, match="composition is nonzero on 2-cell 0$") as err:
+            cx.validate_boundary()
+        assert err.value.cell == (2, 0)
 
     def test_constructor_checks_structure_only(self, monkeypatch):
         # the word problem is validate_boundary's, run by parse_complex and
@@ -431,20 +450,16 @@ class TestKnotComplex:
 
         monkeypatch.setattr(TwistedCWComplex, "validate_boundary", refuse)
         knot_complex(torus_braid_closure(3, 16))
-        TwistedCWComplex(cells_per_degree=(1, 1, 1), generator_names=("a",),
-                         incidences=(((Incidence(0, 1, (1,)), Incidence(0, -1, ())),),
-                                     ((Incidence(0, 1, ()),),)))
+        complex_from_records((1, 1, 1), [[[(0, 1, (1,)), (0, -1, ())]], [[(0, 1, ())]]], ("a",))
 
     @pytest.mark.parametrize("letter", [0, 3, -3])
     def test_letter_out_of_range_rejected(self, letter):
         # two generators: a letter k is read at k + 2 of the rep's tables
-        one_cells = tuple((Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in (1, 2))
+        one_cells = [[(0, 1, (i,)), (0, -1, ())] for i in (1, 2)]
         bad = (1, letter)
         with pytest.raises(ValueError, match=rf"^degree 1: \(1, {letter}\) uses a generator "
                                              r"beyond the declared 2$"):
-            TwistedCWComplex(cells_per_degree=(1, 3),
-                             incidences=(one_cells + ((Incidence(0, 1, bad, 1),),),),
-                             generator_names=("a", "b"))
+            complex_from_records((1, 3), [one_cells + [[(0, 1, bad, 1)]]], ("a", "b"))
 
 
 # T(p,q) and K(p/q): p and q coprime, and p odd and q < p for K(p/q)
@@ -481,18 +496,53 @@ class TestFoxFormula:
         assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
 
-class TestIncidence:
-    W = (1, -2, 1)
+class TestAtTheLetterBudget:
+    """The CW route on 8 Wirtinger relators [x_k, x_{k+1}]^24990 over 9
+    generators: 799 680 letters, the file budget less 320.
 
-    def test_whole_word(self):
-        rec = Incidence(0, 1, self.W)
-        assert rec.word is self.W
-        assert rec == Incidence(0, 1, self.W, 3)
+    ``knot_complex`` keeps one int32 table per degree, 20 bytes a record,
+    and a record per letter plus two per generator: half of 40 bytes a
+    letter.  The Fox terms it reads are the presentation's, derived once
+    and read by the Fox route too.  Its tables are read-only.
+    ``twisted_boundary`` holds, besides its output, 16 + 24 r^2 bytes a
+    record (its docstring), 40 at rank 1."""
 
-    def test_prefix_built_when_read(self):
-        assert [Incidence(0, -1, self.W, n).word for n in range(4)] == [
-            (), (1,), (1, -2), (1, -2, 1)
-        ]
+    N = 9
+
+    @pytest.fixture(scope="class")
+    def pres(self):
+        relators = tuple((k, k + 1, -k, -k - 1) * 24990 for k in range(1, self.N))
+        pres = Presentation(generator_names=tuple(f"x{k}" for k in range(1, self.N + 1)),
+                            relators=relators, wirtinger=True)
+        pres.fox_terms
+        return pres
+
+    def test_knot_complex_keeps_its_columns(self, pres):
+        letters = sum(map(len, pres.relators))
+        assert letters == 799_680
+        tracemalloc.start()
+        try:
+            cx = knot_complex(pres)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 16 KiB for the bases tuple, the array headers and the complex itself
+        assert kept <= 20 * (letters + 2 * self.N) + 16384, f"{kept / letters:.2f} B/letter"
+        for table in cx.incidences:
+            with pytest.raises(ValueError, match="read-only"):
+                table[2, 0] = -table[2, 0]
+
+    def test_boundary_peak(self, pres):
+        cx = knot_complex(pres)
+        records = cx.incidences[1].shape[1]
+        tracemalloc.start()
+        try:
+            out = twisted_boundary(cx, UnitaryRep.character(self.N, 1j), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 64 KiB for the group bounds and numpy's scratch
+        assert peak <= out.nbytes + 40 * records + 65536, f"{peak / records:.1f} B/record"
 
 
 class TestCayleyTree:
@@ -520,18 +570,9 @@ class TestValidateWithRelators:
     R = (1, 2, 1, -2, -1, -2)
 
     def complex_along(self, w):
-        one_cells = tuple(
-            (Incidence(0, 1, (i,)), Incidence(0, -1, ())) for i in (1, 2)
-        )
-        recs = []
-        for i in (1, 2):
-            recs.extend(Incidence(i - 1, c, u) for u, c in fox_derivative(w, i).items())
-        cx = TwistedCWComplex(
-            cells_per_degree=(1, 2, 1),
-            incidences=(one_cells, (tuple(recs),)),
-            generator_names=("a", "b"),
-            relations=(self.R,),
-        )
+        one_cells = [[(0, 1, (i,)), (0, -1, ())] for i in (1, 2)]
+        recs = [(i - 1, c, u) for i in (1, 2) for u, c in fox_derivative(w, i).items()]
+        cx = complex_from_records((1, 2, 1), [one_cells, [recs]], ("a", "b"), (self.R,))
         cx.validate_boundary()
         return cx
 
@@ -612,6 +653,38 @@ class TestComplexFile:
         with pytest.raises(Exception, match="sign|'\\+'"):
             parse_complex("gens a; cells 0 1; cells 1 1; bd 1 0 -> (*, a, 0);")
 
+    @pytest.mark.parametrize("p,q", [(3, 7), (4, 5)])
+    def test_split_statements_keep_the_cell_order(self, p, q, rng):
+        # each cell's records in statements of two, the cells' statements
+        # taken in turn, against one statement per cell: the same
+        # records in the same order, and so bitwise the same boundaries
+        pres = torus_braid_closure(p, q)
+        cx = knot_complex(pres)
+        names = pres.generator_names
+
+        def spell(w):
+            return " ".join(names[k - 1] if k > 0 else names[-k - 1].upper() for k in w) or "1"
+
+        header = [f"gens {' '.join(names)};", *(f"rel {spell(r)};" for r in pres.relators)]
+        header += [f"cells {d} {c};" for d, c in enumerate(cx.cells_per_degree)]
+        whole, split = list(header), list(header)
+        for deg, records in enumerate(complex_records(cx)[3], start=1):
+            chunks = []
+            for i, recs in groupby(records, key=lambda rec: rec[0]):
+                fields = [f"({'+' if sign > 0 else '-'}, {spell(word)}, {target})"
+                          for _, target, sign, word in recs]
+                whole.append(f"bd {deg} {i} -> {' '.join(fields)};")
+                chunks.append([f"bd {deg} {i} -> {' '.join(fields[k:k + 2])};"
+                               for k in range(0, len(fields), 2)])
+            split += [line for turn in zip_longest(*chunks) for line in turn if line]
+        got, want = parse_complex("\n".join(split)), parse_complex("\n".join(whole))
+        assert complex_records(got) == complex_records(want) == complex_records(cx)
+        for r in (1, 3):
+            rep = UnitaryRep([random_unitary(rng, r) for _ in names])
+            for deg in (1, 2):
+                got_b, want_b = twisted_boundary(got, rep, deg), twisted_boundary(want, rep, deg)
+                assert got_b.tobytes() == want_b.tobytes()
+
     def test_knot_complex_via_file_with_relator(self):
         # trefoil complex written out with its relator declared
         cx = parse_complex(TREFOIL_WITH_RELATOR)
@@ -668,7 +741,7 @@ class TestComplexFile:
     def test_bd_word_at_letter_cap(self):
         text = f"gens a; cells 0 1; cells 1 1; bd 1 0 -> (+, a^{MAX_WORD_LETTERS}, 0);"
         cx = parse_complex(text)
-        assert len(cx.incidences[0][0][0].word) == MAX_WORD_LETTERS
+        assert len(complex_records(cx)[3][0][0][3]) == MAX_WORD_LETTERS
 
     def test_bd_word_one_letter_past_cap(self):
         field = f"bd 1 0 -> (+, a^{MAX_WORD_LETTERS} "

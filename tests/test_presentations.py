@@ -10,12 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab import ParseError, Presentation, knot_complex, parse_complex, parse_presentation
+from torsionlab import (
+    ParseError,
+    Presentation,
+    TwistedCWComplex,
+    knot_complex,
+    parse_complex,
+    parse_presentation,
+)
 from torsionlab.cli import corpus_dir
 from torsionlab.presentations import MAX_FILE_LETTERS, MAX_WORD_LETTERS
 
 from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
-from oracles import parse_complex_positional, parse_presentation_positional
+from oracles import complex_records, parse_complex_positional, parse_presentation_positional
 
 CW_TAIL = "cells 0 1; cells 1 1; bd 1 0 -> (+, a, 0) (-, 1, 0);"
 
@@ -176,11 +183,12 @@ class TestFileLetterBudget:
         text = self.FILES[fmt].format("b")
         result = parse(text)
         if fmt == "pres":
-            words = result.relators
+            words, want = result.relators, result
         else:
-            words = (*result.relations, *(rec.word for rec in result.incidences[0][0]))
+            want = complex_records(result)
+            words = (*result.relations, *(rec[3] for rec in want[3][0]))
         assert sum(map(len, words)) == MAX_FILE_LETTERS
-        assert outcome(reference, text) == result
+        assert outcome(reference, text) == want
 
     @pytest.mark.parametrize("fmt", ["pres", "cw"])
     def test_one_letter_past_the_budget(self, fmt):
@@ -277,22 +285,16 @@ class TestSharedSyntax:
         lines = [f"gens {' '.join(names)};"]
         lines += [f"rel {mixed_syntax(r, names)};" for r in pres.relators]
         lines += [f"cells {d} {c};" for d, c in enumerate(cx.cells_per_degree)]
-        for deg, table in enumerate(cx.incidences, start=1):
-            for i, recs in enumerate(table):
+        for deg, records in enumerate(complex_records(cx)[3], start=1):
+            for i, recs in itertools.groupby(records, key=lambda rec: rec[0]):
                 fields = " ".join(
-                    f"({'+' if rec.sign > 0 else '-'}, {mixed_syntax(rec.word, names)}, "
-                    f"{rec.target})"
-                    for rec in recs
+                    f"({'+' if sign > 0 else '-'}, {mixed_syntax(word, names)}, {target})"
+                    for _, target, sign, word in recs
                 )
                 lines.append(f"bd {deg} {i} -> {fields};")
         got = parse_complex("\n".join(lines))
         assert got.relations == pres.relators
-        assert got.cells_per_degree == cx.cells_per_degree
-        assert [[[(rec.target, rec.sign, rec.word) for rec in recs] for recs in table]
-                for table in got.incidences] == [
-            [[(rec.target, rec.sign, rec.word) for rec in recs] for recs in table]
-            for table in cx.incidences
-        ]
+        assert complex_records(got) == complex_records(cx)
 
     def test_semicolon_inside_cw_word_rejected(self):
         text = "gens a;\ncells 0 1;\ncells 1 1;\nbd 1 0 -> (+, a ; junk junk, 0) (-, 1, 0);\n"
@@ -360,10 +362,11 @@ class TestBenchGenerator:
 
 
 def outcome(parse, text):
-    """What a reader makes of ``text``: its result, or its error's type,
-    message, line and column."""
+    """What a reader makes of ``text``: its result (a complex as its
+    ``complex_records``), or its error's type, message, line and column."""
     try:
-        return parse(text)
+        result = parse(text)
+        return complex_records(result) if isinstance(result, TwistedCWComplex) else result
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
 
@@ -500,6 +503,6 @@ class TestPositionsWithoutTable:
         # 100 000 one-letter tokens: 19 MB with a record per token
         parse, template, _, _ = self.FILES[fmt]
         peak, result = peak_of(parse, template.format("a b " * (MAX_WORD_LETTERS // 2)))
-        word = result.relators[0] if fmt == "pres" else result.incidences[0][0][0].word
+        word = result.relators[0] if fmt == "pres" else complex_records(result)[3][0][0][3]
         assert len(word) == MAX_WORD_LETTERS
         assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
