@@ -151,15 +151,21 @@ def cmd_verify_knot(args):
 
     result = twisted_alexander(pres, rep)
     fields = [("presentation", args.presentation), ("xi", fmt_complex(xi))]
+    hypotheses = [("h1_vanishes", fmt_bool(result.h1_vanishes)),
+                  ("cuspidal", fmt_bool(result.cuspidal))]
     if result.cuspidal is not True or result.ruelle_at_0 is None:
-        return 2, fields + [("h1_vanishes", fmt_bool(result.h1_vanishes)),
-                            ("cuspidal", fmt_bool(result.cuspidal)), WITHHELD]
+        return 2, fields + hypotheses + [WITHHELD]
 
+    # the CW torsion is the special value only where the complex is acyclic
+    report = torsion_report(knot_complex(pres), rep)
+    if any(report.betti):
+        betti = ("cw_betti", " ".join(map(str, report.betti)))
+        return 2, fields + hypotheses + [betti, WITHHELD]
+    fox_value = result.ruelle_at_0
+    cw_value = checked_square(report.torsion, "cw_route")
     # delta1 of the trivial rep, computed as twisted_alexander computes it
     trivial = UnitaryRep.character(pres.n_generators, 1.0)
     trivial_delta1 = boundary2(pres, trivial, skip_generator=result.pivot_column)[0].det()
-    fox_value = result.ruelle_at_0
-    cw_value = checked_square(torsion_report(knot_complex(pres), rep).torsion, "cw_route")
     # |A_K(xi)| from the trivial-rep delta1, which is A_K up to a unit of
     # modulus 1 on |t| = 1
     closed_form = checked_square(abs(trivial_delta1(xi)) / abs(1.0 - xi), "closed_form")

@@ -104,19 +104,20 @@ class TwistedCWComplex:
         where the composite is nonzero, and carries it as ``cell = (p, i)``.
 
         The composite is keyed by reduced words interned as integer nodes of
-        the free group's Cayley tree (``_CayleyTree``): the words of a cell's
-        incidences come from one walk along each base word, and each product
-        with a lower incidence walks that incidence's letters on from there.
-        Only keys with a nonzero coefficient are turned back into words for
-        relator deletion, so a Fox 2-cell costs time linear in its relator.
+        the free group's Cayley tree (``_CayleyTree``): a cell's incidences
+        come from one walk along each base word, and their products with the
+        lower incidences on one base from one walk on along that base.  Only
+        keys with a nonzero coefficient become words again for relator
+        deletion, so a Fox 2-cell, or a 3-cell on one, costs time linear in
+        the relator.
         """
         relators = tuple(b for r in self.relations for b in (r, inverse(r)))
         tree = _CayleyTree()
-        step = tree.step
         for p in range(2, self.top_degree + 1):
-            lower = [[] for _ in range(self.cells_per_degree[p - 1])]
+            # lower cell -> base index -> its records' (target, sign, length)
+            lower = [{} for _ in range(self.cells_per_degree[p - 1])]
             for cell, target, sign, base, length in zip(*self.incidences[p - 2].tolist()):
-                lower[cell].append((target, sign, self.bases[base][:length]))
+                lower[cell].setdefault(base, []).append((target, sign, length))
             records = zip(*self.incidences[p - 1].tolist())
             for i, recs in groupby(records, key=lambda rec: rec[0]):
                 # (target, node) -> integer coefficient of the composite boundary
@@ -125,12 +126,11 @@ class TwistedCWComplex:
                 for _, target, sign, base, length in recs:
                     if (nodes := paths.get(base)) is None:
                         nodes = paths[base] = tree.prefixes(self.bases[base])
-                    for low_target, low_sign, letters in lower[target]:
-                        node = nodes[length]
-                        for letter in letters:
-                            node = step(node, letter)
-                        key = low_target, node
-                        residual[key] = residual.get(key, 0) + sign * low_sign
+                    for low_base, low_recs in lower[target].items():
+                        walk = tree.prefixes(self.bases[low_base], nodes[length])
+                        for low_target, low_sign, low_length in low_recs:
+                            key = low_target, walk[low_length]
+                            residual[key] = residual.get(key, 0) + sign * low_sign
                 collapsed = {}
                 for (target, node), c in residual.items():
                     if c:
@@ -165,9 +165,9 @@ class _CayleyTree:
             self.last.append(letter)
         return child
 
-    def prefixes(self, letters):
-        """The nodes of the prefixes of a word, from one walk along it."""
-        nodes, node, step = [0], 0, self.step
+    def prefixes(self, letters, node=0):
+        """The nodes of ``node`` times each prefix of a word, from one walk along it."""
+        nodes, step = [node], self.step
         for letter in letters:
             nodes.append(node := step(node, letter))
         return nodes

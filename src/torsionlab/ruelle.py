@@ -5,18 +5,19 @@ evaluated by summing per-factor log-determinants in increasing length
 order; the product converges absolutely for Re z > 2, and the evaluator
 reports a crude bound on the entries beyond the cutoff.  No extrapolation
 toward z = 0 is performed: the special value at the origin comes from the
-torsion routes, not from truncation.  A spectrum is held as arrays sorted
-by length, with the z-independent holonomy eigenvalues: at rank 1 the
-holonomies themselves (what LAPACK returns for a 1 x 1 matrix), at rank 2
-a closed form within a few ulps of LAPACK's, above that one batched LAPACK
-eigensolve; an evaluation is one array expression over the factors plus a
-running sum in length order, which equals a per-entry loop bit for bit.  A
-z at which some factor is not finite (a pole, or an overflow of e^{-z l})
-is refused with ValueError.  The file reader's regex checks only where the
-numbers stand; the float conversion checks the numbers, since over their
-characters it accepts exactly what ``NUM`` full-matches.  An open file is
-read a piece of whole lines at a time, so a parse holds the parsed arrays
-and one piece, not the text.
+torsion routes, not from truncation.  A spectrum's one constructor takes
+arrays and checks every entry; it holds them sorted by length, with the
+z-independent holonomy eigenvalues: at rank 1 the holonomies themselves
+(what LAPACK returns for a 1 x 1 matrix), at rank 2 a closed form within a
+few ulps of LAPACK's, above that one batched LAPACK eigensolve; an
+evaluation is one array expression over the factors plus a running sum in
+length order, which equals a per-entry loop bit for bit.  A z at which some
+factor is not finite (a pole, or an overflow of e^{-z l}) is refused with
+ValueError.  The file reader's regex checks only where the numbers stand;
+the float conversion checks the numbers, since over their characters it
+accepts exactly what ``NUM`` full-matches.  An open file is read a piece of
+whole lines at a time, so a parse holds the parsed arrays and one piece,
+not the text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import re
 import warnings
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,32 +38,11 @@ class SpectrumWarning(UserWarning):
     pass
 
 
-def _first_invalid(lengths, holonomies):
-    """(index, reason) of the first entry with a length that is not finite and
-    positive, or a holonomy that fails ``unitarity_defects``, else None."""
-    defects, unitary = unitarity_defects(holonomies)
-    length_ok = np.isfinite(lengths) & (lengths > 0)
-    if not (bad := np.flatnonzero(~length_ok | ~unitary)).size:
-        return None
-    i = bad[0]
-    return i, (f"holonomy is not unitary (defect {defects[i]:.2e})" if length_ok[i]
-               else f"geodesic length must be finite and positive, got {lengths[i]}")
-
-
-@dataclass(frozen=True)
-class GeodesicEntry:
-    """One prime closed geodesic: its length and unitary holonomy image."""
+class GeodesicEntry(NamedTuple):
+    """One prime closed geodesic of a LengthSpectrum: its length and holonomy."""
 
     length: float
     holonomy: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.holonomy, dtype=complex)
-        if h.ndim != 2 or not 0 < h.shape[0] == h.shape[1]:
-            raise ValueError("holonomy must be a square matrix, at least 1x1")
-        if bad := _first_invalid(np.array([self.length], dtype=float), h[None]):
-            raise ValueError(bad[1])
-        object.__setattr__(self, "holonomy", h)
 
 
 def _eigenvalues(h):
@@ -103,30 +83,43 @@ def _eigenvalues(h):
 
 
 class LengthSpectrum:
-    """Prime geodesics of rank r: ``lengths`` (E,), ``holonomies`` (E, r, r) and
-    ``eigenvalues`` (E, r; ``_eigenvalues``: at rank 1 a view of the holonomies,
-    at rank 2 a closed form, above one batched eigensolve), stably sorted by
-    length.  An empty spectrum holds (0, 0, 0) and (0, 0) arrays whatever its rank."""
+    """Prime geodesics of rank r from ``lengths`` (E,) and ``holonomies`` (E, r, r),
+    in any order (an empty spectrum may give any empty holonomies).  A wrong
+    shape or a rank below 1 is a ValueError; so is the first entry, in the
+    given order, whose length is not finite and positive or whose holonomy
+    fails ``unitarity_defects``, with its index as ``entry``.  Entries are
+    checked in slices of about PIECE_CHARS numbers.  The spectrum keeps them
+    stably sorted by length, with ``eigenvalues`` (E, r; ``_eigenvalues``); an
+    empty one holds (0, 0, 0) and (0, 0) arrays, whatever its rank."""
 
-    def __init__(self, rank, entries):
-        if any(e.holonomy.shape != (rank, rank) for e in entries):
-            raise ValueError("all holonomies must share the declared rank")
-        self._store(rank, np.array([e.length for e in entries], dtype=float),
-                    np.array([e.holonomy for e in entries], dtype=complex))
-
-    def _store(self, rank, lengths, holonomies):
-        """Sort unchecked arrays (holonomies flat or stacked) and take their eigenvalues."""
+    def __init__(self, rank, lengths, holonomies):
+        lengths = np.asarray(lengths, dtype=float)
+        holonomies = np.asarray(holonomies, dtype=complex)
+        if rank < 1 or lengths.ndim != 1 or (holonomies.shape != (len(lengths), rank, rank)
+                                             and (len(lengths) or holonomies.size)):
+            raise ValueError(f"a spectrum needs a rank r >= 1, lengths (E,) and holonomies "
+                             f"(E, r, r), got {rank}, {lengths.shape} and {holonomies.shape}")
+        rows = max(1, PIECE_CHARS // (1 + 2 * rank * rank))
+        for start in range(0, len(lengths), rows):
+            ls = lengths[start:start + rows]
+            defects, unitary = unitarity_defects(holonomies[start:start + rows])
+            length_ok = np.isfinite(ls) & (ls > 0)
+            if (bad := np.flatnonzero(~length_ok | ~unitary)).size:
+                i = bad[0]
+                exc = ValueError(
+                    f"holonomy is not unitary (defect {defects[i]:.2e})" if length_ok[i]
+                    else f"geodesic length must be finite and positive, got {ls[i]}")
+                exc.entry = start + int(i)
+                raise exc
         order = np.argsort(lengths, kind="stable")
         self.rank = rank
         self.lengths = lengths[order]
-        self.holonomies = (holonomies.reshape(len(order), rank, rank)[order] if len(order)
-                           else np.empty((0, 0, 0), dtype=complex))
+        self.holonomies = holonomies[order] if len(order) else np.empty((0, 0, 0), dtype=complex)
         self.eigenvalues = _eigenvalues(self.holonomies)
-        return self
 
     @property
     def entries(self):
-        """The spectrum as GeodesicEntry objects, built on each access."""
+        """The spectrum as GeodesicEntry records, built on each access."""
         return tuple(GeodesicEntry(float(l), h) for l, h in zip(self.lengths, self.holonomies))
 
 
@@ -254,12 +247,12 @@ def _raise_first_error(source, invalid=None):
     """The line-by-line reader, run only once a faster check has failed.
 
     Raises the ParseError of the first line that breaks the grammar, or,
-    when every line parses, ``invalid = (entry, message)`` from the batched
-    check on the line of that geo entry.  A file is first read to its end, so
-    that a byte that does not decode is raised wherever it stands, as by a
-    whole read; then its lines are read again from its start a piece at a
-    time.  A piece ends at a line break, so its lines are those that
-    str.splitlines() finds in the whole text."""
+    when every line parses, ``invalid = (entry, message)`` from the
+    LengthSpectrum constructor on the line of that geo entry.  A file is
+    first read to its end, so that a byte that does not decode is raised
+    wherever it stands, as by a whole read; then its lines are read again
+    from its start a piece at a time.  A piece ends at a line break, so its
+    lines are those that str.splitlines() finds in the whole text."""
     if isinstance(source, str):
         pieces = (source,)
     else:
@@ -300,8 +293,8 @@ def _raise_first_error(source, invalid=None):
     raise AssertionError("the block reader rejected a spectrum the line reader accepts")
 
 
-# a text file is read this many characters at a time, the parsed table is
-# checked in slices of about this many numbers, and _eigenvalues' rank-2
+# a text file is read this many characters at a time, a spectrum's entries
+# are checked in slices of about this many numbers, and _eigenvalues' rank-2
 # temporaries take this many bytes
 PIECE_CHARS = 1 << 16
 
@@ -346,10 +339,10 @@ def parse_spectrum(source):
     run holds the parsed numbers and one piece, never the whole text; a str is
     one piece.  A block regex checks where the numbers stand, each a run of
     NUM's characters (_TOKEN), and one numpy conversion per block checks and
-    reads them.  Lengths and unitarity are checked after the last line, in
-    slices of the table of about PIECE_CHARS numbers.  Any failure is
-    reported by the line reader, which reads a file again a piece at a time.
-    At ranks 1 and 2 no eigensolve runs (``_eigenvalues``)."""
+    reads them.  The LengthSpectrum constructor checks the table after the
+    last line.  Any failure is reported by the line reader, which reads a
+    file again a piece at a time.  At ranks 1 and 2 no eigensolve runs
+    (``_eigenvalues``)."""
     rank, nums = None, array("d")
     for piece in _pieces(source):
         pos = 0
@@ -380,15 +373,15 @@ def parse_spectrum(source):
     if rank is None:
         _raise_first_error(source)
     if not nums:
-        return LengthSpectrum(rank, ())
+        return LengthSpectrum(rank, (), ())
     # one row per entry: the length, then the holonomy as re,im pairs
     table = np.frombuffer(nums).reshape(-1, 1 + 2 * rank * rank)
-    lengths, holonomies = table[:, 0], table[:, 1:].view(complex).reshape(-1, rank, rank)
-    rows = max(1, PIECE_CHARS // table.shape[1])
-    for start in range(0, len(table), rows):
-        if bad := _first_invalid(lengths[start:start + rows], holonomies[start:start + rows]):
-            _raise_first_error(source, (start + bad[0], bad[1]))
-    return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
+    try:
+        return LengthSpectrum(rank, table[:, 0],
+                              table[:, 1:].view(complex).reshape(-1, rank, rank))
+    except ValueError as exc:
+        invalid = exc.entry, str(exc)
+    _raise_first_error(source, invalid)
 
 
 def format_spectrum(spec):

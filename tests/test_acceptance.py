@@ -15,7 +15,7 @@ from torsionlab import UnitaryRep, knot_complex, torsion_report, twisted_alexand
 from torsionlab.cli import main
 from torsionlab.cwcomplex import twisted_boundary
 from torsionlab.freegroup import reduce
-from torsionlab.ruelle import GeodesicEntry, LengthSpectrum, truncated_ruelle
+from torsionlab.ruelle import LengthSpectrum, truncated_ruelle
 from torsionlab.twisted import boundary2
 
 from conftest import (
@@ -213,23 +213,22 @@ def test_criterion_09_ruelle_evaluator(rng):
     t0 = time.perf_counter()
     # single-factor closed forms
     xi = np.exp(0.4j)
-    v, _ = truncated_ruelle(
-        LengthSpectrum(1, (GeodesicEntry(2.0, np.array([[xi]])),)), 2.5
-    )
+    v, _ = truncated_ruelle(LengthSpectrum(1, [2.0], [[[xi]]]), 2.5)
     closed_err = abs(v - 1.0 / (1.0 - xi * np.exp(-5.0)))
     # multiplicativity and conjugation invariance on 10^3 entries
-    entries, conj_entries, singles = [], [], []
+    lengths, holonomies, conj_holonomies, singles = [], [], [], []
     z = 2.4 + 0.3j
     for _ in range(1000):
         l = float(rng.uniform(0.5, 12.0))
         h = random_unitary(rng, 2)
         u = random_unitary(rng, 2)
-        entries.append(GeodesicEntry(l, h))
-        conj_entries.append(GeodesicEntry(l, u @ h @ u.conj().T))
-        singles.append(truncated_ruelle(LengthSpectrum(2, (GeodesicEntry(l, h),)), z)[0])
-    total, _ = truncated_ruelle(LengthSpectrum(2, tuple(entries)), z)
+        lengths.append(l)
+        holonomies.append(h)
+        conj_holonomies.append(u @ h @ u.conj().T)
+        singles.append(truncated_ruelle(LengthSpectrum(2, [l], [h]), z)[0])
+    total, _ = truncated_ruelle(LengthSpectrum(2, lengths, holonomies), z)
     mult_err = abs(total - np.prod(singles)) / abs(total)
-    conj, _ = truncated_ruelle(LengthSpectrum(2, tuple(conj_entries)), z)
+    conj, _ = truncated_ruelle(LengthSpectrum(2, lengths, conj_holonomies), z)
     conj_err = abs(total - conj) / abs(total)
     elapsed = time.perf_counter() - t0
     ok = closed_err <= 1e-14 and mult_err <= 1e-10 and conj_err <= 1e-10 and elapsed < 1.0

@@ -323,17 +323,33 @@ class TestVerifyKnot:
                                            "spectral max, which grows with the relator")
     def test_long_commutator_power_routes_agree(self, capsys, tmp_path):
         # the knot group <a, b | (a b A B)^N>: at xi = i both routes are N^2
-        # in exact arithmetic.  The CW route prints 4 N^2 and the run exits 3:
-        # Delta_1's true eigenvalue 4 falls under the cutoff
-        # ZERO_EIG_REL_TOL (1 + lambda_max), about 25 here, once N > 10^4, so
-        # torsion_report reports betti (0, 1, 0), and verify-knot compares
-        # that torsion all the same
+        # in exact arithmetic.  Delta_1's true eigenvalue 4 falls under the
+        # cutoff ZERO_EIG_REL_TOL (1 + lambda_max), about 25 here, once
+        # N > 10^4, so torsion_report reports betti (0, 1, 0) and verify-knot
+        # withholds the values (test_cw_route_with_homology_is_withheld)
         n = 24990
         pres = tmp_path / "long.pres"
         pres.write_text(f"gens a b; wirtinger; rel {'a b A B ' * n}; meridian a; longitude b;")
         code, out, _ = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert f"\nfox_route = {n * n}\n" in out
         assert (code, f"\ncw_route = {n * n}\n" in out) == (0, True)
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_cw_route_with_homology_is_withheld(self, capsys, tmp_path, fmt):
+        # the case above: the Fox route's hypotheses hold, but the CW complex
+        # is not acyclic, so its torsion is no special value and no route is
+        # compared
+        pres = tmp_path / "long.pres"
+        pres.write_text(f"gens a b; wirtinger; rel {'a b A B ' * 24990}; meridian a; longitude b;")
+        code, out, err = run(capsys, "verify-knot", str(pres), "--xi=0,1", f"--format={fmt}")
+        assert (code, err) == (2, "")
+        fields = {"presentation": str(pres), "xi": "0,1", "h1_vanishes": "true",
+                  "cuspidal": "true", "cw_betti": "0 1 0",
+                  "values": "withheld (hypotheses fail)"}
+        assert out == ("[verify-knot]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                       if fmt == "text" else
+                       json.dumps({"report": "verify-knot", **fields},
+                                  separators=(",", ":")) + "\n")
 
 
 class TestTorsionCW:
@@ -447,7 +463,8 @@ class TestLibraryErrors:
         assert err == "error: ruelle_at_0 = 1.4757395259e+156^2 is too large for a float\n"
 
     def test_overflowing_cw_route_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "torsion_report", lambda cx, rep: SimpleNamespace(torsion=1e200))
+        monkeypatch.setattr(cli, "torsion_report",
+                            lambda cx, rep: SimpleNamespace(torsion=1e200, betti=(0, 0, 0)))
         code, out, err = run(capsys, "verify-knot", "figure_eight", "--xi=0,1")
         assert (code, out, err) == (1, "", "error: cw_route = 1e+200^2 is too large for a float\n")
 

@@ -17,7 +17,7 @@ from torsionlab import (
 import torsionlab.reps as reps
 from torsionlab.freegroup import reduce
 from torsionlab.reps import RELATOR_TOL, UNITARITY_TOL, parse_representation, unitarity_defects
-from torsionlab.ruelle import GeodesicEntry
+from torsionlab.ruelle import LengthSpectrum
 
 from conftest import float_edge, random_unitary
 from oracles import of_word_sequential
@@ -331,7 +331,8 @@ class TestUnitarityEdge:
 
     @staticmethod
     def verdicts(m):
-        """Whether m is accepted as a .rep image, a .spec holonomy and a GeodesicEntry."""
+        """Whether m is accepted as a .rep image, a .spec holonomy and a holonomy
+        given to LengthSpectrum."""
         pairs = [f"{c.real!r},{c.imag!r}" for c in m.ravel().tolist()]
         mat = ", ".join(f"[{p}]" for p in pairs)
         out = []
@@ -339,7 +340,7 @@ class TestUnitarityEdge:
             lambda: parse_representation(f"rank 2; mat a = [ {mat} ]; mat b = [ {mat} ];",
                                          ("a", "b")),
             lambda: parse_spectrum(f"rank 2;\ngeo 1.0 ; {' '.join(pairs)} ;\n"),
-            lambda: GeodesicEntry(1.0, m),
+            lambda: LengthSpectrum(2, [1.0], [m]),
         ):
             try:
                 read()

@@ -54,10 +54,12 @@ def line_reader(text):
         nums.extend(map(float, body.replace(",", " ").split()))
     if rank is None:
         raise ParseError("missing 'rank r;' header")
-    lengths, holonomies = np.array(lengths), np.array(nums).view(complex)
-    if len(lengths) and (bad := ruelle._first_invalid(lengths, holonomies.reshape(-1, rank, rank))):
-        raise ParseError(bad[1], linenos[bad[0]])
-    return LengthSpectrum.__new__(LengthSpectrum)._store(rank, lengths, holonomies)
+    holonomies = np.array(nums).view(complex)
+    try:
+        return LengthSpectrum(rank, lengths,
+                              holonomies.reshape(-1, rank, rank) if len(lengths) else ())
+    except ValueError as exc:
+        raise ParseError(str(exc), linenos[exc.entry]) from None
 
 
 def bits(x):
@@ -123,25 +125,23 @@ def count_eigensolves(monkeypatch):
 
 
 def spectrum_of(pairs, rank=1):
-    entries = tuple(
-        GeodesicEntry(length=l, holonomy=np.atleast_2d(np.asarray(h, dtype=complex)))
-        for l, h in pairs
-    )
-    return LengthSpectrum(rank=rank, entries=entries)
+    """The spectrum of (length, holonomy) pairs, from the array constructor."""
+    return LengthSpectrum(rank, [l for l, _ in pairs], [np.atleast_2d(h) for _, h in pairs])
 
 
 class TestEntriesAndSpectrum:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            GeodesicEntry(length=0.0, holonomy=np.eye(1))
+            spectrum_of([(0.0, np.eye(1))])
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            GeodesicEntry(length=1.0, holonomy=np.array([[2.0]]))
+            spectrum_of([(1.0, [[2.0]])])
 
     def test_empty_holonomy_rejected(self):
-        with pytest.raises(ValueError, match="square matrix"):
-            GeodesicEntry(1.0, np.zeros((0, 0)))
+        for rank in (0, 1):
+            with pytest.raises(ValueError, match="needs a rank"):
+                LengthSpectrum(rank, [1.0], np.zeros((1, 0, 0)))
 
     def test_entries_sorted_ascending(self):
         spec = spectrum_of([(3.0, [[1.0]]), (1.0, [[-1.0]]), (2.0, [[1j]])])
@@ -149,13 +149,59 @@ class TestEntriesAndSpectrum:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):
-            LengthSpectrum(rank=2, entries=(GeodesicEntry(1.0, np.eye(1)),))
+            LengthSpectrum(2, [1.0], [np.eye(1)])
+
+    @pytest.mark.parametrize("rank, lengths, holonomies", [
+        (0, [1.0], np.ones((1, 1, 1))),
+        (-1, [], ()),
+        (2, [1.0], np.eye(3)[None]),
+        (2, [1.0, 2.0], np.eye(2)[None]),
+        (1, [1.0], np.ones((1, 1))),
+        (1, [1.0], ()),
+        (1, [[1.0]], np.ones((1, 1, 1))),
+        (1, 1.0, np.ones((1, 1, 1))),
+        (1, [], np.ones((1, 1, 1))),
+    ], ids=["rank-0", "rank-negative", "holonomy-side", "count", "holonomy-ndim",
+            "holonomies-empty", "lengths-2d", "lengths-0d", "lengths-empty"])
+    def test_shape_or_rank_mismatch_rejected(self, rank, lengths, holonomies):
+        with pytest.raises(ValueError, match="a spectrum needs a rank r >= 1") as err:
+            LengthSpectrum(rank, lengths, holonomies)
+        assert not hasattr(err.value, "entry")
+
+    @pytest.mark.parametrize("piece_chars", [3, ruelle.PIECE_CHARS])
+    def test_failing_entry_is_named_in_the_given_order(self, rng, monkeypatch, piece_chars):
+        # lengths falling from 10 to 1: in sorted order entry k is entry 9 - k,
+        # and with 3 numbers a slice each entry is checked in a slice of its own
+        monkeypatch.setattr(ruelle, "PIECE_CHARS", piece_chars)
+        lengths = np.arange(10.0, 0.0, -1.0)
+        hs = np.array([random_unitary(rng, 1) for _ in lengths])
+        for k, (length, h) in {2: (np.nan, hs[2]), 6: (1.5, 2 * hs[6]),
+                               7: (-0.0, 2 * hs[7])}.items():
+            bad_lengths, bad_hs = lengths.copy(), hs.copy()
+            bad_lengths[k], bad_hs[k] = length, h
+            bad_lengths[8], bad_hs[8] = 0.5, 3 * hs[8]  # a later failure, first in sorted order
+            with pytest.raises(ValueError) as err:
+                LengthSpectrum(1, bad_lengths, bad_hs)
+            assert err.value.entry == k
+            assert ("positive" if k != 6 else "not unitary") in str(err.value)
+
+    def test_entries_are_plain_records(self, rng):
+        hs = [random_unitary(rng, 2) for _ in range(3)]
+        spec = LengthSpectrum(2, [2.0, 0.5, 1.0], hs)
+        entries = spec.entries
+        assert [type(e) for e in entries] == [GeodesicEntry] * 3
+        assert all(isinstance(e, tuple) and type(e.length) is float for e in entries)
+        assert [e.length for e in entries] == [0.5, 1.0, 2.0]
+        for (_, holonomy), h in zip(entries, [hs[1], hs[2], hs[0]]):
+            np.testing.assert_array_equal(holonomy, h)
+        # a record checks nothing: only the constructor does
+        assert GeodesicEntry(-1.0, 2 * np.eye(2)).length == -1.0
 
     def test_array_layout_and_stable_order(self, rng):
         for rank in (2, 3):
             hs = [random_unitary(rng, rank) for _ in range(4)]
             lengths = [2.0, 1.0, 2.0, 0.5]
-            spec = LengthSpectrum(rank, tuple(GeodesicEntry(l, h) for l, h in zip(lengths, hs)))
+            spec = LengthSpectrum(rank, lengths, hs)
             assert spec.lengths.shape == (4,) and spec.holonomies.shape == (4, rank, rank)
             assert spec.eigenvalues.shape == (4, rank)
             np.testing.assert_array_equal(spec.lengths, [0.5, 1.0, 2.0, 2.0])
@@ -291,7 +337,7 @@ class TestRank2Eigenvalues:
         assert ruelle._eigenvalues(h).tobytes() == want
 
     def test_empty_rank2_spectrum(self):
-        for spec in (LengthSpectrum(2, ()), parse_spectrum("rank 2;\n"),
+        for spec in (LengthSpectrum(2, (), ()), parse_spectrum("rank 2;\n"),
                      parse_spectrum("rank 2;\n# no geo lines\n\n")):
             assert spec.rank == 2 and spec.eigenvalues.shape == (0, 0)
             assert spec.holonomies.shape == (0, 0, 0)
@@ -314,8 +360,7 @@ class TestTruncatedRuelle:
     def test_rank2_diagonal_factors(self):
         # det(I - diag(a, b) q)^{-1} = (1 - a q)^{-1} (1 - b q)^{-1}
         a, b = 1j, np.exp(2j * np.pi / 7)
-        entries = (GeodesicEntry(1.3, np.diag([a, b])),)
-        spec = LengthSpectrum(rank=2, entries=entries)
+        spec = LengthSpectrum(2, [1.3], [np.diag([a, b])])
         value, _ = truncated_ruelle(spec, 3.1)
         q = np.exp(-3.1 * 1.3)
         assert value == pytest.approx(1.0 / ((1 - a * q) * (1 - b * q)), rel=1e-13)
@@ -327,9 +372,9 @@ class TestTruncatedRuelle:
         for _ in range(1000):
             l = float(rng.uniform(0.5, 12.0))
             h = random_unitary(rng, 2)
-            entries.append(GeodesicEntry(l, h))
-            singles.append(LengthSpectrum(rank=2, entries=(GeodesicEntry(l, h),)))
-        spec = LengthSpectrum(rank=2, entries=tuple(entries))
+            entries.append((l, h))
+            singles.append(LengthSpectrum(2, [l], [h]))
+        spec = spectrum_of(entries, 2)
         z = 2.4 + 0.3j
         total, _ = truncated_ruelle(spec, z)
         product = np.prod([truncated_ruelle(s, z)[0] for s in singles])
@@ -342,11 +387,11 @@ class TestTruncatedRuelle:
             l = float(rng.uniform(0.5, 10.0))
             h = random_unitary(rng, 2)
             u = random_unitary(rng, 2)
-            entries.append(GeodesicEntry(l, h))
-            conj_entries.append(GeodesicEntry(l, u @ h @ u.conj().T))
+            entries.append((l, h))
+            conj_entries.append((l, u @ h @ u.conj().T))
         z = 2.7
-        v1, _ = truncated_ruelle(LengthSpectrum(2, tuple(entries)), z)
-        v2, _ = truncated_ruelle(LengthSpectrum(2, tuple(conj_entries)), z)
+        v1, _ = truncated_ruelle(spectrum_of(entries, 2), z)
+        v2, _ = truncated_ruelle(spectrum_of(conj_entries, 2), z)
         assert abs(v1 - v2) <= 1e-10 * abs(v1)
 
     def test_classical_rank1_regression(self):
@@ -377,13 +422,16 @@ class TestTruncatedRuelle:
 
     def test_empty_spectrum_warns_and_returns_one(self):
         with pytest.warns(SpectrumWarning, match="empty"):
-            value, tail = truncated_ruelle(LengthSpectrum(1, ()), 3.0)
+            value, tail = truncated_ruelle(LengthSpectrum(1, (), ()), 3.0)
         assert value == 1.0 and tail == 0.0
 
     def test_empty_spectrum_of_huge_rank(self):
         # nothing of size rank^2 is allocated when there are no entries
         spec = parse_spectrum("rank 1000000000;\n")
         assert spec.rank == 10**9 and spec.entries == ()
+        for holonomies in ((), np.empty((0, 0))):
+            empty = LengthSpectrum(10**30, [], holonomies)
+            assert (empty.holonomies.shape, empty.eigenvalues.shape) == ((0, 0, 0), (0, 0))
         assert format_spectrum(spec) == "rank 1000000000;\n"
         with pytest.warns(SpectrumWarning, match="empty"):
             assert truncated_ruelle(spec, 3.0) == (1.0, 0.0)
@@ -456,7 +504,7 @@ class TestAgainstPerEntryLoop:
     Z = (3.0, 2.5 + 0.3j, 4.0 - 1.0j, 2.0, 1.5 + 0.2j, -0.5j)
 
     def check(self, entries, rank, cutoffs):
-        spec = LengthSpectrum(rank, tuple(entries))
+        spec = spectrum_of(entries, rank)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for z in self.Z:
@@ -535,11 +583,8 @@ class TestSpectrumFile:
         assert spec.entries[1].holonomy[0, 0] == 1j
 
     def test_round_trip(self, rng):
-        entries = tuple(
-            GeodesicEntry(float(rng.uniform(0.5, 4.0)), random_unitary(rng, 2))
-            for _ in range(5)
-        )
-        spec = LengthSpectrum(rank=2, entries=entries)
+        entries = [(float(rng.uniform(0.5, 4.0)), random_unitary(rng, 2)) for _ in range(5)]
+        spec = spectrum_of(entries, 2)
         again = parse_spectrum(format_spectrum(spec))
         assert again.rank == 2
         np.testing.assert_array_equal(again.lengths, spec.lengths)
@@ -1031,8 +1076,7 @@ class TestRuelleEval:
     def test_equals_separate_calls(self, rng, rank):
         lengths = rng.uniform(0.3, 6.0, 300)
         lengths[:100] = np.round(lengths[:100], 1)
-        spec = LengthSpectrum(rank, tuple(GeodesicEntry(float(l), random_unitary(rng, rank))
-                                          for l in lengths))
+        spec = spectrum_of([(float(l), random_unitary(rng, rank)) for l in lengths], rank)
         cutoffs = [3.3, 0.1, float(lengths[7]), 9.0, 1.2, float(np.max(lengths))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1048,8 +1092,7 @@ class TestRuelleEval:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_tail_bound_beyond_largest_cutoff(self, rng, rank):
         lengths = rng.uniform(0.3, 6.0, 300)
-        spec = LengthSpectrum(rank, tuple(GeodesicEntry(float(l), random_unitary(rng, rank))
-                                          for l in lengths))
+        spec = spectrum_of([(float(l), random_unitary(rng, rank)) for l in lengths], rank)
         for cuts in ([4.5, 1.2], [float(np.sort(lengths)[-2]), 0.5]):
             for z in (3.0, 2.5 + 0.3j, 0.5j):
                 with warnings.catch_warnings():
@@ -1059,7 +1102,7 @@ class TestRuelleEval:
                 assert tail > 0 and bits(tail) == bits(want)
 
     def test_empty_spectrum_and_warnings(self):
-        empty = LengthSpectrum(3, ())
+        empty = LengthSpectrum(3, (), ())
         with pytest.warns(SpectrumWarning, match="empty"):
             assert ruelle.ruelle_eval(empty, 3.0, [1.0]) == ([(1.0, 0j, 0, None)], (1 + 0j, 0.0))
         spec = spectrum_of([(1.0, [[1.0]])])
