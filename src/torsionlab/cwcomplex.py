@@ -107,11 +107,14 @@ class TwistedCWComplex:
         the free group's Cayley tree (``_CayleyTree``): a cell's incidences
         come from one walk along each base word, and their products with the
         lower incidences on one base from one walk on along that base.  Only
-        keys with a nonzero coefficient become words again for relator
-        deletion, so a Fox 2-cell, or a 3-cell on one, costs time linear in
-        the relator.
+        keys with a nonzero coefficient and at least as many letters as the
+        shortest relator become words again for relator deletion, keyed
+        again by the node of the result, so a Fox 2-cell, or a 3-cell on
+        one, costs time and memory linear in the relator.
         """
         relators = tuple(b for r in self.relations for b in (r, inverse(r)))
+        # a word shorter than every relator holds no rotation of one: its own normal form
+        shortest = min(map(len, relators), default=float("inf"))
         tree = _CayleyTree()
         for p in range(2, self.top_degree + 1):
             # lower cell -> base index -> its records' (target, sign, length)
@@ -131,11 +134,12 @@ class TwistedCWComplex:
                         for low_target, low_sign, low_length in low_recs:
                             key = low_target, walk[low_length]
                             residual[key] = residual.get(key, 0) + sign * low_sign
-                collapsed = {}
+                collapsed = {}  # (target, node of the normalized word) -> coefficient
                 for (target, node), c in residual.items():
                     if c:
-                        key = (target, _delete_relators(tree.word(node), relators))
-                        collapsed[key] = collapsed.get(key, 0) + c
+                        if tree.depth[node] >= shortest:
+                            node = tree.prefixes(_delete_relators(tree.word(node), relators))[-1]
+                        collapsed[target, node] = collapsed.get((target, node), 0) + c
                 if any(collapsed.values()):
                     err = ValueError(f"untwisted boundary composition is nonzero on {p}-cell {i}")
                     err.cell = p, i
@@ -153,6 +157,7 @@ class _CayleyTree:
     def __init__(self):
         self.parent = [0]
         self.last = [0]  # the letter that leads to each node, none (0) to the root
+        self.depth = [0]  # the length of each node's word
         self.children = {}  # (node, letter) -> node
 
     def step(self, node, letter):
@@ -163,6 +168,7 @@ class _CayleyTree:
             child = self.children[node, letter] = len(self.parent)
             self.parent.append(node)
             self.last.append(letter)
+            self.depth.append(self.depth[node] + 1)
         return child
 
     def prefixes(self, letters, node=0):

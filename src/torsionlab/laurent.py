@@ -15,6 +15,8 @@ the sample matrices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 # relative threshold below which a coefficient counts as zero
@@ -31,6 +33,7 @@ def trim_mask(c):
     return mags > TRIM_TOL * mags.max(axis=-1, keepdims=True, initial=0.0)
 
 
+@dataclass(init=False, slots=True)
 class LaurentPoly:
     """An element of C[t, t^-1] in normalized dense form: the type of a determinant.
 
@@ -39,7 +42,8 @@ class LaurentPoly:
     empty tuple with ``low == 0``.
     """
 
-    __slots__ = ("low", "coeffs")
+    low: int
+    coeffs: tuple
 
     def __init__(self, low, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -55,11 +59,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def high(self):
-        """Highest exponent; only meaningful for nonzero polynomials."""
-        return self.low + len(self.coeffs) - 1
-
     def max_abs_coeff(self):
         return max(map(abs, self.coeffs), default=0.0)
 
@@ -74,21 +73,6 @@ class LaurentPoly:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc * z**self.low
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.low == other.low and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            terms.append(f"({c:g})*t^{self.low + k}")
-        return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
 class LaurentMatrix:

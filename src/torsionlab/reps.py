@@ -39,8 +39,11 @@ def unitarity_defects(mats):
 class UnitaryRep:
     """Unitary matrices assigned to the generators of a presentation.
 
-    ``images[i - 1]`` is rho(x_i) and ``inverses[i - 1]`` its inverse, the
-    conjugate transpose.
+    The letters' matrices are one (2n + 1, r, r) table, built at
+    construction: the n inverses (conjugate transposes, last first), the
+    identity and the n images, so letter k reads entry k + n.
+    ``images[i - 1]``, rho(x_i), is a view into it; the walk reads the
+    table's flat view at rank 1, else the list of its r x r entries.
     """
 
     def __init__(self, images):
@@ -51,13 +54,14 @@ class UnitaryRep:
         for k, m in enumerate(images):
             if m.shape != (r, r):
                 raise ValueError(f"generator image {k + 1} is not {r}x{r}")
-        defects, unitary = unitarity_defects(np.array(images))
+        stack = np.array(images)
+        defects, unitary = unitarity_defects(stack)
         if not unitary.all():
             k = np.argmin(unitary)
             raise ValueError(f"generator image {k + 1} is not unitary (defect {defects[k]:.2e})")
-        self.rank = r
-        self.images = images
-        self.inverses = [m.conj().T for m in images]
+        table = np.concatenate((stack[::-1].conj().swapaxes(1, 2), np.eye(r)[None], stack))
+        self.rank, self.images = r, list(table[len(images) + 1 :])
+        self._letters = table.reshape(-1) if r == 1 else list(table)
 
     @staticmethod
     def character(n_generators, xi):
@@ -77,28 +81,25 @@ class UnitaryRep:
 
     def prefix_products(self, word, lengths):
         """rho of the prefix of ``word`` at each of the ascending ``lengths``
-        (repeats allowed), as a (len(lengths), r, r) array: one walk, reading
-        the images at the call, multiplies the identity on the right by each
-        letter's image in word order.  Letter k reads entry k + n of a table
-        of the n inverses (last first), the identity and the n images.  At
-        rank 1 the walk is one gather from that table, behind a leading 1,
-        and one cumulative product, which runs the complex multiplications
-        of the 1x1 matmuls in their order, so bitwise theirs."""
+        (repeats allowed), as a (len(lengths), r, r) array: one walk
+        multiplies the identity on the right by each letter's entry of the
+        table, in word order, and builds nothing from the images, so a
+        write through ``images`` reaches it.  At rank 1 the walk is one
+        gather from the table's flat view, behind a leading 1, and one
+        cumulative product, which runs the complex multiplications of the
+        1x1 matmuls in their order, so bitwise theirs."""
         n = len(self.images)
         word = word[: lengths[-1] if len(lengths) else 0]
         if (k := stray_letter(word, n)) is not None:
             raise ValueError(f"word uses generator {abs(k)}, rep has {n}")
         if self.rank == 1:
-            table = np.array([*(m[0, 0] for m in self.inverses[::-1]), 1,
-                              *(m[0, 0] for m in self.images)])
-            walk = table[np.array((0, *word), dtype=np.intp) + n]
+            walk = self._letters[np.array((0, *word), dtype=np.intp) + n]
             return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
-        table = [*self.inverses[::-1], None, *self.images]
         out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
-        mat, done = np.eye(self.rank, dtype=complex), 0
+        mat, done, letters = np.eye(self.rank, dtype=complex), 0, self._letters
         for j, length in enumerate(lengths):
             for k in word[done:length]:
-                mat = mat @ table[k + n]
+                mat = mat @ letters[k + n]
             out[j], done = mat, length
         return out
 

@@ -258,15 +258,20 @@ def normalized(low, coeffs):
     return (low + i, tuple(coeffs[i:j])) if i < j else (0, ())
 
 
+def high(p):
+    """The highest exponent of a nonzero polynomial."""
+    return p.low + len(p.coeffs) - 1
+
+
 def add(p, q):
     if p.is_zero:
         return q
     if q.is_zero:
         return p
     low = min(p.low, q.low)
-    out = np.zeros(max(p.high, q.high) - low + 1, dtype=complex)
-    out[p.low - low : p.high - low + 1] += p.coeffs
-    out[q.low - low : q.high - low + 1] += q.coeffs
+    out = np.zeros(max(high(p), high(q)) - low + 1, dtype=complex)
+    out[p.low - low : high(p) - low + 1] += p.coeffs
+    out[q.low - low : high(q) - low + 1] += q.coeffs
     return LaurentPoly(low, out)
 
 
@@ -301,13 +306,13 @@ def matrix(rows):
     """The LaurentMatrix with the given rows of LaurentPoly entries."""
     cols = len(rows[0]) if rows else 0
     lows = [min((e.low for e in row if not e.is_zero), default=0) for row in rows]
-    width = max((e.high - lw + 1 for lw, row in zip(lows, rows) for e in row if not e.is_zero),
+    width = max((high(e) - lw + 1 for lw, row in zip(lows, rows) for e in row if not e.is_zero),
                 default=1)
     coef = np.zeros((len(rows), cols, width), dtype=complex)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if not e.is_zero:
-                coef[i, j, e.low - lows[i] : e.high - lows[i] + 1] = e.coeffs
+                coef[i, j, e.low - lows[i] : high(e) - lows[i] + 1] = e.coeffs
     return LaurentMatrix(lows, coef)
 
 
@@ -397,7 +402,7 @@ def of_word_sequential(rep, letters):
     for k in letters:
         if not 0 < abs(k) <= len(rep.images):
             raise ValueError(f"word uses generator {abs(k)}, rep has {len(rep.images)}")
-        out = out @ (rep.images[k - 1] if k > 0 else rep.inverses[-k - 1])
+        out = out @ (rep.images[k - 1] if k > 0 else rep.images[-k - 1].conj().T)
     return out
 
 
@@ -423,7 +428,7 @@ def boundary2_sequential(pres, rep, skip_generator=None):
                     out[:, c, :, deg[k] - low] += prefix
                 prefix = prefix @ rep.images[j - 1]
             else:
-                prefix = prefix @ rep.inverses[j - 1]
+                prefix = prefix @ rep.images[j - 1].conj().T
                 if c is not None:
                     out[:, c, :, deg[k + 1] - low] -= prefix
     return coef.reshape(len(lows) * r, len(cols) * r, width)

@@ -50,6 +50,9 @@ class TestFmtPoly:
             f"low -3 coeffs 2,0 1,0 0,-1 {over:.12g},{-over:.12g} 0,0 0,0 0,1"
         )
 
+    def test_zero_prints_0(self):
+        assert cli.fmt_poly(LaurentPoly(3, [0, 0])) == "0"
+
 
 class TestTalex:
     def test_figure_eight_xi_i(self, capsys):
@@ -360,6 +363,22 @@ class TestTorsionCW:
         assert code == 0
         assert "torsion = 0.707106781187" in out
         assert "betti = 0 0" in out
+
+    @pytest.mark.parametrize("text,report", [
+        # no records in degree 1: B_1 is zero, so both Laplacians are
+        ("gens a;\ncells 0 1;\ncells 1 1;\n",
+         ["betti = 1 1", "log_torsion = 0", "torsion = 1", "spectrum_0 = 0", "spectrum_1 = 0"]),
+        # no cells in degree 2: its Laplacian is 0 x 0, with an empty spectrum
+        (CIRCLE_CW + "cells 2 0;\n",
+         ["betti = 0 0 0", "log_torsion = -0.34657359028", "torsion = 0.707106781187",
+          "spectrum_0 = 2", "spectrum_1 = 2", "spectrum_2 = "]),
+    ], ids=["no-records", "no-cells"])
+    def test_empty_degree(self, capsys, tmp_path, text, report):
+        cw = tmp_path / "empty.cw"
+        cw.write_text(text)
+        code, out, err = run(capsys, "torsion-cw", str(cw), "--xi=0,1")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["[torsion-cw]", f"complex = {cw}", *report]
 
     def test_parse_error_exits_1(self, capsys, tmp_path):
         cw = tmp_path / "bad.cw"

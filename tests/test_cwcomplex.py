@@ -428,6 +428,16 @@ class TestKnotComplex:
         with pytest.raises(ValueError, match=f"^{message}"):
             dataclasses.replace(cx, incidences=(cx.incidences[0], table))
 
+    @pytest.mark.parametrize("change,message", [
+        ({"cells_per_degree": ()}, "cell counts must be nonnegative, degree 0 present"),
+        ({"cells_per_degree": (1, -2, 1)}, "cell counts must be nonnegative, degree 0 present"),
+        ({"cells_per_degree": (1, 2, 1, 0)}, "need one incidence table per degree >= 1"),
+    ], ids=["no-degree-0", "negative-count", "table-missing"])
+    def test_cell_counts_and_tables_rejected(self, change, message):
+        cx = knot_complex(load_corpus_presentation("trefoil"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(cx, **change)
+
     def test_records_out_of_cell_order_rejected(self):
         cx = knot_complex(torus_braid_closure(3, 4))
         table = cx.incidences[1][:, ::-1].copy()
@@ -709,17 +719,22 @@ class TestValidateThreeCells:
         assert None in verdicts and {3} == {v[0] for v in verdicts if v}
 
     def test_linear_in_the_relator(self):
-        # (+1, -1) on the 2-cell of the 8 000-letter relator (a b A B)^2000:
-        # 3.4 MB peak, where a copy of each lower record's prefix took 259.6 MB
+        # the 2-cell of the 8 000-letter relator (a b A B)^2000 twice: with
+        # signs (+1, -1) accepted at a 3.4 MB peak, where a copy of each lower
+        # record's prefix took 259.6 MB; with (+1, +1) rejected at 3.7 MB,
+        # where a word per nonzero residual took 259.7 MB
         pres = parse_presentation("gens a b; wirtinger; rel " + "a b A B " * 2000 + ";")
-        cx = with_three_cells(knot_complex(pres), [[(0, 1, (), 0), (0, -1, (), 0)]])
-        tracemalloc.start()
-        try:
-            cx.validate_boundary()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6, f"{peak / 1e6:.1f} MB"
+        kc = knot_complex(pres)
+        for signs, want in (((1, -1), None), ((1, 1), (3, 0))):
+            cx = with_three_cells(kc, [[(0, s, (), 0) for s in signs]])
+            tracemalloc.start()
+            try:
+                got = verdict(cx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 16e6, f"{signs}: {peak / 1e6:.1f} MB"
         # the 2-cell twice with the same sign, on a short relator, is rejected
         kc = knot_complex(parse_presentation("gens a b; wirtinger; rel " + "a b A B " * 10 + ";"))
         assert verdict(with_three_cells(kc, [[(0, 1, (), 0), (0, 1, (), 0)]])) == (3, 0)

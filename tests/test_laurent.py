@@ -13,7 +13,7 @@ from torsionlab.laurent import LaurentMatrix, LaurentPoly
 
 from conftest import up_to_unit_monomial
 from oracles import (
-    ONE, ZERO, add, close_to, eval_at, matmul, matrix, mul, neg, normalized, sub,
+    ONE, ZERO, add, close_to, eval_at, high, matmul, matrix, mul, neg, normalized, sub,
 )
 
 
@@ -245,7 +245,7 @@ def oracle_det(M):
     n, one = M.rows, 1 << ORACLE_BITS
     rows = [[M[i, j] for j in range(n) if not M[i, j].is_zero] for i in range(n)]
     lows = [min(e.low for e in row) for row in rows]
-    spread = sum(max(e.high for e in row) for row in rows) - sum(lows)
+    spread = sum(max(high(e) for e in row) for row in rows) - sum(lows)
     N = 1 << spread.bit_length()
     cr, ci = np.zeros((2, n, n, N), dtype=object)
     for i in range(n):
@@ -297,7 +297,7 @@ def det_extent(M):
     """lo and the coefficient count S of det, from the trimmed LaurentPoly entries."""
     rows = [[M[i, j] for j in range(M.cols) if not M[i, j].is_zero] for i in range(M.rows)]
     lo = sum(min(e.low for e in row) for row in rows)
-    hi = sum(max(e.high for e in row) for row in rows)
+    hi = sum(max(high(e) for e in row) for row in rows)
     return lo, hi - lo + 1
 
 

@@ -58,6 +58,14 @@ class TestUnitaryRep:
         with pytest.raises(ValueError, match="modulus 1"):
             UnitaryRep.character(2, xi)
 
+    @pytest.mark.parametrize("images,message", [
+        ([np.eye(2), np.eye(3)], "generator image 2 is not 2x2"),
+        ([np.zeros((1, 2))], "generator image 1 is not 1x1"),
+    ], ids=["two-ranks", "not-square"])
+    def test_image_shapes_rejected(self, images, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UnitaryRep(images)
+
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError, match="at least 1x1"):
             UnitaryRep([np.zeros((0, 0))] * 2)
@@ -307,6 +315,22 @@ class TestRepFile:
         with pytest.raises(ParseError) as err:
             parse_representation(text, ("a", "b"))
         assert str(err.value) == f"{message} (line {line})"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("rank 1;\nchar a = 0,1;\nchar b = 0,1; junk\n", "trailing text after the last ';'"),
+            ("rank 0;\nchar a = 0,1;\nchar b = 0,1;\n", "rank must be positive (line 1)"),
+            ("mat a = [ [0,1] ];\nrank 1;\nchar b = 0,1;\n",
+             "'mat' requires 'rank r;' first (line 1)"),
+            ("# no statements\n", "missing 'rank r;' header"),
+        ],
+        ids=["trailing-text", "rank-0", "mat-before-rank", "no-rank"],
+    )
+    def test_rank_header_and_trailing_text(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_representation(text, ("a", "b"))
+        assert str(err.value) == message
 
 
 def sheared(phases, beta):
