@@ -221,15 +221,15 @@ def twisted_boundary(cx, rep, p):
     transposed in each block; composites then multiply in word order and
     the chain condition holds for non-abelian representations too.
 
-    The records of one base take rho of their prefixes from one
-    ``rep.prefix_products`` walk (a Fox 2-cell's words are prefixes of its
-    relator, so a relator is walked once).  One ``np.add.at`` on the flat
-    matrix adds the blocks, sign times transposed product, unbuffered and in
-    record order: bitwise the matrix of a matmul walk per record.
+    ``rep.prefix_images`` takes rho of every record's prefix from one walk
+    along each base (a Fox 2-cell's words are prefixes of its relator, so a
+    relator is walked once).  One ``np.add.at`` on the flat matrix adds the
+    blocks, sign times transposed product, unbuffered and in record order:
+    bitwise the matrix of a matmul walk per record.
 
-    Memory: besides the output, 16 + 24 r^2 bytes a record: the walk order
-    and the block offsets (8 bytes each), the signed images (16 r^2) and
-    their flat indices (8 r^2), plus one walk at a time along a base.
+    Memory: besides the output, at most 16 + 24 r^2 bytes a record: the
+    signed images (16 r^2) and the walk's order (8 bytes), then the block
+    offsets (8) and flat indices (8 r^2), plus one walk along a base.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")
@@ -238,15 +238,7 @@ def twisted_boundary(cx, rep, p):
     cols = cx.cells_per_degree[p] * r
     out = np.zeros((rows, cols), dtype=complex)
     cell, target, sign, base, length = cx.incidences[p - 1]
-    if not len(cell):
-        return out
-    # the records by base, then by prefix length: one walk along each base
-    order = np.lexsort((length, base))
-    ends = [*(np.flatnonzero(np.diff(base[order])) + 1).tolist(), len(order)]
-    images = np.empty((len(order), r, r), dtype=complex)
-    for start, end in zip([0, *ends], ends):
-        ks = order[start:end]
-        images[ks] = rep.prefix_products(cx.bases[base[ks[0]]], length[ks])
+    images = rep.prefix_images(cx.bases, base, length)
     np.multiply(sign[:, None, None], images, out=images)
     # record k adds sign_k * image_k[b, a] to entry (target_k r + a, cell_k r + b)
     first = (target.astype(np.intp) * cols + cell)[:, None, None] * r
@@ -315,12 +307,11 @@ def knot_complex(pres):
 
     The bases are the words x_1, ..., x_n and the relators.  The boundary
     of 1-cell i is x_i - 1: the prefixes of x_i of length 1 and 0.  The
-    boundary of a 2-cell lists, generator by generator, one record on 1-cell
-    i per term of the relator's Fox derivative by x_i, with the term's
-    coefficient (+1 or -1) as its sign, in letter order.  The term of a
-    letter x_i is the prefix of the relator before it, of x_i^-1 the prefix
-    through it; the records are ``pres.fox_terms`` sorted by cell and
-    generator, so no prefix word is built.
+    boundary of a 2-cell holds, in letter order, one record per letter x_i^s
+    of its relator: its Fox term by x_i, on 1-cell i with sign s, the prefix
+    before it if s = +1 and through it if s = -1.  The table is the rows
+    ``relator, generator - 1, sign, relator + n, length`` of
+    ``pres.fox_terms``, so no prefix word is built and no record moved.
 
     The boundary squares to zero by Fox's fundamental formula
     sum_i (d r / d x_i)(x_i - 1) = r - 1, which vanishes modulo the
@@ -331,18 +322,14 @@ def knot_complex(pres):
     """
     if not pres.wirtinger:
         raise ValueError("knot_complex requires a Wirtinger presentation")
-    n, terms = pres.n_generators, pres.fox_terms
+    n, m = pres.n_generators, len(pres.relators)
     one_cells = [(i, 0, sign, i, length) for i in range(n) for sign, length in ((1, 1), (-1, 0))]
     tables = [np.array(one_cells, dtype=np.int32).reshape(-1, 5).T]
-    if terms:
-        cell = np.repeat(np.arange(len(terms), dtype=np.int32), [len(t.generator) for t in terms])
-        generator, sign, length = (np.concatenate(c, dtype=np.int32)
-                                   for c in zip(*(t[:3] for t in terms)))
-        # stable: within a cell and a generator, the letters stay in order
-        order = np.lexsort((generator, cell))
-        tables.append(np.stack((cell, generator - 1, sign, cell + n, length))[:, order])
+    if m:
+        relator, generator, sign, length, _ = pres.fox_terms
+        tables.append(np.stack((relator, generator - 1, sign, relator + n, length)))
     return TwistedCWComplex(
-        cells_per_degree=(1, n, len(terms)) if terms else (1, n),
+        cells_per_degree=(1, n, m) if m else (1, n),
         bases=(*((i,) for i in range(1, n + 1)), *pres.relators),
         incidences=tuple(tables),
         relations=tuple(pres.relators),

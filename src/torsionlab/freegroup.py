@@ -38,7 +38,7 @@ def fox_derivative(w, i):
     coefficient is +1 or -1 and none cancels.
 
     The command line does not call this: ``knot_complex`` and ``boundary2``
-    read the terms of all generators at once from ``Presentation.fox_terms``.
+    read the terms of all relators at once, from ``presentations.fox_table``.
     It stays as the reference the tests build those terms from, and as a
     layer the benchmark tracer counts.
     """

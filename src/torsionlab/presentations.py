@@ -29,8 +29,8 @@ Grammar of a presentation::
     peripheral := "meridian" word ";" "longitude" word ";"
 
 A Presentation derives the prefix degree bounds of its relators
-(``degree_bounds``) and their Fox terms (``fox_terms``) once each, on first
-read; the Fox and CW routes both read them.
+(``degree_bounds``) and their table of Fox terms (``fox_terms``, by
+``fox_table``) once each, on first read; the Fox and CW routes read both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
@@ -110,37 +110,35 @@ class Presentation:
 
     @cached_property
     def fox_terms(self):
-        """The ``FoxTerms`` of each relator, derived on first read and kept."""
-        return tuple(map(FoxTerms.of, self.relators))
+        """``fox_table(self.relators)``, derived on first read and kept."""
+        return fox_table(self.relators)
 
 
-class FoxTerms(NamedTuple):
-    """The Fox terms of a word by every generator, one per letter in letter
-    order, as read-only arrays.
+def fox_table(relators):
+    """The Fox terms of the relators by every generator, one per letter in
+    relator and then letter order, as one read-only int32 table of shape
+    (5, letters) with rows ``relator, generator, sign, length, degree``.
 
-    The letter at position k, x_i^s, adds s * (prefix) to d w / d x_i: the
-    prefix before it (``length`` k) if s = +1, through it (k + 1) if s = -1.
-    ``degree`` is that prefix's exponent sum.
+    The letter at position k of its relator, x_i^s, adds s * (prefix) to
+    d r / d x_i: the prefix before it (``length`` k) if s = +1, through it
+    (k + 1) if s = -1.  ``degree`` is that prefix's exponent sum.
     """
-
-    generator: np.ndarray
-    sign: np.ndarray
-    length: np.ndarray
-    degree: np.ndarray
-
-    @classmethod
-    def of(cls, w):
-        w = np.array(w, dtype=np.intp)
-        n = len(w)
-        table = np.empty((4, n), dtype=np.intp)
-        table[:2] = np.abs(w), np.sign(w)
-        _, sign, length, degree = table
-        np.add(np.arange(n), w < 0, out=length)
-        prefix = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(sign, out=prefix[1:])
-        np.take(prefix, length, out=degree)
-        table.flags.writeable = False
-        return cls(*table)
+    sizes = np.fromiter(map(len, relators), dtype=np.intp, count=len(relators))
+    letters = np.fromiter(chain.from_iterable(relators), dtype=np.int32, count=sizes.sum())
+    table = np.empty((5, len(letters)), dtype=np.int32)
+    relator, generator, sign, length, degree = table
+    relator[:] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    np.abs(letters, out=generator)
+    np.sign(letters, out=sign)
+    # each letter's relator's first position, and the sign sum before each position
+    start = np.repeat((np.cumsum(sizes) - sizes).astype(np.int32), sizes)
+    before = np.zeros(len(letters) + 1, dtype=np.int32)
+    np.cumsum(sign, out=before[1:])
+    np.subtract(np.arange(len(letters), dtype=np.int32), start, out=length)
+    length += letters < 0
+    np.subtract(before[start + length], before[start], out=degree)
+    table.flags.writeable = False
+    return table
 
 
 # letters a word may hold once its powers are written out; checked before
@@ -148,9 +146,9 @@ class FoxTerms(NamedTuple):
 MAX_WORD_LETTERS = 100_000
 # letters all the words of one .pres or .cw file may hold together, counted
 # the same way, so a short file of large powers cannot ask for gigabytes:
-# parsed words hold 8 bytes a letter (6.4 MB at the budget), and on a file at
-# the budget (8 relators of 99 960 letters) verify-knot peaks at 121 MB RSS
-# and talex at 114 MB
+# parsed words hold 8 bytes a letter (6.4 MB at the budget); verify-knot and
+# talex at --xi=0,1 peak at 106 MiB RSS on 8 relators [x_k, x_{k+1}]^24990
+# over 9 generators written out in full, with meridian x1 and longitude x2
 MAX_FILE_LETTERS = 8 * MAX_WORD_LETTERS
 
 # a number of the .rep and .spec files and of the CLI's numeric flags; \d as

@@ -96,11 +96,26 @@ class UnitaryRep:
             walk = self._letters[np.array((0, *word), dtype=np.intp) + n]
             return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
         out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
-        mat, done, letters = np.eye(self.rank, dtype=complex), 0, self._letters
-        for j, length in enumerate(lengths):
+        mat, done, letters = self._letters[n], 0, self._letters  # from the identity
+        # Python ints, which slice the word faster than numpy's
+        for j, length in enumerate(np.asarray(lengths).tolist()):
             for k in word[done:length]:
                 mat = mat @ letters[k + n]
             out[j], done = mat, length
+        return out
+
+    def prefix_images(self, words, base, length):
+        """rho of the prefix of ``length[k]`` letters of ``words[base[k]]`` for
+        each record k, as a (len(base), r, r) array: one ``prefix_products``
+        walk along each word, over its records in ascending length."""
+        order = np.lexsort((length, base))
+        # where each word's records end in that order
+        ends = np.bincount(base, minlength=len(words)).cumsum().tolist()
+        out = np.empty((len(order), self.rank, self.rank), dtype=complex)
+        for word, start, end in zip(words, [0, *ends], ends):
+            if start < end:
+                ks = order[start:end]
+                out[ks] = self.prefix_products(word, length[ks])
         return out
 
     def validate_against(self, pres, relator_images):

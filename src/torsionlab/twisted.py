@@ -49,21 +49,20 @@ def _generator_block(rep, i):
 
 
 def boundary2(pres, rep, skip_generator=None):
-    """The (n-1)r x nr Fox Jacobian under Phi, and the list of relator images.
+    """The (n-1)r x nr Fox Jacobian under Phi, and the relator images, (n-1, r, r).
 
     Block (j, i) is Phi(d r_j / d x_i); with ``skip_generator`` the
     corresponding block column is deleted (pivot removal).
 
     The Fox term of a letter x_i is +rho(prefix) t**deg(prefix) with the
     prefix before it, and of x_i^-1 it is -rho(prefix) t**deg(prefix) with
-    the prefix through it; ``pres.fox_terms`` holds each term's generator,
-    sign, prefix length and degree.  Each relator is walked once, by
-    ``rep.prefix_products``; one ``np.add.at`` adds all terms, the negative
-    ones negated exactly, into the flat coefficient tensor (relator j's rows
-    start at its lowest degree), unbuffered and in word order.  As a - b is
-    a + (-b), each entry is bitwise the sum phi_apply(fox_derivative) makes.
-    The walk runs to the relator's last letter: that prefix is its image,
-    bitwise ``rep.of_word``'s.
+    the prefix through it; ``pres.fox_terms`` holds them in letter order.
+    ``rep.prefix_images`` walks each relator once, to the kept terms'
+    prefixes and on to its last letter: its image, bitwise ``rep.of_word``'s.
+    One ``np.add.at`` adds all terms, the negative ones negated exactly, into
+    the flat coefficient tensor (relator j's rows start at its lowest
+    degree), unbuffered and in letter order.  As a - b is a + (-b), each
+    entry is bitwise the sum phi_apply(fox_derivative) makes.
 
     A tensor of more than MAX_CELLS^2 coefficients, the budget of one capped
     Laplacian, is a ValueError before it is allocated, and before any Fox
@@ -78,26 +77,26 @@ def boundary2(pres, rep, skip_generator=None):
         raise ValueError(f"Fox Jacobian of {' x '.join(map(str, shape))} coefficients (rows x "
                          f"columns x degrees) exceeds MAX_CELLS^2 = {MAX_CELLS**2}")
     coef = np.zeros(shape, dtype=complex)
-    # block column of each generator, -1 for the skipped one
-    column = np.full(pres.n_generators + 1, -1)
-    column[cols] = range(len(cols))
+    # offset of each generator's block column in a row of the flat coef
+    column = np.zeros(pres.n_generators + 1, dtype=np.intp)
+    column[cols] = range(0, len(cols) * r * width, r * width)
+    terms = pres.fox_terms
+    # the terms of every generator but the skipped one
+    relator, generator, sign, length, degree = terms.compress(terms[1] != skip_generator, axis=1)
+    # each kept term's block's first entry, at its prefix degree in its relator's rows
+    lows = np.array([low for low, _ in bounds], dtype=np.intp)
+    row = np.arange(len(lows)) * (shape[1] * r * width) - lows
+    first = row[relator] + column[generator] + degree
+    # the kept terms' prefixes, then each relator whole: its image
+    sizes = np.array([len(rel) for rel in pres.relators], dtype=np.intp)
+    walk = rep.prefix_images(pres.relators, np.concatenate((relator, np.arange(len(sizes)))),
+                             np.concatenate((length, sizes)))
+    prods, images = walk[: len(first)], walk[len(first) :]
+    np.negative(prods, out=prods, where=(sign < 0)[:, None, None])
     # offsets in the flat coef: entry (a, b) of a block
-    entry = np.add.outer(np.arange(r) * coef.shape[1], np.arange(r)) * width
-    firsts, signs = [np.empty(0, int)], [np.empty(0, int)]
-    prods, images = [np.empty((0, r, r))], []
-    for j, (rel, t, (low, _)) in enumerate(zip(pres.relators, pres.fox_terms, bounds)):
-        c = column[t.generator]
-        kept = c >= 0
-        # each kept term's block's first entry, at its prefix degree in row j
-        firsts.append((j * r * coef.shape[1] + c[kept] * r) * width - low + t.degree[kept])
-        signs.append(t.sign[kept])
-        walk = rep.prefix_products(rel, [*t.length[kept].tolist(), len(rel)])
-        prods.append(walk[:-1])
-        images.append(walk[-1])
-    first, prods = np.concatenate(firsts), np.concatenate(prods)
-    np.negative(prods, out=prods, where=(np.concatenate(signs) < 0)[:, None, None])
+    entry = np.add.outer(np.arange(r) * shape[1], np.arange(r)) * width
     np.add.at(coef.reshape(-1), (first[:, None, None] + entry).ravel(), prods.ravel())
-    return LaurentMatrix(np.repeat([low for low, _ in bounds], r), coef), images
+    return LaurentMatrix(np.repeat(lows, r), coef), images
 
 
 def choose_pivot(pres, rep, pivot=1):

@@ -500,10 +500,13 @@ def circle_complex():
 
 def fox_knot_incidences(pres):
     """The (target, sign, word) triples of each 2-cell of ``knot_complex(pres)``,
-    one per term of ``fox_derivative(rel, i)``, generator by generator."""
+    one per term of ``fox_derivative(rel, i)`` for every generator i, in the
+    order of the letters they come from: the term of the letter at position
+    k is the prefix of k letters if it is positive, of k + 1 if negative."""
     return [
-        [(i - 1, c, w) for i in range(1, pres.n_generators + 1)
-         for w, c in fox_derivative(rel, i).items()]
+        sorted(((i - 1, c, w) for i in range(1, pres.n_generators + 1)
+                for w, c in fox_derivative(rel, i).items()),
+               key=lambda rec: len(rec[2]) - (rec[1] < 0))
         for rel in pres.relators
     ]
 

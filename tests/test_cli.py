@@ -16,7 +16,8 @@ import torsionlab.ruelle as ruelle
 from torsionlab.cli import main
 from torsionlab import LaurentPoly, UnitaryRep, parse_presentation
 from torsionlab.laurent import TRIM_TOL, LaurentMatrix
-from torsionlab.presentations import FoxTerms, _TokenStream
+from torsionlab import presentations
+from torsionlab.presentations import _TokenStream
 from torsionlab.ruelle import parse_spectrum, truncated_ruelle
 from torsionlab.twisted import twisted_alexander
 
@@ -274,11 +275,12 @@ class TestVerifyKnot:
 
     def test_fox_terms_once_and_no_position_scan(self, capsys, monkeypatch, tmp_path):
         # verify-knot reads one presentation in two boundary2 calls (xi and
-        # the trivial rep) and in knot_complex: each relator's Fox terms are
-        # derived once, and a valid file never has a token's position found
+        # the trivial rep) and in knot_complex: its Fox table is derived once,
+        # and a valid file never has a token's position found
         derived, scans = [], []
-        of, position = FoxTerms.of, _TokenStream.position
-        monkeypatch.setattr(FoxTerms, "of", classmethod(lambda cls, w: derived.append(w) or of(w)))
+        fox_table, position = presentations.fox_table, _TokenStream.position
+        monkeypatch.setattr(presentations, "fox_table",
+                            lambda relators: derived.append(relators) or fox_table(relators))
         monkeypatch.setattr(_TokenStream, "position",
                             lambda stream, k: scans.append(k) or position(stream, k))
         knot = torus_braid_closure(3, 7)
@@ -290,7 +292,7 @@ class TestVerifyKnot:
         pres.write_text(relators + f"meridian x1; longitude {' '.join(names * 7)} x1^-21;\n")
         code, out, _ = run(capsys, "verify-knot", str(pres), "--xi=0,1")
         assert code == 0 and "agree = true" in out
-        assert derived == list(knot.relators) and len(derived) == 2
+        assert derived == [knot.relators] and len(knot.relators) == 2
         assert scans == []
         # an error names one token, found by one scan
         pres.write_text(relators + "rel ?;\n")

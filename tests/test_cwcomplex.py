@@ -506,26 +506,84 @@ class TestFoxFormula:
         assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
 
+# T(p,q) with p <= 5, and K(p/q)
+LETTER_ORDER_KNOTS = [
+    *(("T", p, q) for p in range(2, 6) for q in (3, 7, 16, 31) if math.gcd(p, q) == 1),
+    *(("K", p, q) for p, q in ((5, 3), (7, 3), (13, 5), (31, 11), (61, 27))),
+]
+
+
+class TestLetterOrder:
+    """``knot_complex`` lists a 2-cell's records in letter order.  Sorted by
+    generator instead, stably, the records that add to one block entry, those
+    of one relator and one generator, keep their relative order, so
+    ``np.add.at`` adds each entry's terms in the same order and B2 keeps its
+    bytes.  The rep's relator images are not checked here, so a rep whose
+    images differ per generator tests it as well as one that is constant."""
+
+    @staticmethod
+    def generator_sorted(pres):
+        """``knot_complex(pres)`` with each 2-cell's records sorted by generator."""
+        n = pres.n_generators
+        one_cells = [[(0, 1, (i,), 1), (0, -1, (i,), 0)] for i in range(1, n + 1)]
+        two_cells = [[(i - 1, c, rel, len(w)) for i in range(1, n + 1)
+                      for w, c in fox_derivative(rel, i).items()] for rel in pres.relators]
+        return complex_from_records((1, n, len(pres.relators)), [one_cells, two_cells],
+                                    pres.generator_names, pres.relators)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    @pytest.mark.parametrize("family,p,q", LETTER_ORDER_KNOTS)
+    def test_boundary_bytes(self, family, p, q, rank, rng):
+        pres = torus_braid_closure(p, q) if family == "T" else two_bridge(p, q)
+        n = pres.n_generators
+        cx, parent = knot_complex(pres), self.generator_sorted(pres)
+        assert cx.bases == parent.bases
+        cell, generator = cx.incidences[1][:2]
+        order = np.lexsort((generator, cell))
+        assert (cx.incidences[1][:, order] == parent.incidences[1]).all()
+        for rep in (UnitaryRep([random_unitary(rng, rank)] * n),
+                    UnitaryRep([random_unitary(rng, rank) for _ in range(n)])):
+            got = twisted_boundary(cx, rep, 2)
+            assert got.tobytes() == twisted_boundary(parent, rep, 2).tobytes()
+
+
 class TestAtTheLetterBudget:
     """The CW route on 8 Wirtinger relators [x_k, x_{k+1}]^24990 over 9
     generators: 799 680 letters, the file budget less 320.
 
-    ``knot_complex`` keeps one int32 table per degree, 20 bytes a record,
-    and a record per letter plus two per generator: half of 40 bytes a
-    letter.  The Fox terms it reads are the presentation's, derived once
-    and read by the Fox route too.  Its tables are read-only.
+    The presentation's Fox table, derived once and read by both routes,
+    is one int32 table of five rows: 20 bytes a letter.  ``knot_complex``
+    keeps one int32 table per degree, 20 bytes a record, and a record per
+    letter plus two per generator: half of 40 bytes a letter.  Its tables
+    are read-only.
     ``twisted_boundary`` holds, besides its output, 16 + 24 r^2 bytes a
     record (its docstring), 40 at rank 1."""
 
     N = 9
 
+    def presentation(self):
+        relators = tuple((k, k + 1, -k, -k - 1) * 24990 for k in range(1, self.N))
+        return Presentation(generator_names=tuple(f"x{k}" for k in range(1, self.N + 1)),
+                            relators=relators, wirtinger=True)
+
     @pytest.fixture(scope="class")
     def pres(self):
-        relators = tuple((k, k + 1, -k, -k - 1) * 24990 for k in range(1, self.N))
-        pres = Presentation(generator_names=tuple(f"x{k}" for k in range(1, self.N + 1)),
-                            relators=relators, wirtinger=True)
+        pres = self.presentation()
         pres.fox_terms
         return pres
+
+    def test_fox_table_keeps_20_bytes_a_letter(self):
+        pres = self.presentation()
+        letters = sum(map(len, pres.relators))
+        tracemalloc.start()
+        try:
+            table = pres.fox_terms
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (5, letters) and not table.flags.writeable
+        # 4 KiB for the array header and the cache entry
+        assert kept <= 20 * letters + 4096, f"{kept / letters:.2f} B/letter"
 
     def test_knot_complex_keeps_its_columns(self, pres):
         letters = sum(map(len, pres.relators))

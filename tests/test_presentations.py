@@ -19,7 +19,8 @@ from torsionlab import (
     parse_presentation,
 )
 from torsionlab.cli import corpus_dir
-from torsionlab.presentations import MAX_FILE_LETTERS, MAX_WORD_LETTERS
+from torsionlab.freegroup import fox_derivative
+from torsionlab.presentations import MAX_FILE_LETTERS, MAX_WORD_LETTERS, fox_table
 
 from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
 from oracles import complex_records, parse_complex_positional, parse_presentation_positional
@@ -121,7 +122,21 @@ class TestParsing:
         pres = parse_presentation("gens a b; rel a b a^-1 b^-1; rel A^3 b;")
         assert pres.relators == ((1, 2, -1, -2), (-1, -1, -1, 2))
         assert pres.degree_bounds == ((0, 2), (-3, 0))
-        assert pres.fox_terms[0].degree.tolist() == [0, 1, 1, 0]
+        assert pres.fox_terms[4].tolist() == [0, 1, 1, 0, -1, -2, -3, -3]
+
+    def test_fox_table_against_fox_derivative(self):
+        # one column per letter, relator by relator; an empty relator has none
+        relators = ((1, 2, -1, -2), (), (-1, -1, -1, 2), (3,), (-2, 3, -1))
+        table = fox_table(relators)
+        assert table.dtype.name == "int32" and table.shape == (5, 12)
+        assert not table.flags.writeable
+        for j, rel in enumerate(relators):
+            _, generator, sign, length, degree = table[:, table[0] == j]
+            for i in (1, 2, 3):
+                terms = [(rel[:k], s) for g, s, k in zip(generator, sign, length) if g == i]
+                assert terms == list(fox_derivative(rel, i).items())
+            assert degree.tolist() == [sum(1 if a > 0 else -1 for a in rel[:k]) for k in length]
+        assert fox_table(()).shape == fox_table(((),)).shape == (5, 0)
 
     @pytest.mark.parametrize(
         "tail,token,col",

@@ -198,6 +198,47 @@ class TestPrefixProducts:
         assert rep.prefix_products((1, -2, letter), [0, 2]).shape == (2, rank, rank)
 
 
+class TestPrefixImages:
+    """``prefix_images`` against one ``of_word_sequential`` walk per record, bitwise."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_bitwise_equal_per_record(self, rank, rng, monkeypatch):
+        rep = UnitaryRep([random_unitary(rng, rank) for _ in range(3)])
+        words = [tuple(int(i) * int(s) for i, s in zip(rng.integers(1, 4, size),
+                                                       rng.choice([-1, 1], size)))
+                 for size in (40, 17, 1, 0)]
+        # lengths 0 and full, some between, each (word, length) pair twice, shuffled
+        pairs = [(b, length) for b, w in enumerate(words)
+                 for length in {0, len(w), *rng.integers(0, len(w) + 1, 4).tolist()}] * 2
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        base, length = np.array(pairs, dtype=np.int32).T
+        walked = []
+        walk = UnitaryRep.prefix_products
+        monkeypatch.setattr(UnitaryRep, "prefix_products",
+                            lambda r, word, lengths: walked.append(word) or walk(r, word, lengths))
+        got = rep.prefix_images(words, base, length)
+        assert got.shape == (len(pairs), rank, rank)
+        for (b, length), mat in zip(pairs, got):
+            assert mat.tobytes() == of_word_sequential(rep, words[b][:length]).tobytes()
+        # each word walked once, in word order
+        assert walked == words
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_no_records(self, rank):
+        rep = UnitaryRep([np.eye(rank)] * 2)
+        none = np.empty(0, dtype=np.int32)
+        assert rep.prefix_images([(1, 2)], none, none).shape == (0, rank, rank)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_unknown_generator(self, rank):
+        rep = UnitaryRep([np.eye(rank)] * 2)
+        words = [(1, 2), (2, -3, 1)]
+        with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
+            rep.prefix_images(words, np.array([1, 0, 1]), np.array([1, 2, 2]))
+        # letters past a word's longest requested prefix are not read
+        assert rep.prefix_images(words, np.array([1, 0]), np.array([1, 2])).shape == (2, rank, rank)
+
+
 class TestRepFile:
     def test_char_shorthand(self):
         rep = parse_representation("rank 1;\nchar a = 0,1;\nchar b = 0,1;\n", ("a", "b"))
