@@ -189,28 +189,57 @@ class _CayleyTree:
 def _delete_relators(w, relators):
     """Normalize a word by deleting relator occurrences until stable.
 
-    ``relators`` holds each relator and its inverse; their
-    cyclic rotations are the patterns, tried base by base and rotation by
-    rotation.  Each step deletes the leftmost occurrence of the first
-    pattern that occurs and freely reduces.  Rotations are formed as they
-    are tried, and none for a base longer than the word, so deleting the
-    first relator from a word equal to it forms one rotation, not one per
-    letter.
+    ``relators`` holds each relator and its inverse; their cyclic rotations
+    are the patterns, tried base by base and rotation by rotation.  Each
+    step deletes the leftmost occurrence of the first pattern that occurs
+    and freely reduces.  No rotation is formed: a step rolls a hash along
+    the windows of the word as long as a base, looks each up among the
+    hashes of the base's rotations, made once per base no longer than the
+    word, and confirms a hit letter by letter.  So a step is linear in the
+    word and the bases, and stops at the first window that is the base
+    itself, as in a power of a relator.
     """
-    while (shorter := _delete_first(w, relators)) is not None:
-        w = shorter
-    return w
+    mod, radix = (1 << 61) - 1, 1_000_003  # a polynomial hash modulo a prime
+    tables = {}  # base index -> {hash of a rotation: its rotations k, ascending}
 
+    def digest(letters):
+        h = 0
+        for x in letters:
+            h = (h * radix + x) % mod
+        return h
 
-def _delete_first(ls, relators):
-    for base in relators:
-        m = len(base)
-        for k in range(m if m <= len(ls) else 0):
-            pat = base[k:] + base[:k]
-            for start in range(len(ls) - m + 1):
-                if ls[start : start + m] == pat:
-                    return reduce(ls[:start] + ls[start + m :])
-    return None
+    while True:
+        for b, base in enumerate(relators):
+            m = len(base)
+            if not 0 < m <= len(w):
+                continue
+            top = pow(radix, m - 1, mod)
+            if (table := tables.get(b)) is None:
+                table = tables[b] = {}
+                h = digest(base)
+                for k, x in enumerate(base):
+                    table.setdefault(h, []).append(k)
+                    h = ((h - x * top) * radix + x) % mod
+            found = None  # (k, start): the first rotation that occurs, leftmost
+            h = digest(w[:m])
+            for start in range(len(w) - m + 1):
+                if start:
+                    h = ((h - w[start - 1] * top) * radix + w[start + m - 1]) % mod
+                for k in table.get(h, ()):
+                    if found is not None and k >= found[0]:
+                        break
+                    cut = start + m - k
+                    if w[start:cut] == base[k:] and w[cut : start + m] == base[:k]:
+                        found = k, start
+                        break
+                if found is not None and found[0] == 0:
+                    break
+            if found is not None:
+                start = found[1]
+                w = reduce(w[:start] + w[start + m :])
+                break
+        else:
+            return w
 
 
 def twisted_boundary(cx, rep, p):

@@ -28,9 +28,12 @@ Grammar of a presentation::
     relator    := "rel" word ";"
     peripheral := "meridian" word ";" "longitude" word ";"
 
-A Presentation derives the prefix degree bounds of its relators
-(``degree_bounds``) and their table of Fox terms (``fox_terms``, by
-``fox_table``) once each, on first read; the Fox and CW routes read both.
+A Presentation converts its relators once, at construction, to one int32
+letter array with relator offsets and the array's prefix exponent sums
+(``letter_array``).  Its checks read that array, and so, once each on first
+read, do the prefix degree bounds of its relators (``degree_bounds``) and
+their table of Fox terms (``fox_terms``, by ``fox_table``); the Fox and CW
+routes read both.
 """
 
 from __future__ import annotations
@@ -78,18 +81,19 @@ class Presentation:
 
     def __post_init__(self):
         n = self.n_generators
-        peripheral = ("meridian", self.meridian), ("longitude", self.longitude)
-        for what, w in (*(("relator", r) for r in self.relators), *peripheral):
+        _, offsets, prefix = self.letter_array  # checks the relators' letters
+        for what, w in (("meridian", self.meridian), ("longitude", self.longitude)):
             if w is not None and stray_letter(w, n) is not None:
                 raise ParseError(f"{what} {w} uses a generator beyond the declared {n}")
         if self.wirtinger and len(self.relators) != n - 1:
             raise ParseError(
                 f"wirtinger presentation needs {n - 1} relators, got {len(self.relators)}"
             )
-        for k, r in enumerate(self.relators, start=1):
-            # every generator abelianizes to t only if each relator maps to 0 in Z
-            if self.wirtinger and (s := len(r) - 2 * sum(a < 0 for a in r)):
-                raise ParseError(f"wirtinger relator {k} has exponent sum {s}, not 0")
+        # every generator abelianizes to t only if each relator maps to 0 in Z
+        sums = prefix[offsets[1:]] - prefix[offsets[:-1]]
+        if self.wirtinger and (bad := np.flatnonzero(sums)).size:
+            k = int(bad[0])
+            raise ParseError(f"wirtinger relator {k + 1} has exponent sum {sums[k]}, not 0")
 
     @property
     def n_generators(self):
@@ -100,43 +104,73 @@ class Presentation:
         return self.meridian is not None and self.longitude is not None
 
     @cached_property
+    def letter_array(self):
+        """``(letters, offsets, prefix)``: the relators' letters in one int32
+        array, relator j being ``letters[offsets[j]:offsets[j + 1]]``, and the
+        exponent sum ``prefix[k]`` of the first k letters, ``prefix[0] = 0``;
+        8 bytes a letter, read-only.  Each relator tuple is read once.  A
+        ParseError names the first relator with a stray letter."""
+        relators, n = self.relators, self.n_generators
+        offsets = np.zeros(len(relators) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, relators), dtype=np.intp, count=len(relators)),
+                  out=offsets[1:])
+        try:
+            # int64 first: numpy < 2 wraps an int32 overflow instead of raising
+            wide = np.fromiter(chain.from_iterable(relators), dtype=np.int64, count=offsets[-1])
+        except OverflowError:  # a letter past int64
+            wide = None
+        if wide is None or wide.size and (wide.min() < -n or wide.max() > n or not wide.all()):
+            word = next(r for r in relators if stray_letter(r, n) is not None)
+            raise ParseError(f"relator {word} uses a generator beyond the declared {n}")
+        letters = wide.astype(np.int32)
+        prefix = np.zeros(len(letters) + 1, dtype=np.int32)
+        np.cumsum(np.sign(letters), out=prefix[1:])
+        for a in (letters, offsets, prefix):
+            a.flags.writeable = False
+        return letters, offsets, prefix
+
+    @cached_property
     def degree_bounds(self):
         """``(low, high)`` of each relator: the least and greatest exponent sum
-        of its prefixes, the empty one and the relator itself included.  A
-        cumulative sum of signs, so the Fox Jacobian's degree span is known
-        before any ``fox_terms`` table is derived."""
-        prefixes = (np.cumsum(np.sign(np.array(r, dtype=np.intp))) for r in self.relators)
-        return tuple((int(p.min(initial=0)), int(p.max(initial=0))) for p in prefixes)
+        of its prefixes, the empty one and the relator itself included, read
+        off ``letter_array``'s prefix sums, so the Fox Jacobian's degree span
+        is known before any ``fox_terms`` table is derived."""
+        _, offsets, prefix = self.letter_array
+        # relator j's segment of reduceat stops short of its last prefix sum,
+        # the first of relator j + 1, so that one is taken on its own
+        starts, ends = offsets[:-1], offsets[1:]
+        low = np.minimum(np.minimum.reduceat(prefix, starts), prefix[ends]) - prefix[starts]
+        high = np.maximum(np.maximum.reduceat(prefix, starts), prefix[ends]) - prefix[starts]
+        return tuple(zip(low.tolist(), high.tolist()))
 
     @cached_property
     def fox_terms(self):
-        """``fox_table(self.relators)``, derived on first read and kept."""
-        return fox_table(self.relators)
+        """``fox_table(*self.letter_array)``, derived on first read and kept."""
+        return fox_table(*self.letter_array)
 
 
-def fox_table(relators):
-    """The Fox terms of the relators by every generator, one per letter in
-    relator and then letter order, as one read-only int32 table of shape
-    (5, letters) with rows ``relator, generator, sign, length, degree``.
+def fox_table(letters, offsets, prefix):
+    """The Fox terms of the relators of ``Presentation.letter_array`` by every
+    generator, one per letter in relator and then letter order, as one
+    read-only int32 table of shape (5, letters) with rows ``relator,
+    generator, sign, length, degree``.
 
     The letter at position k of its relator, x_i^s, adds s * (prefix) to
     d r / d x_i: the prefix before it (``length`` k) if s = +1, through it
-    (k + 1) if s = -1.  ``degree`` is that prefix's exponent sum.
+    (k + 1) if s = -1.  ``degree`` is that prefix's exponent sum, the lower
+    of the two around the letter.
     """
-    sizes = np.fromiter(map(len, relators), dtype=np.intp, count=len(relators))
-    letters = np.fromiter(chain.from_iterable(relators), dtype=np.int32, count=sizes.sum())
     table = np.empty((5, len(letters)), dtype=np.int32)
     relator, generator, sign, length, degree = table
-    relator[:] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    relator[:] = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
     np.abs(letters, out=generator)
     np.sign(letters, out=sign)
-    # each letter's relator's first position, and the sign sum before each position
-    start = np.repeat((np.cumsum(sizes) - sizes).astype(np.int32), sizes)
-    before = np.zeros(len(letters) + 1, dtype=np.int32)
-    np.cumsum(sign, out=before[1:])
+    # each letter's relator's first position
+    start = offsets[:-1].astype(np.int32)[relator]
     np.subtract(np.arange(len(letters), dtype=np.int32), start, out=length)
     length += letters < 0
-    np.subtract(before[start + length], before[start], out=degree)
+    np.minimum(prefix[:-1], prefix[1:], out=degree)
+    degree -= prefix[start]
     table.flags.writeable = False
     return table
 
@@ -146,9 +180,10 @@ def fox_table(relators):
 MAX_WORD_LETTERS = 100_000
 # letters all the words of one .pres or .cw file may hold together, counted
 # the same way, so a short file of large powers cannot ask for gigabytes:
-# parsed words hold 8 bytes a letter (6.4 MB at the budget); verify-knot and
-# talex at --xi=0,1 peak at 106 MiB RSS on 8 relators [x_k, x_{k+1}]^24990
-# over 9 generators written out in full, with meridian x1 and longitude x2
+# parsed words hold 8 bytes a letter as tuples and relators 8 more in the
+# letter array (12.8 MB at the budget); verify-knot and talex at --xi=0,1
+# peak at 112 MiB RSS on 8 relators [x_k, x_{k+1}]^24990 over 9 generators
+# written out in full, with meridian x1 and longitude x2
 MAX_FILE_LETTERS = 8 * MAX_WORD_LETTERS
 
 # a number of the .rep and .spec files and of the CLI's numeric flags; \d as
@@ -324,6 +359,7 @@ def parse_presentation(text):
         else:
             raise stream.error(f"expected 'rel' or 'meridian', got {tok!r}")
 
+    del stream  # its token list, before the relators are converted
     return Presentation(
         generator_names=names,
         relators=tuple(relators),

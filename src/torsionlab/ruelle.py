@@ -253,16 +253,12 @@ def _raise_first_error(source, invalid=None):
     wherever it stands, as by a whole read; then its lines are read again
     from its start a piece at a time.  A piece ends at a line break, so its
     lines are those that str.splitlines() finds in the whole text."""
-    if isinstance(source, str):
-        pieces = (source,)
-    else:
-        for _ in _pieces(source):
-            pass
-        source.seek(0)
-        pieces = _pieces(source)
+    for _ in _pieces(source):
+        pass
+    source.seek(0)
     rank, entry = None, 0
     runs, number = re.compile(_TOKEN), re.compile(NUM)
-    lines = (line for piece in pieces for line in piece.splitlines())
+    lines = (line for piece in _pieces(source) for line in piece.splitlines())
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -299,13 +295,25 @@ def _raise_first_error(source, invalid=None):
 PIECE_CHARS = 1 << 16
 
 
+class _Text:
+    """A str read as a text file is, by ``read`` and ``seek``, without the
+    copy io.StringIO makes of it at 4 bytes a character."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def read(self, size):
+        self.pos += size
+        return self.text[self.pos - size : self.pos]
+
+    def seek(self, pos):
+        self.pos = pos
+
+
 def _pieces(source):
-    """The text of ``source`` in pieces of whole lines.  A str is one piece; a
-    text file is read PIECE_CHARS characters at a time, and a piece ends after
-    the last "\\n" of a read, so a line longer than a read is held whole."""
-    if isinstance(source, str):
-        yield source
-        return
+    """The text of an open text file in pieces of whole lines: it is read
+    PIECE_CHARS characters at a time, and a piece ends after the last "\\n"
+    of a read, so a line longer than a read is held whole."""
     held = []
     while True:
         try:
@@ -335,14 +343,16 @@ def parse_spectrum(source):
     first entry whose length or holonomy is invalid, unless some line breaks
     the grammar, which is reported first.
 
-    A file is parsed a piece of whole lines at a time (``_pieces``), so the
-    run holds the parsed numbers and one piece, never the whole text; a str is
-    one piece.  A block regex checks where the numbers stand, each a run of
-    NUM's characters (_TOKEN), and one numpy conversion per block checks and
-    reads them.  The LengthSpectrum constructor checks the table after the
-    last line.  Any failure is reported by the line reader, which reads a
-    file again a piece at a time.  At ranks 1 and 2 no eigensolve runs
-    (``_eigenvalues``)."""
+    A str is read as a file is (``_Text``).  A file is parsed a piece of
+    whole lines at a time (``_pieces``), so the run holds the parsed numbers
+    and one piece, never the whole text.  A block regex checks where the
+    numbers stand, each a run of NUM's characters (_TOKEN), and one numpy
+    conversion per block checks and reads them.  The LengthSpectrum
+    constructor checks the table after the last line.  Any failure is
+    reported by the line reader, which reads the file again a piece at a
+    time.  At ranks 1 and 2 no eigensolve runs (``_eigenvalues``)."""
+    if isinstance(source, str):
+        source = _Text(source)
     rank, nums = None, array("d")
     for piece in _pieces(source):
         pos = 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 from itertools import groupby, zip_longest
 
@@ -690,6 +691,20 @@ class TestValidateWithRelators:
                 w = reduce(w + random_word(int(rng.integers(0, 3))) + rotation)
             bases = tuple(b for r in relations for b in (r, inverse(r)))
             assert cwcomplex._delete_relators(w, bases) == reference(w, relations)
+
+    def test_long_word_without_a_relator_rejected_in_linear_time(self):
+        # the relator (a b)^16000 and a 2-cell along b^32000: the words
+        # b^32000 a and b^32000 hold no rotation of it, which a search that
+        # forms each rotation finds in time quadratic in the relator (2.7 s
+        # at 8 000 letters)
+        m = 32_000
+        text = ("gens a b;\nrel " + "a b " * (m // 2) + ";\ncells 0 1;\ncells 1 2;\n"
+                "cells 2 1;\nbd 1 0 -> (+, a, 0) (-, 1, 0);\nbd 1 1 -> (+, b, 0) (-, 1, 0);\n"
+                f"bd 2 0 -> (+, b^{m}, 0);\n")
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"nonzero on 2-cell 0 \(line 8, col 1\)"):
+            parse_complex(text)
+        assert time.perf_counter() - start < 2
 
     def test_off_by_a_non_relator_word_rejected(self):
         commutator = (1, 2, -1, -2)

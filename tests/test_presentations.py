@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import (
@@ -19,7 +19,7 @@ from torsionlab import (
     parse_presentation,
 )
 from torsionlab.cli import corpus_dir
-from torsionlab.freegroup import fox_derivative
+from torsionlab.freegroup import fox_derivative, reduce
 from torsionlab.presentations import MAX_FILE_LETTERS, MAX_WORD_LETTERS, fox_table
 
 from conftest import KNOT_NAMES, torus_braid_closure, two_bridge
@@ -73,7 +73,8 @@ class TestParsing:
         for p, q in [(5, 3), (7, 3), (31, 13)]:
             assert two_bridge(p, q).wirtinger
 
-    @pytest.mark.parametrize("letter", [0, 3, -3])
+    # 2**31 and -(2**63) do not fit the int32 letter array
+    @pytest.mark.parametrize("letter", [0, 3, -3, 2**31, -(2**63)])
     @pytest.mark.parametrize("where", ["relator", "meridian", "longitude"])
     def test_letter_out_of_range_rejected(self, where, letter):
         words = {"relators": ((1, 2, -1, -2),), "meridian": (1,), "longitude": (2, 1)}
@@ -127,7 +128,7 @@ class TestParsing:
     def test_fox_table_against_fox_derivative(self):
         # one column per letter, relator by relator; an empty relator has none
         relators = ((1, 2, -1, -2), (), (-1, -1, -1, 2), (3,), (-2, 3, -1))
-        table = fox_table(relators)
+        table = fox_table(*Presentation(("a", "b", "c"), relators).letter_array)
         assert table.dtype.name == "int32" and table.shape == (5, 12)
         assert not table.flags.writeable
         for j, rel in enumerate(relators):
@@ -136,7 +137,38 @@ class TestParsing:
                 terms = [(rel[:k], s) for g, s, k in zip(generator, sign, length) if g == i]
                 assert terms == list(fox_derivative(rel, i).items())
             assert degree.tolist() == [sum(1 if a > 0 else -1 for a in rel[:k]) for k in length]
-        assert fox_table(()).shape == fox_table(((),)).shape == (5, 0)
+        for empty in ((), ((),)):
+            assert fox_table(*Presentation(("a",), empty).letter_array).shape == (5, 0)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(relators=st.lists(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=12)
+                             .map(reduce), max_size=5))
+    @example(relators=[])
+    @example(relators=[(), (1, -2, -2), ()])
+    def test_degree_bounds_span_the_fox_degrees(self, relators):
+        # each term sits at the lower of the two prefix degrees around its
+        # letter, so a relator's terms span its prefix degrees but the top one
+        pres = Presentation(("a", "b", "c"), tuple(relators))
+        relator, *_, degree = pres.fox_terms
+        assert len(pres.degree_bounds) == len(relators)
+        for j, rel in enumerate(relators):
+            degrees = degree[relator == j]
+            want = (int(degrees.min()), int(degrees.max()) + 1) if rel else (0, 0)
+            assert pres.degree_bounds[j] == want
+
+    def test_each_relator_read_once(self):
+        # construction, degree_bounds and fox_terms share one letter array
+        reads = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        relators = tuple(Counted(r) for r in torus_braid_closure(3, 7).relators)
+        pres = Presentation(tuple(f"x{k}" for k in range(1, 4)), relators, wirtinger=True)
+        pres.degree_bounds, pres.fox_terms
+        assert sorted(map(id, reads)) == sorted(map(id, relators))
 
     @pytest.mark.parametrize(
         "tail,token,col",
