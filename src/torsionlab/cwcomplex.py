@@ -23,7 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .freegroup import inverse, reduce
+from .freegroup import inverse
 from .presentations import ParseError, _TokenStream, stray_letter
 
 # eigenvalues below 1e-8 * (1 + spectral max) count as kernel
@@ -187,17 +187,19 @@ class _CayleyTree:
 
 
 def _delete_relators(w, relators):
-    """Normalize a word by deleting relator occurrences until stable.
+    """Normalize a freely reduced word by deleting relator occurrences until
+    stable.
 
     ``relators`` holds each relator and its inverse; their cyclic rotations
     are the patterns, tried base by base and rotation by rotation.  Each
     step deletes the leftmost occurrence of the first pattern that occurs
-    and freely reduces.  No rotation is formed: a step rolls a hash along
-    the windows of the word as long as a base, looks each up among the
-    hashes of the base's rotations, made once per base no longer than the
-    word, and confirms a hit letter by letter.  So a step is linear in the
-    word and the bases, and stops at the first window that is the base
-    itself, as in a power of a relator.
+    and freely reduces, which cancels letters across the seam only: both
+    sides of the deleted window are reduced.  No rotation is formed: a step
+    rolls a hash along the windows of the word as long as a base, looks
+    each up among the hashes of the base's rotations, made once per base no
+    longer than the word, and confirms a hit letter by letter.  So a step
+    is linear in the word and the bases, and stops at the first window that
+    is the base itself, as in a power of a relator.
     """
     mod, radix = (1 << 61) - 1, 1_000_003  # a polynomial hash modulo a prime
     tables = {}  # base index -> {hash of a rotation: its rotations k, ascending}
@@ -235,8 +237,10 @@ def _delete_relators(w, relators):
                 if found is not None and found[0] == 0:
                     break
             if found is not None:
-                start = found[1]
-                w = reduce(w[:start] + w[start + m :])
+                left, right = found[1], found[1] + m
+                while left and right < len(w) and w[left - 1] == -w[right]:
+                    left, right = left - 1, right + 1
+                w = w[:left] + w[right:]
                 break
         else:
             return w
@@ -257,8 +261,11 @@ def twisted_boundary(cx, rep, p):
     bitwise the matrix of a matmul walk per record.
 
     Memory: besides the output, at most 16 + 24 r^2 bytes a record: the
-    signed images (16 r^2) and the walk's order (8 bytes), then the block
-    offsets (8) and flat indices (8 r^2), plus one walk along a base.
+    signed images (16 r^2) and the walk's order and lengths (12 bytes),
+    then the block offsets (8) and flat indices (8 r^2).  While a base is
+    walked, each of its records adds 80 bytes at rank > 1 (its position and
+    length as Python ints) and 16 at rank 1 (its gathered image), and the
+    rank-1 walk 24 bytes a letter.
     """
     if not (1 <= p <= cx.top_degree):
         raise ValueError(f"degree {p} out of range for this complex")

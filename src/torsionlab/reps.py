@@ -75,47 +75,46 @@ class UnitaryRep:
             raise ValueError(f"character value must have modulus 1, got |xi|={abs(xi)}") from None
 
     def of_word(self, w):
-        """rho(w), the last of ``prefix_products``: bitwise w's letter images
+        """rho(w), the one-record ``prefix_images``: bitwise w's letter images
         multiplied left to right from the identity, one matmul per letter."""
-        return self.prefix_products(w, [len(w)])[0]
-
-    def prefix_products(self, word, lengths):
-        """rho of the prefix of ``word`` at each of the ascending ``lengths``
-        (repeats allowed), as a (len(lengths), r, r) array: one walk
-        multiplies the identity on the right by each letter's entry of the
-        table, in word order, and builds nothing from the images, so a
-        write through ``images`` reaches it.  At rank 1 the walk is one
-        gather from the table's flat view, behind a leading 1, and one
-        cumulative product, which runs the complex multiplications of the
-        1x1 matmuls in their order, so bitwise theirs."""
-        n = len(self.images)
-        word = word[: lengths[-1] if len(lengths) else 0]
-        if (k := stray_letter(word, n)) is not None:
-            raise ValueError(f"word uses generator {abs(k)}, rep has {n}")
-        if self.rank == 1:
-            walk = self._letters[np.array((0, *word), dtype=np.intp) + n]
-            return np.multiply.accumulate(walk, out=walk).take(lengths).reshape(-1, 1, 1)
-        out = np.empty((len(lengths), self.rank, self.rank), dtype=complex)
-        mat, done, letters = self._letters[n], 0, self._letters  # from the identity
-        # Python ints, which slice the word faster than numpy's
-        for j, length in enumerate(np.asarray(lengths).tolist()):
-            for k in word[done:length]:
-                mat = mat @ letters[k + n]
-            out[j], done = mat, length
-        return out
+        return self.prefix_images([w], [0], [len(w)])[0]
 
     def prefix_images(self, words, base, length):
         """rho of the prefix of ``length[k]`` letters of ``words[base[k]]`` for
-        each record k, as a (len(base), r, r) array: one ``prefix_products``
-        walk along each word, over its records in ascending length."""
+        each record k, as a (len(base), r, r) array.
+
+        One walk along each word that has records, over them in ascending
+        length, multiplies the identity on the right by each letter's entry
+        of the table, in word order, and writes each record's image into the
+        output as it reaches its length.  It builds nothing from the images,
+        so a write through ``images`` reaches it, and it reads no letter past
+        a word's longest record.  At rank 1 the walk is one gather from the
+        table's flat view, behind a leading 1, and one cumulative product,
+        which runs the complex multiplications of the 1x1 matmuls in their
+        order, so bitwise theirs."""
+        n, letters = len(self.images), self._letters
         order = np.lexsort((length, base))
+        ascending = np.asarray(length)[order]  # each word's lengths, ascending
         # where each word's records end in that order
         ends = np.bincount(base, minlength=len(words)).cumsum().tolist()
         out = np.empty((len(order), self.rank, self.rank), dtype=complex)
         for word, start, end in zip(words, [0, *ends], ends):
-            if start < end:
-                ks = order[start:end]
-                out[ks] = self.prefix_products(word, length[ks])
+            if start == end:
+                continue
+            ks, lengths = order[start:end], ascending[start:end]
+            word = word[: lengths[-1]]
+            if (k := stray_letter(word, n)) is not None:
+                raise ValueError(f"word uses generator {abs(k)}, rep has {n}")
+            if self.rank == 1:
+                walk = letters[np.array((0, *word), dtype=np.intp) + n]
+                out.reshape(-1)[ks] = np.multiply.accumulate(walk, out=walk)[lengths]
+                continue
+            mat, done = letters[n], 0  # from the identity
+            # Python ints, which slice the word faster than numpy's
+            for k, stop in zip(ks.tolist(), lengths.tolist()):
+                for x in word[done:stop]:
+                    mat = mat @ letters[x + n]
+                out[k], done = mat, stop
         return out
 
     def validate_against(self, pres, relator_images):
@@ -142,16 +141,13 @@ def parse_representation(text, generator_names):
     assigned = {}
     joined = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     *bodies, trailing = joined.split(";")
-    statements = []
+    if trailing.strip():
+        raise ParseError("trailing text after the last ';'")
     lineno = 1  # the line of the ';' that ends the statement
     for stmt in bodies:
         lineno += stmt.count("\n")
-        if stmt.strip():
-            statements.append((stmt.strip(), lineno))
-    if trailing.strip():
-        raise ParseError("trailing text after the last ';'")
-
-    for stmt, lineno in statements:
+        if not (stmt := stmt.strip()):
+            continue
         if m := re.fullmatch(r"rank\s+(\d+)", stmt):
             if rank is not None:
                 raise ParseError("duplicate 'rank' header", lineno)

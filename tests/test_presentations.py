@@ -73,8 +73,9 @@ class TestParsing:
         for p, q in [(5, 3), (7, 3), (31, 13)]:
             assert two_bridge(p, q).wirtinger
 
-    # 2**31 and -(2**63) do not fit the int32 letter array
-    @pytest.mark.parametrize("letter", [0, 3, -3, 2**31, -(2**63)])
+    # 2**31 and -(2**63) do not fit the int32 letter array, 2**63 and
+    # -(2**63) - 1 not even the int64 one it is converted through
+    @pytest.mark.parametrize("letter", [0, 3, -3, 2**31, -(2**63), 2**63, -(2**63) - 1])
     @pytest.mark.parametrize("where", ["relator", "meridian", "longitude"])
     def test_letter_out_of_range_rejected(self, where, letter):
         words = {"relators": ((1, 2, -1, -2),), "meridian": (1,), "longitude": (2, 1)}

@@ -33,6 +33,12 @@ class TestUnitaryRep:
         with pytest.raises(ValueError, match="modulus 1"):
             UnitaryRep.character(1, 2.0)
 
+    @pytest.mark.parametrize("xi", [1j, 2.0])
+    def test_character_of_no_generators_rejected(self, xi):
+        # the constructor's error, not the modulus one, whatever xi is
+        with pytest.raises(ValueError, match=r"^a representation needs at least one generator"):
+            UnitaryRep.character(0, xi)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryRep([np.array([[1.0, 0.5], [0.0, 1.0]])])
@@ -160,7 +166,12 @@ class TestRelatorEdge:
 
 
 class TestPrefixProducts:
-    """``prefix_products`` against a walk of one matmul per letter, bitwise."""
+    """One-word ``prefix_images`` against a walk of one matmul per letter, bitwise."""
+
+    @staticmethod
+    def prefixes(rep, word, lengths):
+        return rep.prefix_images([word], np.zeros(len(lengths), dtype=np.int32),
+                                 np.array(lengths, dtype=np.int32))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_bitwise_equal_to_sequential_walk(self, rank, rng):
@@ -168,7 +179,7 @@ class TestPrefixProducts:
         letters = tuple(int(i) * int(s) for i, s in zip(rng.integers(1, 4, 60),
                                                         rng.choice([-1, 1], 60)))
         for lengths in ([0], [60], [0, 0, 7, 7, 7, 31, 60, 60], list(range(61)), []):
-            got = rep.prefix_products(letters, lengths)
+            got = self.prefixes(rep, letters, lengths)
             assert got.shape == (len(lengths), rank, rank)
             for length, mat in zip(lengths, got):
                 assert mat.tobytes() == of_word_sequential(rep, letters[:length]).tobytes()
@@ -179,11 +190,11 @@ class TestPrefixProducts:
     def test_unknown_generator(self, rank):
         rep = UnitaryRep([np.eye(rank)] * 2)
         with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
-            rep.prefix_products((1, -3, 4), [3])
+            self.prefixes(rep, (1, -3, 4), [3])
         with pytest.raises(ValueError, match=r"^word uses generator 3, rep has 2$"):
             rep.of_word((2, 3))
         # letters past the longest requested prefix are not read
-        assert rep.prefix_products((1, -3), [0, 1]).shape == (2, rank, rank)
+        assert self.prefixes(rep, (1, -3), [0, 1]).shape == (2, rank, rank)
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("letter", [0, 3, -3])
@@ -192,10 +203,10 @@ class TestPrefixProducts:
         # the identity, and -(n + 1) would wrap around to the last image
         rep = UnitaryRep([np.eye(rank)] * 2)
         with pytest.raises(ValueError, match=rf"^word uses generator {abs(letter)}, rep has 2$"):
-            rep.prefix_products((1, -2, letter, 2), [1, 4])
+            self.prefixes(rep, (1, -2, letter, 2), [1, 4])
         with pytest.raises(ValueError, match=rf"^word uses generator {abs(letter)}, rep has 2$"):
             rep.of_word((letter,))
-        assert rep.prefix_products((1, -2, letter), [0, 2]).shape == (2, rank, rank)
+        assert self.prefixes(rep, (1, -2, letter), [0, 2]).shape == (2, rank, rank)
 
 
 class TestPrefixImages:
@@ -212,10 +223,11 @@ class TestPrefixImages:
                  for length in {0, len(w), *rng.integers(0, len(w) + 1, 4).tolist()}] * 2
         pairs = [pairs[k] for k in rng.permutation(len(pairs))]
         base, length = np.array(pairs, dtype=np.int32).T
+        # the stray-letter check reads each walked word once, to its longest record
         walked = []
-        walk = UnitaryRep.prefix_products
-        monkeypatch.setattr(UnitaryRep, "prefix_products",
-                            lambda r, word, lengths: walked.append(word) or walk(r, word, lengths))
+        check = reps.stray_letter
+        monkeypatch.setattr(reps, "stray_letter",
+                            lambda word, n: walked.append(word) or check(word, n))
         got = rep.prefix_images(words, base, length)
         assert got.shape == (len(pairs), rank, rank)
         for (b, length), mat in zip(pairs, got):

@@ -483,10 +483,15 @@ class TestWalkCounts:
     @staticmethod
     def walks(monkeypatch, pres, rep):
         walked = []
-        walk = UnitaryRep.prefix_products
+        walk = UnitaryRep.prefix_images
+
+        def watched(r, words, base, length):
+            # the words that have records, in order: the ones walked
+            walked.extend(words[b] for b in np.unique(base).tolist())
+            return walk(r, words, base, length)
+
         with monkeypatch.context() as m:
-            m.setattr(UnitaryRep, "prefix_products",
-                      lambda r, letters, lengths: walked.append(letters) or walk(r, letters, lengths))
+            m.setattr(UnitaryRep, "prefix_images", watched)
             twisted_alexander(pres, rep)
         return walked
 
