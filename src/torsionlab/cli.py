@@ -144,8 +144,10 @@ def cmd_talex(args):
 
 
 def cmd_verify_knot(args):
-    if not 0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    # a full match of NUM, as in flag_numbers; any other text is named as given
+    tol = float(args.tol) if _FLAG_NUMBER.fullmatch(args.tol) else args.tol
+    if isinstance(tol, str) or not 0 <= tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {tol}")
     pres, rep = load_knot(args)
     xi = complex(rep.images[0][0, 0])  # the --xi value, bit for bit
 
@@ -174,16 +176,20 @@ def cmd_verify_knot(args):
     deviation = max(
         abs(a - b) / max(abs(a), abs(b)) for a in values for b in values if a is not b
     )
-    agree = deviation <= args.tol
+    agree = deviation <= tol
     return 0 if agree else 3, fields + [
         ("fox_route", fmt(fox_value)), ("cw_route", fmt(cw_value)),
         ("closed_form", fmt(closed_form)), ("max_rel_deviation", fmt(deviation)),
-        ("tolerance", fmt(args.tol)), ("agree", fmt_bool(agree)), NOTE]
+        ("tolerance", fmt(tol)), ("agree", fmt_bool(agree)), NOTE]
 
 
 def cmd_torsion_cw(args):
     cx = parse_complex(resolve_input(args.complex, ".cw").read_text())
-    report = torsion_report(cx, load_rep(args, cx.generator_names))
+    rep = load_rep(args, cx.generator_names)
+    # the rep must respect the complex's relations, as talex checks its relators
+    rels = cx.relations
+    rep.validate_against(cx, rep.prefix_images(rels, np.arange(len(rels)), list(map(len, rels))))
+    report = torsion_report(cx, rep)
     return 0, [
         ("complex", args.complex),
         ("betti", " ".join(str(b) for b in report.betti)),
@@ -233,7 +239,7 @@ def build_parser():
     p = sub.add_parser("verify-knot", help="compare Fox, CW, and closed-form routes")
     p.add_argument("presentation")
     p.add_argument("--xi", required=True, help="rank-1 character value re,im")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", default="1e-8",
                    help="relative agreement tolerance (default 1e-8)")
     common(p)
     p.set_defaults(func=cmd_verify_knot, rep=None)

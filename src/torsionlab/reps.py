@@ -118,12 +118,12 @@ class UnitaryRep:
         return out
 
     def validate_against(self, pres, relator_images):
-        """Check that each relator image, in ``pres``'s relator order, is I (well-definedness)."""
-        if pres.n_generators != len(self.images):
-            raise ValueError(
-                f"presentation has {pres.n_generators} generators, "
-                f"rep has {len(self.images)} images"
-            )
+        """Check that each relator image, in ``pres``'s relator order, is I (well-definedness).
+
+        ``pres`` presents the group by its ``generator_names`` and relators: a
+        Presentation, or a TwistedCWComplex by its ``gens`` and ``rel`` lines."""
+        if (n := len(pres.generator_names)) != len(self.images):
+            raise ValueError(f"presentation has {n} generators, rep has {len(self.images)} images")
         for k, image in enumerate(relator_images):
             err = np.linalg.norm(image - np.eye(self.rank))
             if not err <= RELATOR_TOL:

@@ -15,9 +15,9 @@ length order, which equals a per-entry loop bit for bit.  A z at which some
 factor is not finite (a pole, or an overflow of e^{-z l}) is refused with
 ValueError.  The file reader's regex checks only where the numbers stand;
 the float conversion checks the numbers, since over their characters it
-accepts exactly what ``NUM`` full-matches.  An open file is read a piece of
-whole lines at a time, so a parse holds the parsed arrays and one piece,
-not the text.
+accepts exactly what ``NUM`` full-matches.  A text, or an open file from
+its start, is read a piece of whole lines at a time, so a parse holds the
+parsed arrays and one piece, not the text.
 """
 
 from __future__ import annotations
@@ -248,14 +248,14 @@ def _raise_first_error(source, invalid=None):
 
     Raises the ParseError of the first line that breaks the grammar, or,
     when every line parses, ``invalid = (entry, message)`` from the
-    LengthSpectrum constructor on the line of that geo entry.  A file is
-    first read to its end, so that a byte that does not decode is raised
-    wherever it stands, as by a whole read; then its lines are read again
-    from its start a piece at a time.  A piece ends at a line break, so its
-    lines are those that str.splitlines() finds in the whole text."""
+    LengthSpectrum constructor on the line of that geo entry.  The source
+    is first read to its end, so that a byte of a file that does not decode
+    is raised wherever it stands, as by a whole read; then its lines are
+    read again from its start a piece at a time (``_pieces``).  A piece ends
+    at a line break, so its lines are those that str.splitlines() finds in
+    the whole text."""
     for _ in _pieces(source):
         pass
-    source.seek(0)
     rank, entry = None, 0
     runs, number = re.compile(_TOKEN), re.compile(NUM)
     lines = (line for piece in _pieces(source) for line in piece.splitlines())
@@ -289,47 +289,36 @@ def _raise_first_error(source, invalid=None):
     raise AssertionError("the block reader rejected a spectrum the line reader accepts")
 
 
-# a text file is read this many characters at a time, a spectrum's entries
+# a source is read this many characters at a time, a spectrum's entries
 # are checked in slices of about this many numbers, and _eigenvalues' rank-2
 # temporaries take this many bytes
 PIECE_CHARS = 1 << 16
 
 
-class _Text:
-    """A str read as a text file is, by ``read`` and ``seek``, without the
-    copy io.StringIO makes of it at 4 bytes a character."""
-
-    def __init__(self, text):
-        self.text, self.pos = text, 0
-
-    def read(self, size):
-        self.pos += size
-        return self.text[self.pos - size : self.pos]
-
-    def seek(self, pos):
-        self.pos = pos
-
-
 def _pieces(source):
-    """The text of an open text file in pieces of whole lines: it is read
-    PIECE_CHARS characters at a time, and a piece ends after the last "\\n"
-    of a read, so a line longer than a read is held whole."""
+    """The text of a str, or of an open text file from its start, in pieces
+    of whole lines.  A str is cut into PIECE_CHARS slices, so it is never
+    copied whole; a file is rewound and read PIECE_CHARS characters at a
+    time.  A piece ends after the last "\\n" of a slice or read, so a line
+    longer than one is held whole."""
+    if isinstance(source, str):
+        reads = (source[i : i + PIECE_CHARS] for i in range(0, len(source), PIECE_CHARS))
+    else:
+        source.seek(0)
+        reads = iter(functools.partial(source.read, PIECE_CHARS), "")
     held = []
-    while True:
-        try:
-            chunk = source.read(PIECE_CHARS)
-        except UnicodeDecodeError:
-            source.seek(0)
-            source.read()  # raises the error of reading the file whole, at its position
-            raise
-        if not chunk:
-            break
-        if cut := chunk.rfind("\n") + 1:
-            held.append(chunk[:cut])
-            yield "".join(held)
-            held = [chunk[cut:]]
-        else:
-            held.append(chunk)
+    try:
+        for chunk in reads:
+            if cut := chunk.rfind("\n") + 1:
+                held.append(chunk[:cut])
+                yield "".join(held)
+                held = [chunk[cut:]]
+            else:
+                held.append(chunk)
+    except UnicodeDecodeError:
+        source.seek(0)
+        source.read()  # raises the error of reading the file whole, at its position
+        raise
     if tail := "".join(held):
         yield tail
 
@@ -343,16 +332,15 @@ def parse_spectrum(source):
     first entry whose length or holonomy is invalid, unless some line breaks
     the grammar, which is reported first.
 
-    A str is read as a file is (``_Text``).  A file is parsed a piece of
-    whole lines at a time (``_pieces``), so the run holds the parsed numbers
-    and one piece, never the whole text.  A block regex checks where the
-    numbers stand, each a run of NUM's characters (_TOKEN), and one numpy
-    conversion per block checks and reads them.  The LengthSpectrum
-    constructor checks the table after the last line.  Any failure is
-    reported by the line reader, which reads the file again a piece at a
-    time.  At ranks 1 and 2 no eigensolve runs (``_eigenvalues``)."""
-    if isinstance(source, str):
-        source = _Text(source)
+    A str and a file are both parsed from their start a piece of whole lines
+    at a time (``_pieces``), so the run holds the parsed numbers and one
+    piece, never the whole text; a file must be seekable, and is parsed
+    whole wherever it stands.  A block regex checks where the numbers stand,
+    each a run of NUM's characters (_TOKEN), and one numpy conversion per
+    block checks and reads them.  The LengthSpectrum constructor checks the
+    table after the last line.  Any failure is reported by the line reader,
+    which reads the source again a piece at a time.  At ranks 1 and 2 no
+    eigensolve runs (``_eigenvalues``)."""
     rank, nums = None, array("d")
     for piece in _pieces(source):
         pos = 0

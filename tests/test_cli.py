@@ -441,6 +441,26 @@ class TestTorsionCW:
         assert err == ("error: untwisted boundary composition is nonzero on 2-cell 0 "
                        "(line 6, col 1)\n")
 
+    # the projective plane: a 2-cell along a a, so rho(a)^2 must be I
+    RP2_CW = ("gens a; rel a a; cells 0 1; cells 1 1; cells 2 1; "
+              "bd 1 0 -> (+, a, 0) (-, 1, 0); bd 2 0 -> (+, 1, 0) (+, a, 0);\n")
+
+    @pytest.mark.parametrize("xi,code,lines", [
+        # rho(a a) = -1: a Laplacian of no chain complex is refused
+        ("0,1", 1, ["error: relator 1 maps to a non-identity matrix (defect 2.00e+00)"]),
+        ("-1,0", 0, ["betti = 0 0 1", "torsion = 0.5"]),
+        ("1,0", 0, ["betti = 1 0 0"]),
+    ], ids=["i", "minus-one", "one"])
+    def test_rep_is_checked_against_the_relations(self, capsys, tmp_path, xi, code, lines):
+        cw = tmp_path / "rp2.cw"
+        cw.write_text(self.RP2_CW)
+        got, out, err = run(capsys, "torsion-cw", str(cw), f"--xi={xi}")
+        assert got == code
+        if code:
+            assert (out, err.splitlines()) == ("", lines)
+        else:
+            assert err == "" and set(lines) <= set(out.splitlines())
+
     def test_out_of_range_bd_exits_1(self, capsys, tmp_path):
         # once loaded as the circle, with both out-of-range statements dropped
         cw = tmp_path / "dropped.cw"
@@ -525,11 +545,17 @@ class TestMalformedFlags:
              "--tol must be finite and >= 0, got -1.0"),
             (["verify-knot", "trefoil", "--xi=0,1", "--tol=inf"],
              "--tol must be finite and >= 0, got inf"),
+            # --tol is read by the same number grammar, not by argparse's float
+            (["verify-knot", "trefoil", "--xi=0,1", "--tol=abc"],
+             "--tol must be finite and >= 0, got abc"),
+            (["verify-knot", "trefoil", "--xi=0,1", "--tol=1_0"],
+             "--tol must be finite and >= 0, got 1_0"),
         ],
         ids=["xi-one-number", "z-one-number", "neither-xi-nor-rep", "xi-off-circle",
              "xi-overflow", "xi-underscore", "xi-space", "z-nan", "z-inf", "z-overflow",
              "z-underscore", "cutoffs-nan", "cutoffs-overflow", "cutoffs-space",
-             "cutoffs-empty-item", "tol-nan", "tol-negative", "tol-inf"],
+             "cutoffs-empty-item", "tol-nan", "tol-negative", "tol-inf", "tol-word",
+             "tol-underscore"],
     )
     def test_exits_1(self, capsys, tmp_path, argv, message):
         spec = tmp_path / "one.spec"

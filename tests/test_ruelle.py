@@ -1,7 +1,9 @@
 """Length spectra and truncated Euler products."""
 
+import io
 import itertools
 import json
+import os
 import re
 import tracemalloc
 import warnings
@@ -911,18 +913,25 @@ class TestBlockReader:
         assert peaks[1] <= 1.5 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
-def assert_file_same_as_text(path):
-    """parse_spectrum of the open file gives parse_spectrum(path.read_text())'s
-    arrays bit for bit, or its ParseError with the same text and line."""
+def assert_file_same_as_text(path, lines_read=0):
+    """parse_spectrum of the open file, after ``lines_read`` of its lines were
+    read, gives parse_spectrum(path.read_text())'s arrays bit for bit, or its
+    ParseError with the same text and line."""
+
+    def parse_file():
+        with path.open() as f:
+            for _ in range(lines_read):
+                f.readline()
+            return parse_spectrum(f)
+
     try:
         want = parse_spectrum(path.read_text())
     except ParseError as exc:
-        with path.open() as f, pytest.raises(ParseError) as err:
-            parse_spectrum(f)
+        with pytest.raises(ParseError) as err:
+            parse_file()
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
         return exc
-    with path.open() as f:
-        got = parse_spectrum(f)
+    got = parse_file()
     assert got.rank == want.rank
     for name in ("lengths", "holonomies", "eigenvalues"):
         a, b = getattr(got, name), getattr(want, name)
@@ -988,6 +997,24 @@ class TestFilePieces:
         path = tmp_path / "s.spec"
         path.write_text(text)
         assert_file_same_as_text(path)
+
+    @pytest.mark.parametrize("lines_read", [1, 2])
+    def test_a_file_is_parsed_from_its_start(self, tmp_path, piece_chars, lines_read):
+        # wherever the caller left the file: a spectrum, and the error of an
+        # invalid entry on its line
+        path = tmp_path / "s.spec"
+        path.write_text("rank 1;\ngeo 1 ; 1,0 ;\n")
+        assert len(assert_file_same_as_text(path, lines_read).lengths) == 1
+        path.write_text("rank 1;\ngeo 1 ; 2,0 ;\n")
+        exc = assert_file_same_as_text(path, lines_read)
+        assert str(exc) == "holonomy is not unitary (defect 3.00e+00) (line 2)"
+
+    def test_a_file_that_cannot_seek_is_refused(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"rank 1;\ngeo 1 ; 1,0 ;\n")
+        os.close(write_end)
+        with open(read_end) as f, pytest.raises(io.UnsupportedOperation):
+            parse_spectrum(f)
 
     @pytest.mark.parametrize("second_line", [b"geo 1 ; 1,0 ;\n", b"geo 1 ; junk ;\n"])
     def test_undecodable_byte_past_the_first_piece(self, tmp_path, piece_chars, second_line):
